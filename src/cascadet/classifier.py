@@ -149,9 +149,10 @@ def classify_all(classifier: Network, frame: Tensor,
             raise ValueError("classifier declares no input shape; "
                              "pass input_extent explicitly")
         input_extent = classifier.input_shape[-1]
-    results = []
-    for face in faces:
-        crop = detector.crop_resize(frame, detector.square_pad(face.box),
-                                    input_extent)
-        results.append((face, classify_face(classifier, crop)))
-    return results
+    boxes = np.array([[f.box.x1, f.box.y1, f.box.x2, f.box.y2] for f in faces],
+                     dtype=np.float64).reshape(-1, 4)
+    crops = detector.crop_resize_batch(frame, detector.square_pad(boxes),
+                                       input_extent)
+    # One forward per face: a row's dense output depends on the batch size.
+    return [(face, classify_face(classifier, crop[None]))
+            for face, crop in zip(faces, crops)]

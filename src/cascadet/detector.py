@@ -4,7 +4,9 @@ An image pyramid feeds a fully convolutional proposal network whose output
 grid cells map to 12x12 windows at stride 2 in scaled coordinates. Two
 refinement networks (24x24 and 48x48 crops) then re-score, regress and
 finally localize five facial landmarks, with greedy non-maximum suppression
-between every stage.
+between every stage. Candidates move between stages as (N, 4) float64
+(x1, y1, x2, y2) frame-pixel box arrays with parallel score, offset and
+landmark arrays; only returned faces become :class:`FaceCandidate` objects.
 
 Pixel tensors entering the cascade are normalized as (v - 127.5) / 128;
 :func:`frame_to_tensor` applies the convention.
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,18 +60,6 @@ class BoundingBox:
 
 
 @dataclass(frozen=True)
-class RegressionOffsets:
-    """Box corner offsets normalized by box width/height."""
-    dx1: float
-    dy1: float
-    dx2: float
-    dy2: float
-
-
-ZERO_OFFSETS = RegressionOffsets(0.0, 0.0, 0.0, 0.0)
-
-
-@dataclass(frozen=True)
 class Landmarks:
     """Five (x, y) frame-pixel points: eyes, nose, mouth corners."""
     points: tuple[tuple[float, float], ...]
@@ -83,7 +73,6 @@ class Landmarks:
 class FaceCandidate:
     box: BoundingBox
     score: float
-    offsets: RegressionOffsets = ZERO_OFFSETS
     landmarks: Landmarks | None = None
 
 
@@ -254,30 +243,22 @@ class CascadeNetworks:
                                 input_shape=(3, ONET_EXTENT, ONET_EXTENT)))
 
 
-def generate_proposals(level: PyramidLevel, pnet: Network,
-                       threshold: float) -> list[FaceCandidate]:
+def generate_proposals(level: PyramidLevel, pnet: Network, threshold: float
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Candidates from one pyramid level, in row-major grid order.
 
     Grid cell (r, c) corresponds to the 12x12 window at (2c, 2r) in scaled
     coordinates; boxes are mapped back to frame pixels by dividing by the
-    level scale.
+    level scale. Returns ``(boxes, scores, offsets)``, the offsets (N, 4).
     """
     prob_map, taps = pnet.forward(level.image, taps=("pnet.reg",))
-    reg_map = taps["pnet.reg"]
     face_prob = prob_map[0, 1]
     rows, cols = np.nonzero(face_prob >= threshold)
-    candidates = []
+    x, y = PNET_STRIDE * cols, PNET_STRIDE * rows
     inv = 1.0 / level.scale
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        box = BoundingBox(
-            x1=PNET_STRIDE * c * inv,
-            y1=PNET_STRIDE * r * inv,
-            x2=(PNET_STRIDE * c + PNET_EXTENT) * inv,
-            y2=(PNET_STRIDE * r + PNET_EXTENT) * inv)
-        offsets = RegressionOffsets(*(float(v) for v in reg_map[0, :, r, c]))
-        candidates.append(FaceCandidate(box=box, score=float(face_prob[r, c]),
-                                        offsets=offsets))
-    return candidates
+    boxes = np.stack([x, y, x + PNET_EXTENT, y + PNET_EXTENT], axis=1) * inv
+    offsets = taps["pnet.reg"][0][:, rows, cols].T.astype(np.float64)
+    return boxes, face_prob[rows, cols].astype(np.float64), offsets
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
@@ -290,37 +271,23 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / (a.area + b.area - inter)
 
 
-def _overlap(a: BoundingBox, b: BoundingBox, mode: str) -> float:
-    if mode == "union":
-        return iou(a, b)
-    ix = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
-    iy = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
-    return (ix * iy) / min(a.area, b.area)
-
-
-def nms(candidates: list[FaceCandidate], threshold: float,
-        mode: str = "union") -> list[FaceCandidate]:
-    """Greedy suppression: keep the best-scoring candidate, drop everything
+def nms(boxes: np.ndarray, scores: np.ndarray, threshold: float,
+        mode: str = "union") -> np.ndarray:
+    """Greedy suppression: keep the best-scoring box, drop everything
     overlapping it by more than ``threshold``, repeat.
 
     ``mode`` selects the overlap measure: IoU ("union") or intersection over
     the smaller area ("min"). Ties in score keep the lower original index.
-    Survivors come back in descending score order.
+    Returns the indices of the survivors in descending score order.
     """
     if mode not in ("union", "min"):
         raise ValueError(f"unknown NMS mode {mode!r}")
     if not 0 < threshold < 1:
         raise ValueError(f"NMS threshold must be in (0, 1), got {threshold}")
-    if not candidates:
-        return []
-    x1 = np.array([c.box.x1 for c in candidates])
-    y1 = np.array([c.box.y1 for c in candidates])
-    x2 = np.array([c.box.x2 for c in candidates])
-    y2 = np.array([c.box.y2 for c in candidates])
-    scores = np.array([c.score for c in candidates])
+    x1, y1, x2, y2 = boxes.T
     areas = (x2 - x1) * (y2 - y1)
     # Descending score; ties keep the lower original index.
-    order = np.lexsort((np.arange(len(candidates)), -scores))
+    order = np.lexsort((np.arange(len(scores)), -scores))
     kept: list[int] = []
     while order.size:
         i = order[0]
@@ -334,35 +301,35 @@ def nms(candidates: list[FaceCandidate], threshold: float,
         else:
             overlap = inter / np.minimum(areas[i], areas[rest])
         order = rest[overlap <= threshold]
-    return [candidates[i] for i in kept]
+    return np.array(kept, dtype=np.intp)
 
 
-def calibrate(box: BoundingBox,
-              offsets: RegressionOffsets) -> BoundingBox | None:
+def _positive_area(boxes: np.ndarray) -> np.ndarray:
+    return (boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1])
+
+
+def calibrate(boxes: np.ndarray,
+              offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Shift box corners by width/height-scaled offsets.
 
-    Returns None (discard signal) when the shifted box would collapse.
+    Returns the shifted boxes and a keep mask, False (discard signal) where
+    a box collapsed. Raises ValueError on any non-finite coordinate.
     """
-    w, h = box.width, box.height
-    x1 = box.x1 + offsets.dx1 * w
-    y1 = box.y1 + offsets.dy1 * h
-    x2 = box.x2 + offsets.dx2 * w
-    y2 = box.y2 + offsets.dy2 * h
-    if x2 <= x1 or y2 <= y1:
-        return None
-    return BoundingBox(x1, y1, x2, y2)
+    shifted = boxes + offsets * np.tile(boxes[:, 2:] - boxes[:, :2], 2)
+    if not np.isfinite(shifted).all():
+        raise ValueError("bounding box coordinates must be finite")
+    return shifted, _positive_area(shifted)
 
 
-def square_pad(box: BoundingBox) -> BoundingBox:
-    """Smallest square with the same center and side max(width, height)."""
-    side = max(box.width, box.height)
-    cx = (box.x1 + box.x2) / 2.0
-    cy = (box.y1 + box.y2) / 2.0
-    half = side / 2.0
-    return BoundingBox(cx - half, cy - half, cx + half, cy + half)
+def square_pad(boxes: np.ndarray) -> np.ndarray:
+    """Smallest squares with the same centers and side max(width, height)."""
+    size = boxes[:, 2:] - boxes[:, :2]
+    half = (np.maximum(size[:, 0], size[:, 1]) / 2.0)[:, None]
+    center = (boxes[:, :2] + boxes[:, 2:]) / 2.0
+    return np.hstack([center - half, center + half])
 
 
-def crop_resize_batch(frame: Tensor, boxes: list[BoundingBox],
+def crop_resize_batch(frame: Tensor, boxes: np.ndarray,
                       out_extent: int) -> Tensor:
     """Bilinearly sample each box region of the frame into an E x E crop.
 
@@ -373,19 +340,12 @@ def crop_resize_batch(frame: Tensor, boxes: list[BoundingBox],
         raise ValueError(f"out_extent must be positive, got {out_extent}")
     _, c, h, w = frame.shape
     e = out_extent
-    if not boxes:
-        return np.zeros((0, c, e, e), np.float32)
-    x1 = np.array([b.x1 for b in boxes])[:, None]
-    y1 = np.array([b.y1 for b in boxes])[:, None]
-    bw = np.array([b.width for b in boxes])[:, None]
-    bh = np.array([b.height for b in boxes])[:, None]
-    grid = np.arange(e, dtype=np.float64)[None, :] + 0.5
-    src_x = x1 + grid * (bw / e) - 0.5       # (N, E)
-    src_y = y1 + grid * (bh / e) - 0.5
-    x0 = np.floor(src_x).astype(np.int64)
-    y0 = np.floor(src_y).astype(np.int64)
-    fx = (src_x - x0).astype(np.float32)
-    fy = (src_y - y0).astype(np.float32)
+    origin = boxes[:, :2, None]
+    grid = np.arange(e, dtype=np.float64) + 0.5
+    src = origin + grid * ((boxes[:, 2:, None] - origin) / e) - 0.5  # (N, 2, E)
+    lo = np.floor(src)
+    x0, y0 = lo.astype(np.int64).transpose(1, 0, 2)
+    fx, fy = (src - lo).astype(np.float32).transpose(1, 0, 2)
 
     image = frame[0]  # (C, H, W)
 
@@ -403,72 +363,44 @@ def crop_resize_batch(frame: Tensor, boxes: list[BoundingBox],
     return np.ascontiguousarray(out.transpose(1, 0, 2, 3), dtype=np.float32)
 
 
-def crop_resize(frame: Tensor, box: BoundingBox, out_extent: int) -> Tensor:
-    """Single-box variant of :func:`crop_resize_batch`: a (1, C, E, E) crop."""
-    return crop_resize_batch(frame, [box], out_extent)
-
-
-def _head_names(network: Network) -> tuple[str, str, str | None]:
+def _head_names(network: Network) -> tuple[str, ...]:
+    """The regression head, then the landmark head if the network has one."""
     prefix = network.layers[0].name.split(".", 1)[0]
-    landmarks = f"{prefix}.landmarks"
-    has_landmarks = any(layer.name == landmarks for layer in network.layers)
-    return f"{prefix}.prob", f"{prefix}.reg", landmarks if has_landmarks else None
+    names = {layer.name for layer in network.layers}
+    return tuple(n for n in (f"{prefix}.reg", f"{prefix}.landmarks") if n in names)
 
 
-def refine_stage(frame: Tensor, candidates: list[FaceCandidate],
-                 network: Network, input_extent: int, threshold: float,
-                 with_landmarks: bool = False) -> list[FaceCandidate]:
-    """Re-score candidates on square crops; keep, calibrate and annotate.
+def refine_stage(frame: Tensor, boxes: np.ndarray, network: Network,
+                 input_extent: int, threshold: float
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Re-score boxes on square crops; keep, calibrate and annotate.
 
-    Each candidate is square-padded, cropped at ``input_extent`` and scored;
+    Each box is square-padded, cropped at ``input_extent`` and scored;
     survivors (score >= threshold) get their box recalibrated by the head's
-    offsets. Landmarks, when requested, are mapped from crop-normalized
-    coordinates back to the frame using the pre-calibration square box.
+    offsets. Returns ``(boxes, scores, landmarks)``: landmarks are None
+    unless the network has a landmark head, else (N, 5, 2) frame points
+    mapped from crop-normalized coordinates by the pre-calibration square.
     """
-    if not candidates:
-        return []
-    squares = [square_pad(cand.box) for cand in candidates]
-    batch = crop_resize_batch(frame, squares, input_extent)
-    _, reg_name, landmark_name = _head_names(network)
-    taps = (reg_name,) + ((landmark_name,) if with_landmarks else ())
-    probs, tapped = network.forward(batch, taps=taps)
-    scores = probs[:, 1]
-    regs = tapped[reg_name]
-    lands = tapped.get(landmark_name) if with_landmarks else None
-
-    refined = []
-    for i, sq in enumerate(squares):
-        score = float(scores[i])
-        if score < threshold:
-            continue
-        offsets = RegressionOffsets(*(float(v) for v in regs[i]))
-        box = calibrate(sq, offsets)
-        if box is None:
-            continue
-        landmarks = None
-        if lands is not None:
-            pts = tuple(
-                (sq.x1 + float(lands[i, k]) * sq.width,
-                 sq.y1 + float(lands[i, k + 5]) * sq.height)
-                for k in range(5))
-            landmarks = Landmarks(points=pts)
-        refined.append(FaceCandidate(box=box, score=score, offsets=offsets,
-                                     landmarks=landmarks))
-    return refined
-
-
-def _clamp_to_frame(candidates: list[FaceCandidate], width: int,
-                    height: int) -> list[FaceCandidate]:
-    clamped = []
-    for cand in candidates:
-        x1 = min(max(cand.box.x1, 0.0), float(width))
-        y1 = min(max(cand.box.y1, 0.0), float(height))
-        x2 = min(max(cand.box.x2, 0.0), float(width))
-        y2 = min(max(cand.box.y2, 0.0), float(height))
-        if x2 <= x1 or y2 <= y1:
-            continue
-        clamped.append(replace(cand, box=BoundingBox(x1, y1, x2, y2)))
-    return clamped
+    heads = _head_names(network)
+    with_landmarks = len(heads) == 2
+    if not len(boxes):
+        return (np.zeros((0, 4)), np.zeros(0),
+                np.zeros((0, 5, 2)) if with_landmarks else None)
+    squares = square_pad(boxes)
+    probs, tapped = network.forward(crop_resize_batch(frame, squares, input_extent),
+                                    taps=heads)
+    scores = probs[:, 1].astype(np.float64)
+    # Written as "not below" so that a NaN score is kept, not silently dropped.
+    passed = ~(scores < threshold)
+    squares, scores = squares[passed], scores[passed]
+    refined, keep = calibrate(squares, tapped[heads[0]][passed].astype(np.float64))
+    if not with_landmarks:
+        return refined[keep], scores[keep], None
+    # Five x coordinates then five y -> (N, 5, 2) (x, y) points.
+    points = tapped[heads[1]][passed].reshape(-1, 2, 5).transpose(0, 2, 1)
+    corner = squares[:, None, :2]
+    landmarks = corner + points * (squares[:, None, 2:] - corner)
+    return refined[keep], scores[keep], landmarks[keep]
 
 
 def detect_faces(frame: Tensor, networks: CascadeNetworks,
@@ -478,7 +410,8 @@ def detect_faces(frame: Tensor, networks: CascadeNetworks,
 
     Pipeline: pyramid -> proposals with per-level then cross-level NMS and
     calibration -> 24x24 refinement + NMS -> 48x48 refinement with landmarks
-    + min-mode NMS -> clamp to frame, order by descending score then index.
+    + min-mode NMS -> clamp to frame. Faces come in descending score order,
+    ties by index, as the last NMS leaves them.
 
     When ``timings`` is given, per-stage wall-clock seconds are accumulated
     into it under keys pyramid/stage1/stage2/stage3. When ``trace`` is
@@ -495,34 +428,39 @@ def detect_faces(frame: Tensor, networks: CascadeNetworks,
     pyramid = build_image_pyramid(frame, config)
     t = tick("pyramid", t)
 
-    raw_proposals = 0
-    stage1: list[FaceCandidate] = []
+    counts = {"levels": len(pyramid), "proposals": 0}
+    survivors = [(np.zeros((0, 4)), np.zeros(0), np.zeros((0, 4)))]
     for level in pyramid:
-        proposals = generate_proposals(level, networks.pnet, config.threshold_pnet)
-        raw_proposals += len(proposals)
-        stage1.extend(nms(proposals, config.nms_pyramid, "union"))
-    stage1 = nms(stage1, config.nms_stage1, "union")
-    calibrated = []
-    for cand in stage1:
-        box = calibrate(cand.box, cand.offsets)
-        if box is not None:
-            calibrated.append(replace(cand, box=box))
+        boxes, scores, offsets = generate_proposals(level, networks.pnet,
+                                                    config.threshold_pnet)
+        counts["proposals"] += len(scores)
+        keep = nms(boxes, scores, config.nms_pyramid, "union")
+        survivors.append((boxes[keep], scores[keep], offsets[keep]))
+    boxes, scores, offsets = (np.concatenate(part) for part in zip(*survivors))
+    keep = nms(boxes, scores, config.nms_stage1, "union")
+    boxes, ok = calibrate(boxes[keep], offsets[keep])
+    boxes = boxes[ok]
+    counts["stage1"] = len(boxes)
     t = tick("stage1", t)
 
-    stage2 = refine_stage(frame, calibrated, networks.rnet, RNET_EXTENT,
-                          config.threshold_rnet)
-    stage2 = nms(stage2, config.nms_stage2, "union")
+    boxes, scores, _ = refine_stage(frame, boxes, networks.rnet, RNET_EXTENT,
+                                    config.threshold_rnet)
+    boxes = boxes[nms(boxes, scores, config.nms_stage2, "union")]
+    counts["stage2"] = len(boxes)
     t = tick("stage2", t)
 
-    stage3 = refine_stage(frame, stage2, networks.onet, ONET_EXTENT,
-                          config.threshold_onet, with_landmarks=True)
-    stage3 = nms(stage3, config.nms_stage3, "min")
+    boxes, scores, landmarks = refine_stage(frame, boxes, networks.onet,
+                                            ONET_EXTENT, config.threshold_onet)
+    keep = nms(boxes, scores, config.nms_stage3, "min")
+    boxes, scores, landmarks = boxes[keep], scores[keep], landmarks[keep]
+    counts["stage3"] = len(boxes)
     tick("stage3", t)
 
-    final = _clamp_to_frame(stage3, width, height)
-    order = sorted(range(len(final)), key=lambda i: (-final[i].score, i))
+    boxes = np.minimum(np.maximum(boxes, 0.0), [width, height, width, height])
+    ok = _positive_area(boxes)
     if trace is not None:
-        trace.update(levels=len(pyramid), proposals=raw_proposals,
-                     stage1=len(calibrated), stage2=len(stage2),
-                     stage3=len(stage3), final=len(final))
-    return [final[i] for i in order]
+        trace.update(counts, final=int(ok.sum()))
+    return [FaceCandidate(box=BoundingBox(*box), score=score,
+                          landmarks=Landmarks(points=tuple(map(tuple, points))))
+            for box, score, points in zip(boxes[ok].tolist(), scores[ok].tolist(),
+                                          landmarks[ok].tolist())]

@@ -1,4 +1,5 @@
-"""Slow, independent reference implementations used as test oracles.
+"""Slow, independent reference implementations used as oracles by the tests
+and by ``cascadet selfcheck``.
 
 Everything here computes with explicit scalar loops (float64 accumulators)
 and stays deliberately ignorant of how the package implements the same
@@ -122,29 +123,33 @@ def naive_global_avg_pool(x):
     return out
 
 
-def brute_force_nms(candidates, threshold, mode="union"):
-    """Keep-or-drop by checking every kept box, in score-then-index order."""
-    order = sorted(range(len(candidates)),
-                   key=lambda i: (-candidates[i].score, i))
+def brute_force_nms(boxes, scores, threshold, mode="union"):
+    """Indices kept by checking every box against every kept box, in
+    score-then-index order. ``boxes`` rows are (x1, y1, x2, y2)."""
+    boxes = np.asarray(boxes, dtype=np.float64).tolist()
+    scores = np.asarray(scores, dtype=np.float64).tolist()
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     kept = []
     for i in order:
-        box = candidates[i].box
+        x1, y1, x2, y2 = boxes[i]
         ok = True
         for k in kept:
-            other = candidates[k].box
-            ix = max(0.0, min(box.x2, other.x2) - max(box.x1, other.x1))
-            iy = max(0.0, min(box.y2, other.y2) - max(box.y1, other.y1))
+            ox1, oy1, ox2, oy2 = boxes[k]
+            ix = max(0.0, min(x2, ox2) - max(x1, ox1))
+            iy = max(0.0, min(y2, oy2) - max(y1, oy1))
             inter = ix * iy
+            area = (x2 - x1) * (y2 - y1)
+            other_area = (ox2 - ox1) * (oy2 - oy1)
             if mode == "union":
-                overlap = inter / (box.area + other.area - inter)
+                overlap = inter / (area + other_area - inter)
             else:
-                overlap = inter / min(box.area, other.area)
+                overlap = inter / min(area, other_area)
             if overlap > threshold:
                 ok = False
                 break
         if ok:
             kept.append(i)
-    return [candidates[i] for i in kept]
+    return kept
 
 
 def raster_iou(a, b):

@@ -11,39 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import detector, losses, tensor, weights
-
-
-def _naive_conv(x, w, b, stride, padding):
-    n, c, h, wd = x.shape
-    oc, ic, kh, kw = w.shape
-    xp = np.pad(x.astype(np.float64),
-                ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (wd + 2 * padding - kw) // stride + 1
-    out = np.zeros((n, oc, oh, ow))
-    for ni in range(n):
-        for oi in range(oc):
-            for yi in range(oh):
-                for xi in range(ow):
-                    acc = 0.0
-                    for ci in range(ic):
-                        for ky in range(kh):
-                            for kx in range(kw):
-                                acc += (w[oi, ci, ky, kx]
-                                        * xp[ni, ci, yi * stride + ky,
-                                             xi * stride + kx])
-                    out[ni, oi, yi, xi] = acc + (b[oi] if b is not None else 0.0)
-    return out
-
-
-def _brute_nms(cands, threshold, mode):
-    order = sorted(range(len(cands)), key=lambda i: (-cands[i].score, i))
-    kept = []
-    for i in order:
-        if all(detector._overlap(cands[i].box, cands[k].box, mode) <= threshold
-               for k in kept):
-            kept.append(i)
-    return [cands[i] for i in kept]
+from .oracles import brute_force_nms, naive_conv2d
 
 
 def _check_conv(rng) -> bool:
@@ -52,7 +20,7 @@ def _check_conv(rng) -> bool:
         w = rng.uniform(-1, 1, size=(4, 3, 3, 3)).astype(np.float32)
         b = rng.uniform(-1, 1, size=4).astype(np.float32)
         got = tensor.conv2d(x, w, b, stride=1, padding=1)
-        want = _naive_conv(x, w, b, 1, 1)
+        want = naive_conv2d(x, w, b, stride=1, padding=1)
         if np.abs(got - want).max() > 1e-5:
             return False
     return True
@@ -60,17 +28,15 @@ def _check_conv(rng) -> bool:
 
 def _check_nms(rng) -> bool:
     for _ in range(20):
-        cands = []
+        boxes, scores = [], []
         for _ in range(30):
             x1, y1 = rng.uniform(0, 50, size=2)
-            cands.append(detector.FaceCandidate(
-                box=detector.BoundingBox(x1, y1, x1 + rng.uniform(5, 30),
-                                         y1 + rng.uniform(5, 30)),
-                score=float(rng.uniform(0, 1))))
+            boxes.append((x1, y1, x1 + rng.uniform(5, 30), y1 + rng.uniform(5, 30)))
+            scores.append(rng.uniform(0, 1))
+        boxes, scores = np.array(boxes), np.array(scores)
         for mode in ("union", "min"):
-            got = detector.nms(cands, 0.5, mode)
-            want = _brute_nms(cands, 0.5, mode)
-            if got != want:
+            got = detector.nms(boxes, scores, 0.5, mode)
+            if got.tolist() != brute_force_nms(boxes, scores, 0.5, mode):
                 return False
     return True
 

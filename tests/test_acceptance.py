@@ -16,14 +16,13 @@ from cascadet import cli
 from cascadet import detector as D
 from cascadet import fixtures
 from cascadet import losses as L
+from cascadet import oracles
 from cascadet import pipeline as P
 from cascadet import tensor as T
 from cascadet import weights as W
 from cascadet.classifier import BackboneSpec, build_classifier
 from cascadet.evaluate import (ConfusionCounts, LITERATURE_BASELINES,
                                compute_metrics, render_report)
-
-import oracles
 
 
 def report(criterion: int, text: str):
@@ -157,15 +156,15 @@ def test_criterion_3_fcn_equivalence():
     rng = np.random.default_rng(300)
     image = rng.uniform(-1, 1, (1, 3, 24, 24)).astype(np.float32)
     level = D.PyramidLevel(1.0, image)
-    proposals = D.generate_proposals(level, networks.pnet, threshold=0.0)
-    assert len(proposals) == 49
+    _, scores, _ = D.generate_proposals(level, networks.pnet, threshold=0.0)
+    assert len(scores) == 49
     worst = 0.0
     k = 0
     for r in range(7):
         for c in range(7):
             window = image[:, :, 2 * r:2 * r + 12, 2 * c:2 * c + 12]
             window_prob = float(networks.pnet.forward(window)[0, 1, 0, 0])
-            worst = max(worst, abs(window_prob - proposals[k].score))
+            worst = max(worst, abs(window_prob - scores[k]))
             k += 1
     assert worst <= 1e-4
     report(3, f"FCN = sliding window on 49 cells, max |dp| = {worst:.2e}")
@@ -176,22 +175,22 @@ def test_criterion_4_nms_and_iou():
     instances; survivors overlap <= threshold; IoU matches rasterization."""
     rng = np.random.default_rng(400)
     for trial in range(1000):
-        cands = []
+        rows, scores = [], []
         for _ in range(50):
             x1, y1 = rng.uniform(0, 80, 2)
-            cands.append(D.FaceCandidate(
-                box=D.BoundingBox(x1, y1, x1 + rng.uniform(2, 40),
-                                  y1 + rng.uniform(2, 40)),
-                score=float(rng.uniform(0, 1))))
+            rows.append((x1, y1, x1 + rng.uniform(2, 40), y1 + rng.uniform(2, 40)))
+            scores.append(float(rng.uniform(0, 1)))
+        boxes, scores = np.array(rows), np.array(scores)
         threshold = float(rng.uniform(0.2, 0.8))
         mode = "union" if trial % 2 == 0 else "min"
-        got = D.nms(cands, threshold, mode)
-        want = oracles.brute_force_nms(cands, threshold, mode)
+        got = D.nms(boxes, scores, threshold, mode).tolist()
+        want = oracles.brute_force_nms(boxes, scores, threshold, mode)
         assert got == want
         if mode == "union":
-            for i, a in enumerate(got):
-                for b in got[i + 1:]:
-                    assert D.iou(a.box, b.box) <= threshold
+            kept = [D.BoundingBox(*boxes[i]) for i in got]
+            for i, a in enumerate(kept):
+                for b in kept[i + 1:]:
+                    assert D.iou(a, b) <= threshold
 
     for _ in range(50):
         x1, y1 = rng.integers(0, 12, 2)

@@ -4,19 +4,18 @@ import numpy as np
 import pytest
 
 from cascadet import detector as D
-from cascadet import fixtures
+from cascadet import fixtures, oracles
 from cascadet.tensor import Network, parameter_shapes
 from cascadet.weights import WeightArchive
-
-import oracles
 
 
 def box(x1, y1, x2, y2):
     return D.BoundingBox(x1, y1, x2, y2)
 
 
-def cand(b, score, offsets=D.ZERO_OFFSETS):
-    return D.FaceCandidate(box=b, score=score, offsets=offsets)
+def boxes(*rows):
+    """(N, 4) float64 box array from (x1, y1, x2, y2) rows."""
+    return np.array(rows, dtype=np.float64).reshape(-1, 4)
 
 
 def zero_archive_for(layers, overrides=None):
@@ -81,22 +80,33 @@ class TestResampling:
     def test_full_frame_crop_is_identity(self):
         rng = np.random.default_rng(0)
         frame = rng.uniform(-1, 1, (1, 3, 8, 8)).astype(np.float32)
-        out = D.crop_resize(frame, box(0, 0, 8, 8), 8)
+        out = D.crop_resize_batch(frame, boxes((0, 0, 8, 8)), 8)
         np.testing.assert_allclose(out, frame, atol=1e-6)
 
     def test_fully_outside_box_is_zero(self):
         rng = np.random.default_rng(1)
         frame = rng.uniform(-1, 1, (1, 3, 8, 8)).astype(np.float32)
-        out = D.crop_resize(frame, box(20, 20, 30, 30), 4)
+        out = D.crop_resize_batch(frame, boxes((20, 20, 30, 30)), 4)
         np.testing.assert_array_equal(out, np.zeros((1, 3, 4, 4), np.float32))
 
     def test_downscale_preserves_constant(self):
         frame = np.full((1, 3, 16, 16), 0.625, np.float32)
-        out = D.crop_resize(frame, box(0, 0, 16, 16), 8)
+        out = D.crop_resize_batch(frame, boxes((0, 0, 16, 16)), 8)
         np.testing.assert_allclose(out, np.full((1, 3, 8, 8), 0.625), atol=1e-6)
         resized = D.bilinear_resize(frame, 8, 8)
         np.testing.assert_allclose(resized, np.full((1, 3, 8, 8), 0.625),
                                    atol=1e-6)
+
+    def test_batch_rows_equal_single_box_crops(self):
+        rng = np.random.default_rng(10)
+        frame = rng.uniform(-1, 1, (1, 3, 40, 50)).astype(np.float32)
+        xy = rng.uniform(-10, 45, (12, 2))
+        batch_boxes = np.hstack([xy, xy + rng.uniform(1, 30, (12, 2))])
+        batch = D.crop_resize_batch(frame, batch_boxes, 24)
+        assert batch.shape == (12, 3, 24, 24)
+        for i in range(12):
+            alone = D.crop_resize_batch(frame, batch_boxes[i:i + 1], 24)
+            assert batch[i:i + 1].tobytes() == alone.tobytes()
 
     def test_frame_to_tensor_normalization(self):
         pixels = np.zeros((2, 2, 3), np.uint8)
@@ -136,104 +146,110 @@ class TestIoU:
 
 
 def random_candidates(rng, n):
-    out = []
+    """(boxes, scores) for n random boxes, drawn box by box."""
+    rows, scores = [], []
     for _ in range(n):
         x1, y1 = rng.uniform(0, 60, 2)
-        out.append(cand(box(x1, y1, x1 + rng.uniform(2, 40),
-                            y1 + rng.uniform(2, 40)),
-                        float(rng.uniform(0, 1))))
-    return out
+        rows.append((x1, y1, x1 + rng.uniform(2, 40), y1 + rng.uniform(2, 40)))
+        scores.append(float(rng.uniform(0, 1)))
+    return boxes(*rows), np.array(scores)
 
 
 class TestNMS:
     def test_single_candidate(self):
-        c = cand(box(0, 0, 10, 10), 0.9)
-        assert D.nms([c], 0.5) == [c]
+        assert D.nms(boxes((0, 0, 10, 10)), np.array([0.9]), 0.5).tolist() == [0]
 
     def test_two_identical_boxes_keep_higher_score(self):
-        high = cand(box(0, 0, 10, 10), 0.9)
-        low = cand(box(0, 0, 10, 10), 0.8)
-        assert D.nms([low, high], 0.5) == [high]
+        kept = D.nms(boxes((0, 0, 10, 10), (0, 0, 10, 10)),
+                     np.array([0.8, 0.9]), 0.5)
+        assert kept.tolist() == [1]
 
     def test_matches_brute_force_on_random_instances(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            cands = random_candidates(rng, 50)
+            cand_boxes, scores = random_candidates(rng, 50)
             for mode in ("union", "min"):
-                got = D.nms(cands, 0.5, mode)
-                want = oracles.brute_force_nms(cands, 0.5, mode)
-                assert got == want
+                got = D.nms(cand_boxes, scores, 0.5, mode)
+                want = oracles.brute_force_nms(cand_boxes, scores, 0.5, mode)
+                assert got.tolist() == want
 
     def test_survivor_pairwise_overlap_bounded(self):
         rng = np.random.default_rng(4)
-        cands = random_candidates(rng, 60)
-        kept = D.nms(cands, 0.4, "union")
+        cand_boxes, scores = random_candidates(rng, 60)
+        kept = [box(*cand_boxes[i]) for i in D.nms(cand_boxes, scores, 0.4, "union")]
         for i, a in enumerate(kept):
             for b in kept[i + 1:]:
-                assert D.iou(a.box, b.box) <= 0.4
+                assert D.iou(a, b) <= 0.4
 
     def test_idempotent_and_subset(self):
         rng = np.random.default_rng(5)
-        cands = random_candidates(rng, 40)
-        once = D.nms(cands, 0.5)
-        assert D.nms(once, 0.5) == once
-        assert all(c in cands for c in once)
+        cand_boxes, scores = random_candidates(rng, 40)
+        once = D.nms(cand_boxes, scores, 0.5)
+        again = D.nms(cand_boxes[once], scores[once], 0.5)
+        assert again.tolist() == list(range(len(once)))
+        assert len(set(once.tolist())) == len(once)
+        assert all(0 <= i < 40 for i in once)
 
     def test_score_tie_keeps_lower_index(self):
-        a = cand(box(0, 0, 10, 10), 0.5)
-        b = cand(box(1, 1, 11, 11), 0.5)
-        kept = D.nms([a, b], 0.5)
-        assert kept[0] == a
+        kept = D.nms(boxes((0, 0, 10, 10), (1, 1, 11, 11)),
+                     np.array([0.5, 0.5]), 0.5)
+        assert kept[0] == 0
 
     def test_empty_input(self):
-        assert D.nms([], 0.5) == []
+        assert D.nms(boxes(), np.zeros(0), 0.5).size == 0
 
 
 class TestCalibrate:
     def test_zero_offsets_identity(self):
-        b = box(3, 4, 13, 24)
-        assert D.calibrate(b, D.ZERO_OFFSETS) == b
+        b = boxes((3, 4, 13, 24))
+        shifted, keep = D.calibrate(b, np.zeros((1, 4)))
+        assert shifted.tolist() == b.tolist()
+        assert keep.tolist() == [True]
 
     def test_documented_case(self):
-        got = D.calibrate(box(0, 0, 10, 10),
-                          D.RegressionOffsets(0.1, 0.1, -0.1, -0.1))
-        assert got == box(1, 1, 9, 9)
+        shifted, keep = D.calibrate(boxes((0, 0, 10, 10)),
+                                    np.array([[0.1, 0.1, -0.1, -0.1]]))
+        assert shifted.tolist() == [[1, 1, 9, 9]]
+        assert keep.tolist() == [True]
 
     def test_degenerate_result_signals_discard(self):
-        got = D.calibrate(box(0, 0, 10, 10),
-                          D.RegressionOffsets(0.6, 0.0, -0.6, 0.0))
-        assert got is None
+        _, keep = D.calibrate(boxes((0, 0, 10, 10)),
+                              np.array([[0.6, 0.0, -0.6, 0.0]]))
+        assert keep.tolist() == [False]
+
+    def test_non_finite_result_raises(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                D.calibrate(boxes((0, 0, 10, 10), (5, 5, 20, 20)),
+                            np.array([[0.0, 0.0, 0.0, 0.0], [0.0, bad, 0.0, 0.0]]))
 
     def test_commutes_with_uniform_scaling(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             x1, y1 = rng.uniform(0, 50, 2)
-            b = box(x1, y1, x1 + rng.uniform(1, 30), y1 + rng.uniform(1, 30))
-            offsets = D.RegressionOffsets(*rng.uniform(-0.2, 0.2, 4))
+            b = boxes((x1, y1, x1 + rng.uniform(1, 30), y1 + rng.uniform(1, 30)))
+            offsets = rng.uniform(-0.2, 0.2, (1, 4))
             alpha = float(rng.uniform(0.5, 3.0))
-            direct = D.calibrate(b, offsets)
-            scaled = D.calibrate(
-                box(b.x1 * alpha, b.y1 * alpha, b.x2 * alpha, b.y2 * alpha),
-                offsets)
-            for u, v in zip((direct.x1, direct.y1, direct.x2, direct.y2),
-                            (scaled.x1, scaled.y1, scaled.x2, scaled.y2)):
+            direct, _ = D.calibrate(b, offsets)
+            scaled, _ = D.calibrate(b * alpha, offsets)
+            for u, v in zip(direct[0], scaled[0]):
                 assert u * alpha == pytest.approx(v, abs=1e-4)
 
 
 class TestSquarePad:
     def test_square_unchanged(self):
-        b = box(2, 2, 12, 12)
-        assert D.square_pad(b) == b
+        b = boxes((2, 2, 12, 12))
+        assert D.square_pad(b).tolist() == b.tolist()
 
     def test_documented_case(self):
-        assert D.square_pad(box(0, 0, 10, 20)) == box(-5, 0, 15, 20)
+        assert D.square_pad(boxes((0, 0, 10, 20))).tolist() == [[-5, 0, 15, 20]]
 
     def test_always_square(self):
         rng = np.random.default_rng(7)
         for _ in range(30):
             x1, y1 = rng.uniform(-10, 50, 2)
             b = box(x1, y1, x1 + rng.uniform(1, 40), y1 + rng.uniform(1, 40))
-            sq = D.square_pad(b)
+            sq = box(*D.square_pad(boxes((b.x1, b.y1, b.x2, b.y2)))[0])
             assert sq.width == pytest.approx(sq.height, abs=1e-9)
             assert sq.width == pytest.approx(max(b.width, b.height), abs=1e-9)
 
@@ -243,32 +259,31 @@ class TestProposals:
         archive = zero_archive_for(D.build_pnet_layers())
         pnet = Network(D.build_pnet_layers(), archive)
         level = D.PyramidLevel(1.0, np.zeros((1, 3, 20, 20), np.float32))
-        assert D.generate_proposals(level, pnet, threshold=1.0) == []
+        props, scores, offsets = D.generate_proposals(level, pnet, threshold=1.0)
+        assert (props.shape, scores.shape, offsets.shape) == ((0, 4), (0,), (0, 4))
 
     def test_grid_cell_coordinate_mapping(self, cascade):
         rng = np.random.default_rng(8)
         image = rng.uniform(-1, 1, (1, 3, 16, 16)).astype(np.float32)
         level = D.PyramidLevel(0.5, image)
-        props = D.generate_proposals(level, cascade.pnet, threshold=0.0)
+        props, _, _ = D.generate_proposals(level, cascade.pnet, threshold=0.0)
         assert len(props) == 9   # 3x3 grid from a 16x16 level
-        first = props[0]
-        assert (first.box.x1, first.box.y1) == (0.0, 0.0)
-        assert (first.box.x2, first.box.y2) == (24.0, 24.0)
+        assert props[0].tolist() == [0.0, 0.0, 24.0, 24.0]
         # Row-major enumeration: second cell is (r=0, c=1) -> x1 = 2/0.5.
-        assert (props[1].box.x1, props[1].box.y1) == (4.0, 0.0)
+        assert props[1, :2].tolist() == [4.0, 0.0]
 
     def test_fully_convolutional_equals_sliding_window(self, cascade):
         rng = np.random.default_rng(9)
         image = rng.uniform(-1, 1, (1, 3, 24, 24)).astype(np.float32)
         level = D.PyramidLevel(1.0, image)
-        props = D.generate_proposals(level, cascade.pnet, threshold=0.0)
-        assert len(props) == 49  # 7x7 cells over a 24x24 image
+        _, scores, _ = D.generate_proposals(level, cascade.pnet, threshold=0.0)
+        assert len(scores) == 49  # 7x7 cells over a 24x24 image
         k = 0
         for r in range(7):
             for c in range(7):
                 window = image[:, :, 2 * r:2 * r + 12, 2 * c:2 * c + 12]
                 probs = cascade.pnet.forward(window)
-                assert props[k].score == pytest.approx(
+                assert scores[k] == pytest.approx(
                     float(probs[0, 1, 0, 0]), abs=1e-4)
                 k += 1
 
@@ -285,31 +300,37 @@ def crafted_onet(prob_bias=(-5.0, 5.0), landmark_bias=0.5):
 class TestRefineStage:
     def test_empty_input(self, cascade):
         frame = np.zeros((1, 3, 64, 64), np.float32)
-        assert D.refine_stage(frame, [], cascade.rnet, 24, 0.5) == []
+        refined, scores, landmarks = D.refine_stage(frame, boxes(), cascade.rnet,
+                                                    24, 0.5)
+        assert (refined.shape, scores.shape, landmarks) == ((0, 4), (0,), None)
 
     def test_all_rejected_when_scores_low(self):
         layers = D.build_rnet_layers()
         rnet = Network(layers, zero_archive_for(layers))  # every score 0.5
         frame = np.zeros((1, 3, 64, 64), np.float32)
-        cands = [cand(box(10, 10, 30, 30), 0.9)]
-        assert D.refine_stage(frame, cands, rnet, 24, threshold=0.7) == []
+        refined, _, _ = D.refine_stage(frame, boxes((10, 10, 30, 30)), rnet, 24,
+                                       threshold=0.7)
+        assert len(refined) == 0
 
     def test_landmark_coordinate_mapping(self):
         onet = crafted_onet()
         frame = np.zeros((1, 3, 64, 64), np.float32)
-        cands = [cand(box(10, 10, 30, 30), 0.9)]
-        refined = D.refine_stage(frame, cands, onet, 48, threshold=0.5,
-                                 with_landmarks=True)
+        refined, _, landmarks = D.refine_stage(frame, boxes((10, 10, 30, 30)),
+                                               onet, 48, threshold=0.5)
         assert len(refined) == 1
-        for x, y in refined[0].landmarks.points:
+        assert landmarks.shape == (1, 5, 2)
+        for x, y in landmarks[0].tolist():
             assert (x, y) == (20.0, 20.0)
 
-    def test_landmarks_absent_without_flag(self):
-        onet = crafted_onet()
+    def test_rnet_output_carries_no_landmarks(self):
+        layers = D.build_rnet_layers()
+        overrides = {"rnet.prob_fc.bias": np.array([-5.0, 5.0], np.float32)}
+        rnet = Network(layers, zero_archive_for(layers, overrides))
         frame = np.zeros((1, 3, 64, 64), np.float32)
-        refined = D.refine_stage(frame, [cand(box(0, 0, 48, 48), 0.9)],
-                                 onet, 48, threshold=0.5)
-        assert refined[0].landmarks is None
+        refined, _, landmarks = D.refine_stage(frame, boxes((0, 0, 48, 48)),
+                                               rnet, 24, threshold=0.5)
+        assert len(refined) == 1
+        assert landmarks is None
 
 
 class TestDetectFaces:
@@ -337,6 +358,15 @@ class TestDetectFaces:
         assert first == second
         scores = [f.score for f in first]
         assert scores == sorted(scores, reverse=True)
+
+    @pytest.mark.parametrize("bias", ["pnet.reg.bias", "rnet.reg.bias"])
+    def test_non_finite_regression_raises(self, bias):
+        archive = fixtures.fixture_cascade_archive()
+        archive.get(bias)[...] = np.nan
+        nets = D.CascadeNetworks.from_archive(archive)
+        frame = D.frame_to_tensor(fixtures.synthetic_frame(0, 320, 240))
+        with pytest.raises(ValueError, match="finite"):
+            D.detect_faces(frame, nets, D.CascadeConfig())
 
     def test_trace_counts_are_consistent(self, cascade):
         frame = D.frame_to_tensor(fixtures.synthetic_frame(2, 320, 240))

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from cascadet import losses as L
-
-import oracles
+from cascadet import oracles
 
 
 class TestLossBox:

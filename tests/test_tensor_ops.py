@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
+from cascadet import oracles
 from cascadet import tensor as T
-
-import oracles
 
 
 def rand_f32(rng, *shape, lo=-1.0, hi=1.0):

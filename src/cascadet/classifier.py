@@ -120,11 +120,16 @@ def build_classifier(spec: BackboneSpec, weights) -> Network:
 
 
 def classify_face(classifier: Network, face_crop: Tensor) -> MaskPrediction:
-    """Label one prepared crop; an exact probability tie resolves to NoMask."""
+    """Label one prepared crop; an exact probability tie resolves to NoMask.
+
+    Raises ValueError unless the classifier emits two finite probabilities.
+    """
     probs = classifier.forward(face_crop)
     probs = np.asarray(probs).reshape(-1)
     if probs.shape != (2,):
         raise ValueError(f"classifier emitted shape {probs.shape}, expected 2")
+    if not np.isfinite(probs).all():
+        raise ValueError(f"classifier probabilities must be finite, got {probs}")
     p_mask, p_nomask = float(probs[0]), float(probs[1])
     if p_mask > p_nomask:
         label, confidence = MaskLabel.MASK, p_mask

@@ -250,9 +250,12 @@ def generate_proposals(level: PyramidLevel, pnet: Network, threshold: float
     Grid cell (r, c) corresponds to the 12x12 window at (2c, 2r) in scaled
     coordinates; boxes are mapped back to frame pixels by dividing by the
     level scale. Returns ``(boxes, scores, offsets)``, the offsets (N, 4).
+    Raises ValueError if any grid cell's face score is non-finite.
     """
     prob_map, taps = pnet.forward(level.image, taps=("pnet.reg",))
     face_prob = prob_map[0, 1]
+    if not np.isfinite(face_prob).all():
+        raise ValueError("face scores must be finite")
     rows, cols = np.nonzero(face_prob >= threshold)
     x, y = PNET_STRIDE * cols, PNET_STRIDE * rows
     inv = 1.0 / level.scale
@@ -380,21 +383,19 @@ def refine_stage(frame: Tensor, boxes: np.ndarray, network: Network,
     offsets. Returns ``(boxes, scores, landmarks)``: landmarks are None
     unless the network has a landmark head, else (N, 5, 2) frame points
     mapped from crop-normalized coordinates by the pre-calibration square.
+    Raises ValueError on any non-finite score.
     """
     heads = _head_names(network)
-    with_landmarks = len(heads) == 2
-    if not len(boxes):
-        return (np.zeros((0, 4)), np.zeros(0),
-                np.zeros((0, 5, 2)) if with_landmarks else None)
     squares = square_pad(boxes)
     probs, tapped = network.forward(crop_resize_batch(frame, squares, input_extent),
                                     taps=heads)
     scores = probs[:, 1].astype(np.float64)
-    # Written as "not below" so that a NaN score is kept, not silently dropped.
-    passed = ~(scores < threshold)
+    if not np.isfinite(scores).all():
+        raise ValueError("face scores must be finite")
+    passed = scores >= threshold
     squares, scores = squares[passed], scores[passed]
     refined, keep = calibrate(squares, tapped[heads[0]][passed].astype(np.float64))
-    if not with_landmarks:
+    if len(heads) == 1:
         return refined[keep], scores[keep], None
     # Five x coordinates then five y -> (N, 5, 2) (x, y) points.
     points = tapped[heads[1]][passed].reshape(-1, 2, 5).transpose(0, 2, 1)

@@ -362,23 +362,53 @@ class RunSummary:
         }
 
 
+def _output_name(index: int, entry: str) -> str:
+    """File name of a frame's annotated copy: the source's base name."""
+    return Path(entry).name or f"frame{index:05d}.ppm"
+
+
+def _refuse_clobbering(config: RunConfig,
+                       entries: list[tuple[int, Path, str]]) -> None:
+    """Raise FrameReadError, naming the manifest line(s), if two frames would
+    share an annotated output or any output would overwrite an input."""
+    inputs = {path.resolve(): lineno for lineno, path, _ in entries}
+    writers = {"detections.jsonl": "the run log",
+               "summary.json": "the run summary"}
+    if config.annotate:
+        for index, (lineno, _, entry) in enumerate(entries):
+            name = _output_name(index, entry)
+            if name in writers:
+                raise FrameReadError(
+                    f"manifest line {lineno}: annotated output {name} "
+                    f"collides with {writers[name]}")
+            writers[name] = f"manifest line {lineno}"
+    for name in writers:
+        target = (config.output_dir / name).resolve()
+        if target in inputs:
+            raise FrameReadError(
+                f"manifest line {inputs[target]}: output {target} would "
+                "overwrite this input")
+
+
 def run(config: RunConfig) -> RunSummary:
     """Process the whole manifest; write annotated frames, a JSONL log and
     summary.json into the output directory.
 
-    Raises FrameReadError when more than half the frames fail. Frame-level
-    failures are reported to stderr and skipped.
+    Raises FrameReadError, before writing anything, when two frames would
+    share an annotated output name or an output would overwrite a manifest
+    input; and after the run when more than half the frames fail.
+    Frame-level failures are reported to stderr and skipped.
     """
     for path in (config.manifest, config.cascade_weights,
                  config.classifier_weights):
         if not Path(path).exists():
             raise FrameReadError(f"required path does not exist: {path}")
     started = time.perf_counter()
+    entries = list_manifest(config.manifest)
+    _refuse_clobbering(config, entries)
     networks = CascadeNetworks.from_archive(load_archive(config.cascade_weights))
     clf = build_classifier(config.backbone, load_archive(config.classifier_weights))
     config.output_dir.mkdir(parents=True, exist_ok=True)
-
-    entries = list_manifest(config.manifest)
     summary = RunSummary(frames=len(entries))
 
     def job(index: int, lineno: int, path: Path, entry: str):
@@ -389,24 +419,18 @@ def run(config: RunConfig) -> RunSummary:
         annotated = annotate(frame, detections) if config.annotate else None
         return frame, detections, timings, annotated
 
-    def collect(index: int, entry: str, resolve):
+    def collect(index: int, entry: str, future):
         try:
-            return resolve()
+            return future.result()
         except Exception as exc:  # frame-level isolation
             print(f"frame {index} ({entry}): {exc}", file=sys.stderr)
             return None
 
-    if config.workers <= 1:
-        outcomes = [
-            collect(i, entry, lambda i=i, ln=lineno, p=path, e=entry:
-                    job(i, ln, p, e))
-            for i, (lineno, path, entry) in enumerate(entries)]
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(job, i, lineno, path, entry)
-                       for i, (lineno, path, entry) in enumerate(entries)]
-            outcomes = [collect(i, entries[i][2], future.result)
-                        for i, future in enumerate(futures)]
+    with ThreadPoolExecutor(max_workers=max(1, config.workers)) as pool:
+        futures = [pool.submit(job, i, lineno, path, entry)
+                   for i, (lineno, path, entry) in enumerate(entries)]
+        outcomes = [collect(i, entries[i][2], future)
+                    for i, future in enumerate(futures)]
 
     log_path = config.output_dir / "detections.jsonl"
     with open(log_path, "w") as log:
@@ -422,7 +446,7 @@ def run(config: RunConfig) -> RunSummary:
                 summary.stage_seconds[stage] = (
                     summary.stage_seconds.get(stage, 0.0) + seconds)
             if annotated is not None:
-                name = Path(frame.source).name or f"frame{frame.index:05d}.ppm"
+                name = _output_name(frame.index, frame.source)
                 write_ppm(config.output_dir / name, annotated.pixels)
 
     summary.wall_time_s = time.perf_counter() - started

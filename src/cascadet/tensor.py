@@ -10,7 +10,10 @@ across runs and caller thread counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -238,7 +241,7 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ValueError(f"dense: weight must be rank 2, got {weight.ndim}")
     single = x.ndim == 1
     if x.ndim == 4:
-        x = x.reshape(x.shape[0], -1)
+        x = x.reshape(x.shape[0], math.prod(x.shape[1:]))
     elif single:
         x = x.reshape(1, -1)
     elif x.ndim != 2:
@@ -264,68 +267,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=axis, keepdims=True)
-
-
-@dataclass(frozen=True)
-class BatchNormParams:
-    gamma: Tensor
-    beta: Tensor
-    mean: Tensor
-    variance: Tensor
-    epsilon: float = 1e-5
-
-    def apply(self, x: Tensor) -> Tensor:
-        return batch_norm(x, self.gamma, self.beta, self.mean, self.variance,
-                          self.epsilon)
-
-
-@dataclass(frozen=True)
-class BottleneckParams:
-    """Parameters of one expand -> depthwise -> project unit.
-
-    ``expand_weight``/``expand_norm`` are None when the expansion factor is 1
-    (the unit then starts directly with the depthwise filter).
-    """
-    depthwise_weight: Tensor
-    depthwise_norm: BatchNormParams
-    project_weight: Tensor
-    project_norm: BatchNormParams
-    expand_weight: Tensor | None = None
-    expand_norm: BatchNormParams | None = None
-
-
-def bottleneck_block(x: Tensor, params: BottleneckParams, expansion: int,
-                     stride: int, residual: bool) -> Tensor:
-    """Inverted bottleneck: 1x1 expand, depthwise, 1x1 linear projection.
-
-    Batch norm follows each convolution; ReLU6 follows the first two only.
-    The projection output stays linear, and with ``residual`` the input is
-    added to it (requires stride 1 and matching channel counts).
-    """
-    x = _as_f32(x)
-    if stride not in (1, 2):
-        raise ValueError(f"bottleneck_block: stride must be 1 or 2, got {stride}")
-    if expansion < 1:
-        raise ValueError(
-            f"bottleneck_block: expansion must be positive, got {expansion}")
-    h = x
-    if expansion > 1:
-        if params.expand_weight is None or params.expand_norm is None:
-            raise ValueError(
-                "bottleneck_block: expansion > 1 requires expand parameters")
-        h = relu6(params.expand_norm.apply(pointwise_conv2d(h, params.expand_weight)))
-    k = params.depthwise_weight.shape[2]
-    h = depthwise_conv2d(h, params.depthwise_weight, stride=stride,
-                         padding=(k - 1) // 2)
-    h = relu6(params.depthwise_norm.apply(h))
-    h = params.project_norm.apply(pointwise_conv2d(h, params.project_weight))
-    if residual:
-        if stride != 1 or h.shape != x.shape:
-            raise ValueError(
-                "bottleneck_block: residual requires stride 1 and matching "
-                f"shapes, got stride {stride}, {x.shape} -> {h.shape}")
-        h = h + x
-    return h
 
 
 LAYER_KINDS = frozenset({
@@ -395,12 +336,106 @@ def parameter_shapes(layers: list[LayerSpec]) -> list[tuple[str, tuple[int, ...]
     return shapes
 
 
+def _bind(layer: LayerSpec, archive) -> dict:
+    """The layer's parameter tensors by role, fetched from ``archive`` and
+    checked against :func:`parameter_shapes`."""
+    expected = dict(parameter_shapes([layer]))
+    bound = {}
+    for role, entry in layer.params.items():
+        if archive is None or entry not in archive:
+            raise NetworkError(
+                f"layer {layer.name!r}: parameter {entry!r} missing from archive")
+        tensor = archive.get(entry)
+        if tuple(tensor.shape) != expected[entry]:
+            raise NetworkError(
+                f"layer {layer.name!r}: parameter {entry!r} has shape "
+                f"{tuple(tensor.shape)}, expected {expected[entry]}")
+        bound[role] = tensor
+    return bound
+
+
+def _compile(layer: LayerSpec, params: dict) -> Callable[[Tensor], Tensor]:
+    """One callable that applies ``layer`` with its bound ``params`` (by role).
+
+    Raises NetworkError for a bottleneck block that could never run: a
+    stride other than 1 or 2, an expansion below 1, or a residual across a
+    stride or a channel change.
+    """
+    kind = layer.kind
+    if kind == "conv":
+        if layer.kernel == 1 and layer.stride == 1 and layer.padding == 0:
+            return partial(pointwise_conv2d, **params)
+        return partial(conv2d, **params, stride=layer.stride,
+                       padding=layer.padding)
+    if kind == "depthwise-conv":
+        return partial(depthwise_conv2d, **params, stride=layer.stride,
+                       padding=layer.padding)
+    if kind == "batch-norm":
+        return partial(batch_norm, **params, epsilon=layer.epsilon)
+    if kind == "relu6":
+        return relu6
+    if kind == "relu":
+        return relu
+    if kind == "prelu":
+        return partial(prelu, **params)
+    if kind == "max-pool":
+        return partial(max_pool2d, kernel=layer.kernel, stride=layer.stride)
+    if kind == "global-avg-pool":
+        return global_avg_pool
+    if kind == "dense":
+        return partial(dense, **params)
+    if kind == "softmax":
+        return lambda x: softmax(x, axis=1 if x.ndim == 4 else -1)
+
+    # bottleneck-block: 1x1 expand (when expansion > 1), 3x3 depthwise, 1x1
+    # linear projection. Batch norm follows each convolution and ReLU6 the
+    # first two only; with ``residual`` the input is added to the projection.
+    stride, expansion = layer.stride, layer.expansion
+    if stride not in (1, 2) or expansion < 1:
+        raise NetworkError(
+            f"layer {layer.name!r}: bottleneck needs stride 1 or 2 and a "
+            f"positive expansion, got stride {stride}, expansion {expansion}")
+    residual = layer.residual
+    if residual and (stride != 1 or layer.in_channels != layer.out_channels):
+        raise NetworkError(
+            f"layer {layer.name!r}: residual requires stride 1 and "
+            f"equal channel counts, got stride {stride}, "
+            f"{layer.in_channels} -> {layer.out_channels}")
+
+    def norm(prefix: str):
+        return partial(batch_norm, epsilon=layer.epsilon,
+                       **{stat: params[f"{prefix}.{stat}"]
+                          for stat in ("gamma", "beta", "mean", "variance")})
+
+    if expansion > 1:
+        expand_weight, expand_norm = params["expand_weight"], norm("expand_norm")
+    depthwise_weight, depthwise_norm = (params["depthwise_weight"],
+                                        norm("depthwise_norm"))
+    project_weight, project_norm = params["project_weight"], norm("project_norm")
+
+    def bottleneck(x: Tensor) -> Tensor:
+        h = x
+        if expansion > 1:
+            h = relu6(expand_norm(pointwise_conv2d(h, expand_weight)))
+        # parameter_shapes fixes the depthwise kernel at 3x3: "same" padding 1.
+        h = relu6(depthwise_norm(depthwise_conv2d(h, depthwise_weight,
+                                                  stride=stride, padding=1)))
+        h = project_norm(pointwise_conv2d(h, project_weight))
+        return h + x if residual else h
+
+    return bottleneck
+
+
 class Network:
     """Ordered layers bound to parameter tensors from a weight archive.
 
-    Immutable after construction and safe to share across threads. The
-    forward pass applies layers in order; each layer consumes the previous
-    output unless its spec names an earlier layer via ``feeds_from``.
+    Construction fetches and shape-checks every parameter, checks each
+    layer's geometry, and compiles each layer once into a callable with its
+    parameters bound; any mismatch raises NetworkError there, not on a
+    forward call. Immutable after construction and safe to share across
+    threads. The forward pass applies layers in order; each layer consumes
+    the previous output unless its spec names an earlier layer via
+    ``feeds_from``.
 
     ``input_shape`` optionally declares the expected per-sample input shape
     (channels, height, width); when set, forward rejects anything else.
@@ -409,98 +444,24 @@ class Network:
 
     def __init__(self, layers: list[LayerSpec], archive=None,
                  input_shape: tuple[int, ...] | None = None):
-        names = [layer.name for layer in layers]
-        if len(set(names)) != len(names):
-            raise NetworkError("duplicate layer names in network")
         self.layers = tuple(layers)
         self.input_shape = tuple(input_shape) if input_shape else None
-        self._bound: list[dict] = []
+        self._names = frozenset(layer.name for layer in self.layers)
+        if len(self._names) != len(self.layers):
+            raise NetworkError("duplicate layer names in network")
+        self._feeds = frozenset(layer.feeds_from for layer in self.layers
+                                if layer.feeds_from)
+        steps = []
         known = set()
-        for layer in layers:
+        for layer in self.layers:
             if layer.feeds_from is not None and layer.feeds_from not in known:
                 raise NetworkError(
                     f"layer {layer.name!r} feeds from unknown layer "
                     f"{layer.feeds_from!r}")
             known.add(layer.name)
-            self._bound.append(self._bind(layer, archive))
-        self._validate_residuals()
-
-    @staticmethod
-    def _fetch(archive, entry: str, shape: tuple[int, ...], layer: str) -> Tensor:
-        if archive is None or entry not in archive:
-            raise NetworkError(
-                f"layer {layer!r}: parameter {entry!r} missing from archive")
-        tensor = archive.get(entry)
-        if tuple(tensor.shape) != shape:
-            raise NetworkError(
-                f"layer {layer!r}: parameter {entry!r} has shape "
-                f"{tuple(tensor.shape)}, expected {shape}")
-        return tensor
-
-    def _bind(self, layer: LayerSpec, archive) -> dict:
-        bound: dict = {}
-        expected = dict((name, shape)
-                        for name, shape in parameter_shapes([layer]))
-        for role, entry in layer.params.items():
-            bound[role] = self._fetch(archive, entry, expected[entry], layer.name)
-        return bound
-
-    def _validate_residuals(self):
-        for layer in self.layers:
-            if layer.kind == "bottleneck-block" and layer.residual:
-                if layer.stride != 1 or layer.in_channels != layer.out_channels:
-                    raise NetworkError(
-                        f"layer {layer.name!r}: residual requires stride 1 and "
-                        f"equal channel counts, got stride {layer.stride}, "
-                        f"{layer.in_channels} -> {layer.out_channels}")
-
-    def _apply(self, layer: LayerSpec, bound: dict, x: Tensor) -> Tensor:
-        kind = layer.kind
-        if kind == "conv":
-            if layer.kernel == 1 and layer.stride == 1 and layer.padding == 0:
-                return pointwise_conv2d(x, bound["weight"], bound.get("bias"))
-            return conv2d(x, bound["weight"], bound.get("bias"),
-                          layer.stride, layer.padding)
-        if kind == "depthwise-conv":
-            return depthwise_conv2d(x, bound["weight"], bound.get("bias"),
-                                    layer.stride, layer.padding)
-        if kind == "batch-norm":
-            return batch_norm(x, bound["gamma"], bound["beta"], bound["mean"],
-                              bound["variance"], layer.epsilon)
-        if kind == "relu6":
-            return relu6(x)
-        if kind == "relu":
-            return relu(x)
-        if kind == "prelu":
-            return prelu(x, bound["alpha"])
-        if kind == "max-pool":
-            return max_pool2d(x, layer.kernel, layer.stride)
-        if kind == "global-avg-pool":
-            return global_avg_pool(x)
-        if kind == "dense":
-            return dense(x, bound["weight"], bound.get("bias"))
-        if kind == "softmax":
-            return softmax(x, axis=1 if x.ndim == 4 else -1)
-        if kind == "bottleneck-block":
-            params = BottleneckParams(
-                depthwise_weight=bound["depthwise_weight"],
-                depthwise_norm=BatchNormParams(
-                    *(bound[f"depthwise_norm.{s}"]
-                      for s in ("gamma", "beta", "mean", "variance")),
-                    epsilon=layer.epsilon),
-                project_weight=bound["project_weight"],
-                project_norm=BatchNormParams(
-                    *(bound[f"project_norm.{s}"]
-                      for s in ("gamma", "beta", "mean", "variance")),
-                    epsilon=layer.epsilon),
-                expand_weight=bound.get("expand_weight"),
-                expand_norm=BatchNormParams(
-                    *(bound[f"expand_norm.{s}"]
-                      for s in ("gamma", "beta", "mean", "variance")),
-                    epsilon=layer.epsilon) if layer.expansion > 1 else None)
-            return bottleneck_block(x, params, layer.expansion, layer.stride,
-                                    layer.residual)
-        raise NetworkError(f"layer {layer.name!r}: unknown kind {kind!r}")
+            steps.append((layer.name, layer.feeds_from,
+                          _compile(layer, _bind(layer, archive))))
+        self._steps = tuple(steps)
 
     def forward(self, x: Tensor, taps: tuple[str, ...] = ()):
         """Apply all layers; returns the final output.
@@ -508,26 +469,24 @@ class Network:
         With ``taps`` the return value is ``(output, {name: tensor})`` for
         the named intermediate layers.
         """
-        wanted = set(taps)
-        feeds = {layer.feeds_from for layer in self.layers if layer.feeds_from}
-        keep = wanted | feeds
-        unknown = wanted - {layer.name for layer in self.layers}
+        unknown = set(taps) - self._names
         if unknown:
             raise NetworkError(f"unknown tap layers: {sorted(unknown)}")
+        keep = self._feeds.union(taps)
         outputs: dict[str, Tensor] = {}
         current = _as_f32(x)
         if self.input_shape and tuple(current.shape[1:]) != self.input_shape:
             raise ValueError(
                 f"input shape {tuple(current.shape[1:])} does not match the "
                 f"network's declared {self.input_shape}")
-        for layer, bound in zip(self.layers, self._bound):
-            source = outputs[layer.feeds_from] if layer.feeds_from else current
+        for name, feeds_from, step in self._steps:
+            source = outputs[feeds_from] if feeds_from else current
             try:
-                current = self._apply(layer, bound, source)
+                current = step(source)
             except ValueError as exc:
-                raise ValueError(f"layer {layer.name!r}: {exc}") from exc
-            if layer.name in keep:
-                outputs[layer.name] = current
+                raise ValueError(f"layer {name!r}: {exc}") from exc
+            if name in keep:
+                outputs[name] = current
         if taps:
             return current, {name: outputs[name] for name in taps}
         return current

@@ -114,6 +114,13 @@ class TestClassifyFace:
         assert pred.label is C.MaskLabel.MASK
         assert pred.confidence == pytest.approx(2 / 3, abs=1e-6)
 
+    def test_non_finite_probabilities_raise(self):
+        archive = fixtures.fixture_classifier_archive(SMALL_SPEC)
+        archive.get("head.fc2.bias")[...] = np.nan
+        clf = C.build_classifier(SMALL_SPEC, archive)
+        with pytest.raises(ValueError, match="finite"):
+            C.classify_face(clf, np.zeros((1, 3, 32, 32), np.float32))
+
     def test_logit_scaling_never_changes_label(self, small_classifier):
         rng = np.random.default_rng(3)
         x = rng.uniform(-1, 1, (1, 3, 32, 32)).astype(np.float32)

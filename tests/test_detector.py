@@ -304,6 +304,22 @@ class TestRefineStage:
                                                     24, 0.5)
         assert (refined.shape, scores.shape, landmarks) == ((0, 4), (0,), None)
 
+    def test_empty_input_with_landmarks(self, cascade):
+        frame = np.zeros((1, 3, 64, 64), np.float32)
+        refined, scores, landmarks = D.refine_stage(frame, boxes(), cascade.onet,
+                                                    48, 0.5)
+        assert (refined.shape, scores.shape, landmarks.shape) == (
+            (0, 4), (0,), (0, 5, 2))
+
+    @pytest.mark.parametrize("stage", ["rnet", "onet"])
+    def test_zero_row_forward(self, cascade, stage):
+        network = getattr(cascade, stage)
+        probs, tapped = network.forward(
+            np.zeros((0,) + network.input_shape, np.float32),
+            taps=(f"{stage}.reg",))
+        assert probs.shape == (0, 2)
+        assert tapped[f"{stage}.reg"].shape == (0, 4)
+
     def test_all_rejected_when_scores_low(self):
         layers = D.build_rnet_layers()
         rnet = Network(layers, zero_archive_for(layers))  # every score 0.5
@@ -359,7 +375,9 @@ class TestDetectFaces:
         scores = [f.score for f in first]
         assert scores == sorted(scores, reverse=True)
 
-    @pytest.mark.parametrize("bias", ["pnet.reg.bias", "rnet.reg.bias"])
+    @pytest.mark.parametrize("bias", ["pnet.reg.bias", "rnet.reg.bias",
+                                      "pnet.prob_conv.bias", "rnet.prob_fc.bias",
+                                      "onet.prob_fc.bias"])
     def test_non_finite_regression_raises(self, bias):
         archive = fixtures.fixture_cascade_archive()
         archive.get(bias)[...] = np.nan

@@ -2,80 +2,83 @@ import numpy as np
 import pytest
 
 from cascadet import tensor as T
-from cascadet.tensor import (BatchNormParams, BottleneckParams, LayerSpec,
-                             Network, NetworkError, bottleneck_layer,
-                             conv_layer, dense_layer, parameter_shapes)
+from cascadet.tensor import (LayerSpec, Network, NetworkError, bn_layer,
+                             bottleneck_layer, conv_layer, dense_layer,
+                             parameter_shapes, prelu_layer)
 from cascadet.weights import WeightArchive
 
+STATS = ("gamma", "beta", "mean", "variance")
 
-def bn_params(c, rng=None, zero=False):
+
+def bn_params(prefix, c, rng=None, zero=False):
+    """The four batch-norm statistics of ``prefix`` by role."""
     if zero:
-        return BatchNormParams(gamma=np.zeros(c, np.float32),
-                               beta=np.zeros(c, np.float32),
-                               mean=np.zeros(c, np.float32),
-                               variance=np.ones(c, np.float32))
-    return BatchNormParams(
-        gamma=rng.uniform(0.5, 1.5, c).astype(np.float32),
-        beta=rng.uniform(-0.5, 0.5, c).astype(np.float32),
-        mean=rng.uniform(-0.5, 0.5, c).astype(np.float32),
-        variance=rng.uniform(0.2, 2.0, c).astype(np.float32))
+        stats = {"gamma": np.zeros(c, np.float32), "beta": np.zeros(c, np.float32),
+                 "mean": np.zeros(c, np.float32),
+                 "variance": np.ones(c, np.float32)}
+    else:
+        stats = {"gamma": rng.uniform(0.5, 1.5, c).astype(np.float32),
+                 "beta": rng.uniform(-0.5, 0.5, c).astype(np.float32),
+                 "mean": rng.uniform(-0.5, 0.5, c).astype(np.float32),
+                 "variance": rng.uniform(0.2, 2.0, c).astype(np.float32)}
+    return {f"{prefix}.{s}": v for s, v in stats.items()}
+
+
+def bottleneck_net(in_c, out_c, expansion, residual, params):
+    """One-block Network over ``params`` (role -> tensor)."""
+    return Network([bottleneck_layer("b", in_c, out_c, expansion, stride=1,
+                                     residual=residual)],
+                   WeightArchive({f"b.{role}": v for role, v in params.items()}))
+
+
+def zeroed_bottleneck(residual):
+    return bottleneck_net(4, 4, 6, residual, {
+        "depthwise_weight": np.zeros((24, 1, 3, 3), np.float32),
+        **bn_params("depthwise_norm", 24, zero=True),
+        "project_weight": np.zeros((4, 24, 1, 1), np.float32),
+        **bn_params("project_norm", 4, zero=True),
+        "expand_weight": np.zeros((24, 4, 1, 1), np.float32),
+        **bn_params("expand_norm", 24, zero=True)})
+
+
+def bottleneck_ops(x, p, stride=1, residual=True):
+    """The block spelled out in public operators; ``p`` maps role -> tensor."""
+    def norm(h, prefix):
+        return T.batch_norm(h, *(p[f"{prefix}.{s}"] for s in STATS))
+
+    h = x
+    if "expand_weight" in p:
+        h = T.relu6(norm(T.pointwise_conv2d(h, p["expand_weight"]), "expand_norm"))
+    h = T.relu6(norm(T.depthwise_conv2d(h, p["depthwise_weight"], stride=stride,
+                                        padding=1), "depthwise_norm"))
+    h = norm(T.pointwise_conv2d(h, p["project_weight"]), "project_norm")
+    return h + x if residual else h
 
 
 class TestBottleneckBlock:
     def test_zeroed_residual_is_exact_identity(self):
         rng = np.random.default_rng(0)
         x = rng.uniform(-1, 1, (1, 4, 6, 6)).astype(np.float32)
-        params = BottleneckParams(
-            depthwise_weight=np.zeros((24, 1, 3, 3), np.float32),
-            depthwise_norm=bn_params(24, zero=True),
-            project_weight=np.zeros((4, 24, 1, 1), np.float32),
-            project_norm=bn_params(4, zero=True),
-            expand_weight=np.zeros((24, 4, 1, 1), np.float32),
-            expand_norm=bn_params(24, zero=True))
-        out = T.bottleneck_block(x, params, expansion=6, stride=1, residual=True)
+        out = zeroed_bottleneck(residual=True).forward(x)
         np.testing.assert_array_equal(out, x)
 
     def test_zeroed_without_residual_is_zero(self):
         rng = np.random.default_rng(1)
         x = rng.uniform(-1, 1, (1, 4, 6, 6)).astype(np.float32)
-        params = BottleneckParams(
-            depthwise_weight=np.zeros((24, 1, 3, 3), np.float32),
-            depthwise_norm=bn_params(24, zero=True),
-            project_weight=np.zeros((4, 24, 1, 1), np.float32),
-            project_norm=bn_params(4, zero=True),
-            expand_weight=np.zeros((24, 4, 1, 1), np.float32),
-            expand_norm=bn_params(24, zero=True))
-        out = T.bottleneck_block(x, params, expansion=6, stride=1, residual=False)
+        out = zeroed_bottleneck(residual=False).forward(x)
         np.testing.assert_array_equal(out, np.zeros_like(x))
 
     def test_matches_manual_operator_composition(self):
         rng = np.random.default_rng(2)
         x = rng.uniform(-1, 1, (1, 4, 6, 6)).astype(np.float32)
-        expand_w = rng.uniform(-1, 1, (24, 4, 1, 1)).astype(np.float32)
-        dw_w = rng.uniform(-1, 1, (24, 1, 3, 3)).astype(np.float32)
-        proj_w = rng.uniform(-1, 1, (4, 24, 1, 1)).astype(np.float32)
-        en, dn, pn = bn_params(24, rng), bn_params(24, rng), bn_params(4, rng)
-        params = BottleneckParams(
-            depthwise_weight=dw_w, depthwise_norm=dn,
-            project_weight=proj_w, project_norm=pn,
-            expand_weight=expand_w, expand_norm=en)
-        got = T.bottleneck_block(x, params, expansion=6, stride=1, residual=True)
-
-        h = T.relu6(en.apply(T.pointwise_conv2d(x, expand_w)))
-        h = T.relu6(dn.apply(T.depthwise_conv2d(h, dw_w, stride=1, padding=1)))
-        h = pn.apply(T.pointwise_conv2d(h, proj_w))
-        want = h + x
-        np.testing.assert_allclose(got, want, atol=1e-5)
-
-    def test_residual_shape_mismatch_rejected(self):
-        x = np.zeros((1, 4, 6, 6), np.float32)
-        params = BottleneckParams(
-            depthwise_weight=np.zeros((4, 1, 3, 3), np.float32),
-            depthwise_norm=bn_params(4, zero=True),
-            project_weight=np.zeros((8, 4, 1, 1), np.float32),
-            project_norm=bn_params(8, zero=True))
-        with pytest.raises(ValueError, match="residual"):
-            T.bottleneck_block(x, params, expansion=1, stride=1, residual=True)
+        p = {"expand_weight": rng.uniform(-1, 1, (24, 4, 1, 1)).astype(np.float32),
+             "depthwise_weight": rng.uniform(-1, 1, (24, 1, 3, 3)).astype(np.float32),
+             "project_weight": rng.uniform(-1, 1, (4, 24, 1, 1)).astype(np.float32)}
+        p.update(bn_params("expand_norm", 24, rng))
+        p.update(bn_params("depthwise_norm", 24, rng))
+        p.update(bn_params("project_norm", 4, rng))
+        got = bottleneck_net(4, 4, 6, True, p).forward(x)
+        np.testing.assert_allclose(got, bottleneck_ops(x, p), atol=1e-5)
 
 
 def archive_for(layers, fill=0.0):
@@ -135,9 +138,16 @@ class TestNetwork:
             LayerSpec(kind="warp", name="w")
 
     def test_residual_constraint_checked_at_construction(self):
-        layers = [bottleneck_layer("b1", 4, 8, expansion=6, stride=1,
-                                   residual=True)]
-        with pytest.raises(NetworkError, match="residual"):
+        for expansion in (6, 1):
+            layers = [bottleneck_layer("b1", 4, 8, expansion=expansion,
+                                       stride=1, residual=True)]
+            with pytest.raises(NetworkError, match="residual"):
+                Network(layers, archive_for(layers))
+
+    def test_bottleneck_stride_checked_at_construction(self):
+        layers = [bottleneck_layer("b1", 4, 8, expansion=6, stride=3,
+                                   residual=False)]
+        with pytest.raises(NetworkError, match="stride 1 or 2"):
             Network(layers, archive_for(layers))
 
     def test_taps_return_intermediates(self):
@@ -187,3 +197,63 @@ class TestNetwork:
         net = Network(layers, archive)
         x = rng.uniform(-1, 1, (1, 3, 10, 10)).astype(np.float32)
         assert net.forward(x).tobytes() == net.forward(x).tobytes()
+
+
+# Per case: the layer, the input shape, and the same layer as a direct call
+# of the public operators on (input, {role: parameter tensor}).
+ONE_LAYER_CASES = {
+    "conv": (conv_layer("l", 4, 6, 3, stride=2, padding=1), (2, 4, 7, 7),
+             lambda x, p: T.conv2d(x, p["weight"], p["bias"], 2, 1)),
+    "conv-1x1": (conv_layer("l", 4, 6, 1), (2, 4, 7, 7),
+                 lambda x, p: T.pointwise_conv2d(x, p["weight"], p["bias"])),
+    "depthwise-conv": (LayerSpec(kind="depthwise-conv", name="l",
+                                 params={"weight": "l.weight", "bias": "l.bias"},
+                                 out_channels=4, kernel=3, stride=2, padding=1),
+                       (2, 4, 7, 7),
+                       lambda x, p: T.depthwise_conv2d(x, p["weight"],
+                                                       p["bias"], 2, 1)),
+    "batch-norm": (bn_layer("l", 4, epsilon=1e-3), (2, 4, 7, 7),
+                   lambda x, p: T.batch_norm(x, *(p[s] for s in STATS), 1e-3)),
+    "relu6": (LayerSpec(kind="relu6", name="l"), (2, 4, 7, 7),
+              lambda x, p: T.relu6(x)),
+    "relu": (LayerSpec(kind="relu", name="l"), (2, 4, 7, 7),
+             lambda x, p: T.relu(x)),
+    "prelu": (prelu_layer("l", 4), (2, 4, 7, 7),
+              lambda x, p: T.prelu(x, p["alpha"])),
+    "max-pool": (LayerSpec(kind="max-pool", name="l", kernel=3, stride=2),
+                 (2, 4, 7, 7), lambda x, p: T.max_pool2d(x, 3, 2)),
+    "global-avg-pool": (LayerSpec(kind="global-avg-pool", name="l"),
+                        (2, 4, 7, 7), lambda x, p: T.global_avg_pool(x)),
+    "dense": (dense_layer("l", 4 * 7 * 7, 5), (2, 4, 7, 7),
+              lambda x, p: T.dense(x, p["weight"], p["bias"])),
+    "softmax": (LayerSpec(kind="softmax", name="l"), (2, 4, 7, 7),
+                lambda x, p: T.softmax(x, axis=1)),
+    "softmax-rank2": (LayerSpec(kind="softmax", name="l"), (3, 5),
+                      lambda x, p: T.softmax(x, axis=-1)),
+    "bottleneck-block": (bottleneck_layer("l", 4, 4, 6, 1, True), (2, 4, 7, 7),
+                         lambda x, p: bottleneck_ops(x, p)),
+    "bottleneck-block-s2": (bottleneck_layer("l", 4, 8, 1, 2, False),
+                            (2, 4, 7, 7),
+                            lambda x, p: bottleneck_ops(x, p, stride=2,
+                                                        residual=False)),
+}
+
+
+def test_one_layer_cases_cover_every_kind():
+    assert {layer.kind for layer, _, _ in ONE_LAYER_CASES.values()} == T.LAYER_KINDS
+
+
+@pytest.mark.parametrize("case", sorted(ONE_LAYER_CASES))
+def test_compiled_layer_equals_direct_operator_call(case):
+    layer, shape, direct = ONE_LAYER_CASES[case]
+    rng = np.random.default_rng(8)
+    archive = WeightArchive()
+    for entry, entry_shape in parameter_shapes([layer]):
+        low = 0.2 if entry.endswith("variance") else -1.0
+        archive.put(entry, rng.uniform(low, 1.0, entry_shape).astype(np.float32))
+    x = rng.uniform(-8, 8, shape).astype(np.float32)
+    got = Network([layer], archive).forward(x)
+    want = direct(x, {role: archive.get(entry)
+                      for role, entry in layer.params.items()})
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

@@ -247,6 +247,27 @@ class TestRun:
         assert (tmp_path / "out" / "frame000.ppm").exists()
         assert (tmp_path / "out" / "summary.json").exists()
 
+    def test_shared_output_name_refused_before_writing(self, tmp_path):
+        config_path = write_run_setup(tmp_path, [0])
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            P.write_ppm(tmp_path / sub / "f.ppm",
+                        fixtures.synthetic_frame(0, 32, 24))
+        (tmp_path / "frames.txt").write_text("a/f.ppm\nb/f.ppm\n")
+        with pytest.raises(P.FrameReadError, match="line 2.*line 1"):
+            P.run(P.parse_config(config_path))
+        assert not (tmp_path / "out").exists()
+
+    def test_output_dir_over_inputs_refused(self, tmp_path):
+        config_path = write_run_setup(tmp_path, [0])
+        config = P.parse_config(config_path)
+        config.output_dir = tmp_path / "frames"
+        before = (tmp_path / "frames" / "frame000.ppm").read_bytes()
+        with pytest.raises(P.FrameReadError, match="line 1"):
+            P.run(config)
+        assert (tmp_path / "frames" / "frame000.ppm").read_bytes() == before
+        assert not (tmp_path / "frames" / "detections.jsonl").exists()
+
     def test_failed_frame_skipped(self, tmp_path, capsys):
         config_path = write_run_setup(tmp_path, [0, 1, 2])
         frames_dir = tmp_path / "frames"

@@ -80,6 +80,12 @@ class TestBottleneckBlock:
         got = bottleneck_net(4, 4, 6, True, p).forward(x)
         np.testing.assert_allclose(got, bottleneck_ops(x, p), atol=1e-5)
 
+    def test_residual_shape_mismatch_rejected(self):
+        layers = [bottleneck_layer("b", 4, 8, expansion=1, stride=1,
+                                   residual=True)]
+        with pytest.raises(NetworkError, match="residual"):
+            Network(layers, archive_for(layers))
+
 
 def archive_for(layers, fill=0.0):
     archive = WeightArchive()
@@ -138,11 +144,10 @@ class TestNetwork:
             LayerSpec(kind="warp", name="w")
 
     def test_residual_constraint_checked_at_construction(self):
-        for expansion in (6, 1):
-            layers = [bottleneck_layer("b1", 4, 8, expansion=expansion,
-                                       stride=1, residual=True)]
-            with pytest.raises(NetworkError, match="residual"):
-                Network(layers, archive_for(layers))
+        layers = [bottleneck_layer("b1", 4, 8, expansion=6, stride=1,
+                                   residual=True)]
+        with pytest.raises(NetworkError, match="residual"):
+            Network(layers, archive_for(layers))
 
     def test_bottleneck_stride_checked_at_construction(self):
         layers = [bottleneck_layer("b1", 4, 8, expansion=6, stride=3,

@@ -27,6 +27,14 @@ class GroundTruthEntry:
     box: BoundingBox
     label: MaskLabel
 
+    @classmethod
+    def from_json(cls, line: str) -> GroundTruthEntry:
+        obj = json.loads(line)
+        return cls(frame_index=int(obj["frame"]),
+                   box=BoundingBox(float(obj["x1"]), float(obj["y1"]),
+                                   float(obj["x2"]), float(obj["y2"])),
+                   label=MaskLabel(obj["label"]))
+
 
 @dataclass(frozen=True)
 class ConfusionCounts:
@@ -80,25 +88,33 @@ LITERATURE_BASELINES: tuple[BaselineRow, ...] = (
 )
 
 
+# (predicted, true) label -> mask confusion cell; Mask is the positive class.
+_MASK_CELL = {(MaskLabel.MASK, MaskLabel.MASK): "tp",
+              (MaskLabel.NO_MASK, MaskLabel.NO_MASK): "tn",
+              (MaskLabel.MASK, MaskLabel.NO_MASK): "fp",
+              (MaskLabel.NO_MASK, MaskLabel.MASK): "fn"}
+
+
 def match_detections(detections: list[Detection],
                      truths: list[GroundTruthEntry],
                      iou_threshold: float = DEFAULT_IOU_THRESHOLD,
                      ) -> tuple[ConfusionCounts, ConfusionCounts]:
     """Greedy per-frame matching; returns (face counts, mask counts).
 
-    Within a frame, detections are visited in descending face score (ties:
-    stable original order); each claims the unmatched truth with the highest
-    IoU at or above the threshold. Input list order never affects the
-    result.
+    Within a frame, detections are visited in descending face score; each
+    claims the unmatched truth with the highest IoU at or above the
+    threshold. Exact score or IoU ties go to the earlier item in input
+    order; otherwise input order never affects the result.
     """
-    frames = sorted({d.frame_index for d in detections}
-                    | {t.frame_index for t in truths})
-    face_tp = face_fp = face_fn = 0
-    mask_tp = mask_tn = mask_fp = mask_fn = 0
-    for frame in frames:
-        dets = [d for d in detections if d.frame_index == frame]
+    by_frame: dict[int, tuple[list, list]] = {}
+    for det in detections:
+        by_frame.setdefault(det.frame_index, ([], []))[0].append(det)
+    for gt in truths:
+        by_frame.setdefault(gt.frame_index, ([], []))[1].append(gt)
+    face = dict(tp=0, fp=0, fn=0)
+    mask = dict(tp=0, tn=0, fp=0, fn=0)
+    for dets, gts in by_frame.values():
         dets.sort(key=lambda d: -d.face_score)
-        gts = [t for t in truths if t.frame_index == frame]
         taken = [False] * len(gts)
         for det in dets:
             det_box = BoundingBox(det.x1, det.y1, det.x2, det.y2)
@@ -110,22 +126,13 @@ def match_detections(detections: list[Detection],
                 if overlap >= iou_threshold and overlap > best_iou:
                     best, best_iou = gi, overlap
             if best is None:
-                face_fp += 1
+                face["fp"] += 1
                 continue
             taken[best] = True
-            face_tp += 1
-            truth_label = gts[best].label
-            if det.label is MaskLabel.MASK and truth_label is MaskLabel.MASK:
-                mask_tp += 1
-            elif det.label is MaskLabel.NO_MASK and truth_label is MaskLabel.NO_MASK:
-                mask_tn += 1
-            elif det.label is MaskLabel.MASK:
-                mask_fp += 1
-            else:
-                mask_fn += 1
-        face_fn += taken.count(False)
-    return (ConfusionCounts(tp=face_tp, fp=face_fp, fn=face_fn),
-            ConfusionCounts(tp=mask_tp, tn=mask_tn, fp=mask_fp, fn=mask_fn))
+            face["tp"] += 1
+            mask[_MASK_CELL[det.label, gts[best].label]] += 1
+        face["fn"] += taken.count(False)
+    return ConfusionCounts(**face), ConfusionCounts(**mask)
 
 
 def _ratio(num: int, den: int) -> float | None:
@@ -150,18 +157,15 @@ def evaluate(detections: list[Detection], truths: list[GroundTruthEntry],
                       mask=compute_metrics(mask_counts))
 
 
-def _fmt(value: float | None) -> str:
-    return UNDEFINED if value is None else f"{value:.2f}%"
-
-
-def _row_cells(face: Metrics | None, mask: Metrics | None) -> list[str]:
+def _row_cells(face: Metrics | None, mask: Metrics | None,
+               number: str) -> list[str]:
+    """Precision, recall and accuracy cells for both tasks, each formatted
+    with the ``number`` format string, or UNDEFINED."""
     cells = []
     for metrics in (face, mask):
-        if metrics is None:
-            cells += [UNDEFINED] * 3
-        else:
-            cells += [_fmt(metrics.precision), _fmt(metrics.recall),
-                      _fmt(metrics.accuracy)]
+        values = ((None,) * 3 if metrics is None else
+                  (metrics.precision, metrics.recall, metrics.accuracy))
+        cells += [UNDEFINED if v is None else number.format(v) for v in values]
     return cells
 
 
@@ -171,10 +175,11 @@ def render_report(report: EvalReport,
     literature values rather than measurements."""
     header = ["Approach", "Face P", "Face R", "Face A",
               "Mask P", "Mask R", "Mask A"]
-    rows = [["This run (measured)"] + _row_cells(report.face, report.mask)]
+    rows = [["This run (measured)"]
+            + _row_cells(report.face, report.mask, "{:.2f}%")]
     for baseline in baselines:
         rows.append([f"{baseline.name} [literature]"]
-                    + _row_cells(baseline.face, baseline.mask))
+                    + _row_cells(baseline.face, baseline.mask, "{:.2f}%"))
     widths = [max(len(header[i]), *(len(row[i]) for row in rows))
               for i in range(len(header))]
     lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header))]
@@ -192,19 +197,9 @@ def render_report(report: EvalReport,
 def render_csv(report: EvalReport,
                baselines: tuple[BaselineRow, ...] = ()) -> str:
     """CSV rows: header, one measured row, one row per baseline."""
-    def csv_cell(value: float | None) -> str:
-        return UNDEFINED if value is None else f"{value:.4f}"
-
     def csv_row(name: str, face: Metrics | None, mask: Metrics | None,
                 source: str) -> str:
-        cells = [name]
-        for metrics in (face, mask):
-            if metrics is None:
-                cells += [UNDEFINED] * 3
-            else:
-                cells += [csv_cell(metrics.precision), csv_cell(metrics.recall),
-                          csv_cell(metrics.accuracy)]
-        return ",".join(cells + [source])
+        return ",".join([name, *_row_cells(face, mask, "{:.4f}"), source])
 
     lines = ["approach,face_precision,face_recall,face_accuracy,"
              "mask_precision,mask_recall,mask_accuracy,source"]
@@ -215,39 +210,25 @@ def render_csv(report: EvalReport,
     return "\n".join(lines) + "\n"
 
 
-def load_detection_log(path: str | Path) -> list[Detection]:
-    """Detections from a JSONL log written by the pipeline."""
-    detections = []
+def _read_jsonl(path: str | Path, kind: str, parse) -> list:
+    """``parse`` applied to every non-blank line; a bad line raises
+    ValueError naming ``path:line``."""
+    records = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-            detections.append(Detection(
-                frame_index=int(obj["frame"]),
-                x1=int(obj["x1"]), y1=int(obj["y1"]),
-                x2=int(obj["x2"]), y2=int(obj["y2"]),
-                label=MaskLabel(obj["label"]),
-                confidence=float(obj["confidence"]),
-                face_score=float(obj["face_score"])))
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"{path}:{lineno}: bad detection record: {exc}")
-    return detections
+            records.append(parse(line))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}:{lineno}: bad {kind} record: {exc}")
+    return records
+
+
+def load_detection_log(path: str | Path) -> list[Detection]:
+    """Detections from a JSONL log written by the pipeline."""
+    return _read_jsonl(path, "detection", Detection.from_json)
 
 
 def load_ground_truth(path: str | Path) -> list[GroundTruthEntry]:
     """Ground truth JSONL: objects with frame, x1, y1, x2, y2, label."""
-    truths = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            truths.append(GroundTruthEntry(
-                frame_index=int(obj["frame"]),
-                box=BoundingBox(float(obj["x1"]), float(obj["y1"]),
-                                float(obj["x2"]), float(obj["y2"])),
-                label=MaskLabel(obj["label"])))
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"{path}:{lineno}: bad ground-truth record: {exc}")
-    return truths
+    return _read_jsonl(path, "ground-truth", GroundTruthEntry.from_json)

@@ -3,16 +3,17 @@
 Frames arrive as a manifest (one PPM path per line) rather than container
 video; extraction from a video file is a one-liner with any external tool
 (e.g. ``ffmpeg -i clip.mp4 frames/%04d.ppm``). Frames are processed by a
-bounded worker pool over immutable shared networks and all outputs are
-written in frame-index order, so results are byte-identical regardless of
-worker count.
+bounded worker pool over immutable shared networks; each frame's outputs are
+written in frame-index order as soon as that frame finishes, so results are
+byte-identical regardless of worker count and memory does not grow with the
+manifest.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
-import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -31,6 +32,8 @@ GREEN = (0, 255, 0)
 RED = (255, 0, 0)
 OUTLINE_THICKNESS = 2
 LABEL_GAP = 2
+
+log = logging.getLogger(__name__)
 
 
 class FrameReadError(Exception):
@@ -75,6 +78,23 @@ class Detection:
             "confidence": self.confidence,
             "face_score": self.face_score,
         })
+
+    @classmethod
+    def from_json(cls, line: str) -> Detection:
+        """Inverse of :meth:`to_json`. Raises KeyError, TypeError or
+        ValueError on a malformed record, a non-finite score or a degenerate
+        box."""
+        obj = json.loads(line)
+        det = cls(frame_index=int(obj["frame"]),
+                  x1=int(obj["x1"]), y1=int(obj["y1"]),
+                  x2=int(obj["x2"]), y2=int(obj["y2"]),
+                  label=MaskLabel(obj["label"]),
+                  confidence=float(obj["confidence"]),
+                  face_score=float(obj["face_score"]))
+        if not (math.isfinite(det.confidence) and math.isfinite(det.face_score)):
+            raise ValueError("confidence and face_score must be finite")
+        BoundingBox(det.x1, det.y1, det.x2, det.y2)  # rejects a degenerate box
+        return det
 
 
 def parse_ppm(data: bytes, origin: str = "<bytes>") -> np.ndarray:
@@ -324,6 +344,9 @@ def parse_config(path: str | Path, env: dict | None = None) -> RunConfig:
         return p if p.is_absolute() else base / p
 
     try:
+        workers = int(values.get("workers", "1"))
+        if workers < 1:
+            raise ValueError(f"workers must be at least 1, got {workers}")
         cascade_kwargs = {key: conv(values[key])
                           for key, conv in _CASCADE_KEYS.items() if key in values}
         backbone_kwargs = {dest: conv(values[key])
@@ -336,7 +359,7 @@ def parse_config(path: str | Path, env: dict | None = None) -> RunConfig:
             classifier_weights=as_path(values["classifier_weights"]),
             cascade=CascadeConfig(**cascade_kwargs),
             backbone=BackboneSpec(**backbone_kwargs),
-            workers=int(values.get("workers", "1")),
+            workers=workers,
             annotate=_parse_bool(values.get("annotate", "true")),
         )
     except (ValueError, TypeError) as exc:
@@ -397,7 +420,7 @@ def run(config: RunConfig) -> RunSummary:
     Raises FrameReadError, before writing anything, when two frames would
     share an annotated output name or an output would overwrite a manifest
     input; and after the run when more than half the frames fail.
-    Frame-level failures are reported to stderr and skipped.
+    Frame-level failures are logged as warnings and skipped.
     """
     for path in (config.manifest, config.cascade_weights,
                  config.classifier_weights):
@@ -411,43 +434,36 @@ def run(config: RunConfig) -> RunSummary:
     config.output_dir.mkdir(parents=True, exist_ok=True)
     summary = RunSummary(frames=len(entries))
 
-    def job(index: int, lineno: int, path: Path, entry: str):
-        frame = _load_frame(index, lineno, path, entry)
-        timings: dict = {}
-        detections = process_frame(frame, networks, clf, config.cascade,
-                                   config.backbone, timings=timings)
-        annotated = annotate(frame, detections) if config.annotate else None
-        return frame, detections, timings, annotated
-
-    def collect(index: int, entry: str, future):
+    def job(index: int):
+        lineno, path, entry = entries[index]
         try:
-            return future.result()
+            frame = _load_frame(index, lineno, path, entry)
+            timings: dict = {}
+            detections = process_frame(frame, networks, clf, config.cascade,
+                                       config.backbone, timings=timings)
+            annotated = annotate(frame, detections) if config.annotate else None
+            return detections, timings, annotated
         except Exception as exc:  # frame-level isolation
-            print(f"frame {index} ({entry}): {exc}", file=sys.stderr)
-            return None
+            return exc
 
-    with ThreadPoolExecutor(max_workers=max(1, config.workers)) as pool:
-        futures = [pool.submit(job, i, lineno, path, entry)
-                   for i, (lineno, path, entry) in enumerate(entries)]
-        outcomes = [collect(i, entries[i][2], future)
-                    for i, future in enumerate(futures)]
-
-    log_path = config.output_dir / "detections.jsonl"
-    with open(log_path, "w") as log:
-        for outcome in outcomes:
-            if outcome is None:
+    with ThreadPoolExecutor(max_workers=config.workers) as pool, \
+            open(config.output_dir / "detections.jsonl", "w") as log_file:
+        for index, outcome in enumerate(pool.map(job, range(len(entries)))):
+            entry = entries[index][2]
+            if isinstance(outcome, Exception):
+                log.warning("frame %d (%s): %s", index, entry, outcome)
                 summary.failed_frames += 1
                 continue
-            frame, detections, timings, annotated = outcome
+            detections, timings, annotated = outcome
             for det in detections:
-                log.write(det.to_json() + "\n")
+                log_file.write(det.to_json() + "\n")
             summary.detections += len(detections)
             for stage, seconds in timings.items():
                 summary.stage_seconds[stage] = (
                     summary.stage_seconds.get(stage, 0.0) + seconds)
             if annotated is not None:
-                name = _output_name(frame.index, frame.source)
-                write_ppm(config.output_dir / name, annotated.pixels)
+                write_ppm(config.output_dir / _output_name(index, entry),
+                          annotated.pixels)
 
     summary.wall_time_s = time.perf_counter() - started
     (config.output_dir / "summary.json").write_text(

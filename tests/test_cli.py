@@ -1,3 +1,5 @@
+import pytest
+
 from cascadet import cli
 from cascadet.classifier import MaskLabel
 from cascadet.pipeline import Detection
@@ -85,6 +87,23 @@ class TestEval:
                        "--csv", str(csv_path)])
         assert rc == cli.EXIT_OK
         assert csv_path.read_text().startswith("approach,")
+
+    @pytest.mark.parametrize("record", [
+        '[1, 2]',
+        '{"frame": null, "x1": 10, "y1": 10, "x2": 30, "y2": 30, '
+        '"label": "Mask", "confidence": 0.9, "face_score": 0.9}',
+        '{"frame": 0, "x1": 10, "y1": 10, "x2": 30, "y2": 30, '
+        '"label": "Mask", "confidence": 0.9, "face_score": NaN}',
+        '{"frame": 0, "x1": 30, "y1": 10, "x2": 30, "y2": 30, '
+        '"label": "Mask", "confidence": 0.9, "face_score": 0.9}',
+    ], ids=["non-object", "null-frame", "nan-score", "degenerate-box"])
+    def test_bad_log_record_is_data_error_naming_line(self, tmp_path, capsys,
+                                                      record):
+        log, truth = self.write_logs(tmp_path)
+        log.write_text(log.read_text() + record + "\n")
+        rc = cli.main(["eval", "--log", str(log), "--truth", str(truth)])
+        assert rc == cli.EXIT_DATA
+        assert f"{log}:3: bad detection record" in capsys.readouterr().err
 
     def test_eval_missing_log_is_data_error(self, tmp_path):
         truth = tmp_path / "truth.jsonl"

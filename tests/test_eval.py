@@ -118,6 +118,17 @@ class TestMatchDetections:
         dets = [det(0, int(10 * i), 0, int(10 * i + 8), 8,
                     score=float(0.1 + 0.05 * i)) for i in range(10)]
         truths = [truth(0, 10 * i + 1, 0, 10 * i + 8, 8) for i in range(7)]
+        # Frames 1-3: overlapping detections with mixed labels compete for
+        # the same truths, so shuffling interleaves frames and contenders.
+        # Growing truth widths keep any detection from having two truths at
+        # exactly the same IoU (such a tie goes to the earlier truth).
+        labels = (MaskLabel.MASK, MaskLabel.NO_MASK)
+        for frame in (1, 2, 3):
+            dets += [det(frame, 5 * i, 0, 5 * i + 12, 12,
+                         label=labels[(i + frame) % 2],
+                         score=float(rng.random())) for i in range(6)]
+            truths += [truth(frame, 6 * i + frame, 1, 7 * i + 12, 12,
+                             label=labels[i % 2]) for i in range(frame + 2)]
         base = E.match_detections(dets, truths)
         for _ in range(5):
             shuffled_d = list(dets)
@@ -125,6 +136,11 @@ class TestMatchDetections:
             rng.shuffle(shuffled_d)
             rng.shuffle(shuffled_t)
             assert E.match_detections(shuffled_d, shuffled_t) == base
+
+
+    def test_degenerate_detection_box_raises(self):
+        with pytest.raises(ValueError, match="degenerate"):
+            E.match_detections([det(0, 10, 10, 10, 20)], [])
 
 
 class TestComputeMetrics:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -289,16 +290,44 @@ class TestRun:
         with pytest.raises(P.FrameReadError, match="cascade.cwts"):
             P.run(P.parse_config(config_path))
 
+    def test_peak_memory_flat_over_frames(self, tmp_path, monkeypatch):
+        """Each frame's pixels and annotated copy are released once written:
+        the frame loop of a 60-frame run peaks within 2 MiB of a 10-frame
+        run's. Loading the weights peaks higher than the loop and would hide
+        retained frames, so the peak is reset once the networks are built;
+        every frame is the same, so each has the same working set."""
+        build = P.build_classifier
+
+        def build_then_reset_peak(*args):
+            classifier = build(*args)
+            tracemalloc.reset_peak()
+            return classifier
+
+        monkeypatch.setattr(P, "build_classifier", build_then_reset_peak)
+        peaks = {}
+        for count in (10, 60):
+            run_dir = tmp_path / f"run{count}"
+            run_dir.mkdir()
+            config = P.parse_config(write_run_setup(
+                run_dir, [0] * count, extra_config="min_face_size=120\n"))
+            tracemalloc.start()
+            try:
+                assert P.run(config).detections == count
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[60] - peaks[10] < 2 * 2**20, peaks
+
 
 class TestRunFailureIsolation:
-    def test_missing_frame_is_frame_level_failure(self, tmp_path, capsys):
+    def test_missing_frame_is_frame_level_failure(self, tmp_path, caplog):
         config_path = write_run_setup(tmp_path, [0, 1])
         (tmp_path / "frames.txt").write_text(
             "frames/frame000.ppm\nframes/none.ppm\n")
         summary = P.run(P.parse_config(config_path))
         assert summary.frames == 2
         assert summary.failed_frames == 1
-        assert "none.ppm" in capsys.readouterr().err
+        assert "none.ppm" in caplog.text
 
 
 class TestParseConfig:
@@ -338,6 +367,11 @@ class TestParseConfig:
         path.write_text("manifest=frames.txt\n")
         with pytest.raises(P.ConfigError, match="output_dir"):
             P.parse_config(path)
+
+    def test_workers_below_one_rejected(self, tmp_path):
+        config_path = write_run_setup(tmp_path, [], extra_config="workers=0\n")
+        with pytest.raises(P.ConfigError, match="workers"):
+            P.parse_config(config_path)
 
     def test_bad_value_rejected(self, tmp_path):
         config_path = write_run_setup(tmp_path, [],

@@ -89,11 +89,9 @@ def classifier_layers(spec: BackboneSpec) -> list[LayerSpec]:
         out = _scaled(out, m)
         for rep in range(repeats):
             index += 1
-            block_stride = stride if rep == 0 else 1
-            residual = block_stride == 1 and channels == out
             layers.append(bottleneck_layer(
                 f"backbone.block{index}", channels, out, expansion,
-                block_stride, residual))
+                stride if rep == 0 else 1))
             channels = out
     last = _scaled(LAST_CHANNELS, m)
     layers += [

@@ -136,14 +136,21 @@ def init_head(feature_dim: int, hidden: int, seed: int = 0) -> HeadParams:
         b2=np.zeros(2))
 
 
-def head_forward(params: HeadParams, x: np.ndarray) -> np.ndarray:
-    """Class probabilities [P(Mask), P(NoMask)] for one feature vector."""
+def _head_activations(params: HeadParams, x: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hidden pre-activation, its ReLU and the class probabilities for one
+    feature vector: everything the backward pass needs."""
     h = params.w1 @ x + params.b1
     a = np.maximum(h, 0.0)
     z = params.w2 @ a + params.b2
     z = z - z.max()
     e = np.exp(z)
-    return e / e.sum()
+    return h, a, e / e.sum()
+
+
+def head_forward(params: HeadParams, x: np.ndarray) -> np.ndarray:
+    """Class probabilities [P(Mask), P(NoMask)] for one feature vector."""
+    return _head_activations(params, x)[2]
 
 
 def _epoch_stats(params: HeadParams, features: np.ndarray,
@@ -179,12 +186,7 @@ def train_head(params: HeadParams, features: np.ndarray, labels: np.ndarray,
     for epoch in range(1, epochs + 1):
         for i in rng.permutation(len(features)):
             x, y = features[i], int(labels[i])
-            h = params.w1 @ x + params.b1
-            a = np.maximum(h, 0.0)
-            z = params.w2 @ a + params.b2
-            z = z - z.max()
-            e = np.exp(z)
-            q = e / e.sum()
+            h, a, q = _head_activations(params, x)
             # Cross-entropy through softmax: dL/dz = q - onehot(y).
             dz = q - np.array([y, 1 - y], dtype=np.float64)
             da = params.w2.T @ dz

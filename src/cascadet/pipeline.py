@@ -16,7 +16,7 @@ import logging
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -284,12 +284,9 @@ class RunConfig:
     annotate: bool = True
 
 
-_CASCADE_KEYS = {
-    "min_face_size": int, "pyramid_factor": float,
-    "threshold_pnet": float, "threshold_rnet": float, "threshold_onet": float,
-    "nms_pyramid": float, "nms_stage1": float, "nms_stage2": float,
-    "nms_stage3": float,
-}
+# Every CascadeConfig field is a config key of the same name, parsed as the
+# type of its default.
+_CASCADE_KEYS = {f.name: type(f.default) for f in fields(CascadeConfig)}
 _BACKBONE_KEYS = {
     "classifier_extent": ("input_extent", int),
     "width_multiplier": ("width_multiplier", float),

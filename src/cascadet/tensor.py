@@ -11,7 +11,7 @@ across runs and caller thread counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -277,79 +277,93 @@ LAYER_KINDS = frozenset({
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """Declarative description of one layer.
+    """Declarative description of one layer's geometry.
 
-    ``params`` maps parameter roles (e.g. ``"weight"``) to weight-archive
-    entry names. ``feeds_from`` names an earlier layer whose output this
-    layer consumes instead of the immediately preceding one, which is how
-    multi-head networks branch.
+    The parameters a layer needs follow from its kind and geometry alone
+    (see :func:`layer_parameters`); ``bias`` adds a bias to a conv,
+    depthwise-conv or dense layer. ``feeds_from`` names an earlier layer
+    whose output this layer consumes instead of the immediately preceding
+    one, which is how multi-head networks branch.
     """
     kind: str
     name: str
-    params: dict = field(default_factory=dict)
     in_channels: int | None = None
     out_channels: int | None = None
     kernel: int | None = None
     stride: int = 1
     padding: int = 0
     expansion: int = 1
-    residual: bool = False
     epsilon: float = 1e-5
     feeds_from: str | None = None
+    bias: bool = False
 
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
             raise NetworkError(f"layer {self.name!r}: unknown kind {self.kind!r}")
 
+    @property
+    def residual(self) -> bool:
+        """Whether a bottleneck block adds its input to its projection: the
+        inverted-residual shortcut, taken exactly when the block keeps the
+        stride at 1 and the channel count unchanged."""
+        return (self.kind == "bottleneck-block" and self.stride == 1
+                and self.in_channels == self.out_channels)
+
+
+_NORM_STATS = ("gamma", "beta", "mean", "variance")
+
+
+def layer_parameters(layer: LayerSpec) -> list[tuple[str, tuple[int, ...]]]:
+    """The layer's (role, shape) pairs in archive order.
+
+    The archive entry that holds a role is always ``f"{layer.name}.{role}"``.
+    """
+    kind, out = layer.kind, layer.out_channels
+
+    def norm(prefix: str, channels: int) -> list[tuple[str, tuple[int, ...]]]:
+        return [(prefix + stat, (channels,)) for stat in _NORM_STATS]
+
+    if kind == "batch-norm":
+        return norm("", out)
+    if kind == "prelu":
+        return [("alpha", (out,))]
+    if kind == "bottleneck-block":
+        mid = layer.in_channels * layer.expansion
+        expand = ([("expand_weight", (mid, layer.in_channels, 1, 1)),
+                   *norm("expand_norm.", mid)] if layer.expansion > 1 else [])
+        return [*expand,
+                ("depthwise_weight", (mid, 1, 3, 3)), *norm("depthwise_norm.", mid),
+                ("project_weight", (out, mid, 1, 1)), *norm("project_norm.", out)]
+    if kind == "dense":
+        weight = (out, layer.in_channels)
+    elif kind in ("conv", "depthwise-conv"):
+        in_c = 1 if kind == "depthwise-conv" else layer.in_channels
+        weight = (out, in_c, layer.kernel, layer.kernel)
+    else:
+        return []
+    return [("weight", weight)] + ([("bias", (out,))] if layer.bias else [])
+
 
 def parameter_shapes(layers: list[LayerSpec]) -> list[tuple[str, tuple[int, ...]]]:
     """Every (archive entry name, shape) pair the layer list requires."""
-    shapes: list[tuple[str, tuple[int, ...]]] = []
-    for layer in layers:
-        p = layer.params
-        if layer.kind in ("conv", "depthwise-conv"):
-            in_c = 1 if layer.kind == "depthwise-conv" else layer.in_channels
-            shapes.append((p["weight"],
-                           (layer.out_channels, in_c, layer.kernel, layer.kernel)))
-            if "bias" in p:
-                shapes.append((p["bias"], (layer.out_channels,)))
-        elif layer.kind == "batch-norm":
-            shapes.extend((p[stat], (layer.out_channels,))
-                          for stat in ("gamma", "beta", "mean", "variance"))
-        elif layer.kind == "prelu":
-            shapes.append((p["alpha"], (layer.out_channels,)))
-        elif layer.kind == "dense":
-            shapes.append((p["weight"], (layer.out_channels, layer.in_channels)))
-            if "bias" in p:
-                shapes.append((p["bias"], (layer.out_channels,)))
-        elif layer.kind == "bottleneck-block":
-            mid = layer.in_channels * layer.expansion
-            stats = ("gamma", "beta", "mean", "variance")
-            if layer.expansion > 1:
-                shapes.append((p["expand_weight"], (mid, layer.in_channels, 1, 1)))
-                shapes.extend((p[f"expand_norm.{s}"], (mid,)) for s in stats)
-            shapes.append((p["depthwise_weight"], (mid, 1, 3, 3)))
-            shapes.extend((p[f"depthwise_norm.{s}"], (mid,)) for s in stats)
-            shapes.append((p["project_weight"], (layer.out_channels, mid, 1, 1)))
-            shapes.extend((p[f"project_norm.{s}"], (layer.out_channels,))
-                          for s in stats)
-    return shapes
+    return [(f"{layer.name}.{role}", shape)
+            for layer in layers for role, shape in layer_parameters(layer)]
 
 
 def _bind(layer: LayerSpec, archive) -> dict:
     """The layer's parameter tensors by role, fetched from ``archive`` and
-    checked against :func:`parameter_shapes`."""
-    expected = dict(parameter_shapes([layer]))
+    checked against :func:`layer_parameters`."""
     bound = {}
-    for role, entry in layer.params.items():
+    for role, shape in layer_parameters(layer):
+        entry = f"{layer.name}.{role}"
         if archive is None or entry not in archive:
             raise NetworkError(
                 f"layer {layer.name!r}: parameter {entry!r} missing from archive")
         tensor = archive.get(entry)
-        if tuple(tensor.shape) != expected[entry]:
+        if tuple(tensor.shape) != shape:
             raise NetworkError(
                 f"layer {layer.name!r}: parameter {entry!r} has shape "
-                f"{tuple(tensor.shape)}, expected {expected[entry]}")
+                f"{tuple(tensor.shape)}, expected {shape}")
         bound[role] = tensor
     return bound
 
@@ -358,8 +372,7 @@ def _compile(layer: LayerSpec, params: dict) -> Callable[[Tensor], Tensor]:
     """One callable that applies ``layer`` with its bound ``params`` (by role).
 
     Raises NetworkError for a bottleneck block that could never run: a
-    stride other than 1 or 2, an expansion below 1, or a residual across a
-    stride or a channel change.
+    stride other than 1 or 2, or an expansion below 1.
     """
     kind = layer.kind
     if kind == "conv":
@@ -389,23 +402,19 @@ def _compile(layer: LayerSpec, params: dict) -> Callable[[Tensor], Tensor]:
 
     # bottleneck-block: 1x1 expand (when expansion > 1), 3x3 depthwise, 1x1
     # linear projection. Batch norm follows each convolution and ReLU6 the
-    # first two only; with ``residual`` the input is added to the projection.
+    # first two only; with ``layer.residual`` the input is added to the
+    # projection.
     stride, expansion = layer.stride, layer.expansion
     if stride not in (1, 2) or expansion < 1:
         raise NetworkError(
             f"layer {layer.name!r}: bottleneck needs stride 1 or 2 and a "
             f"positive expansion, got stride {stride}, expansion {expansion}")
     residual = layer.residual
-    if residual and (stride != 1 or layer.in_channels != layer.out_channels):
-        raise NetworkError(
-            f"layer {layer.name!r}: residual requires stride 1 and "
-            f"equal channel counts, got stride {stride}, "
-            f"{layer.in_channels} -> {layer.out_channels}")
 
     def norm(prefix: str):
         return partial(batch_norm, epsilon=layer.epsilon,
                        **{stat: params[f"{prefix}.{stat}"]
-                          for stat in ("gamma", "beta", "mean", "variance")})
+                          for stat in _NORM_STATS})
 
     if expansion > 1:
         expand_weight, expand_norm = params["expand_weight"], norm("expand_norm")
@@ -492,55 +501,32 @@ class Network:
         return current
 
 
-def bn_layer(name: str, channels: int, prefix: str | None = None,
-             epsilon: float = 1e-5) -> LayerSpec:
-    """Batch-norm LayerSpec with the conventional four parameter entries."""
-    prefix = prefix or name
-    return LayerSpec(
-        kind="batch-norm", name=name, out_channels=channels, epsilon=epsilon,
-        params={stat: f"{prefix}.{stat}"
-                for stat in ("gamma", "beta", "mean", "variance")})
+def bn_layer(name: str, channels: int, epsilon: float = 1e-5) -> LayerSpec:
+    return LayerSpec(kind="batch-norm", name=name, out_channels=channels,
+                     epsilon=epsilon)
 
 
 def conv_layer(name: str, in_channels: int, out_channels: int, kernel: int,
                stride: int = 1, padding: int = 0, bias: bool = True,
                feeds_from: str | None = None) -> LayerSpec:
-    params = {"weight": f"{name}.weight"}
-    if bias:
-        params["bias"] = f"{name}.bias"
-    return LayerSpec(kind="conv", name=name, params=params,
-                     in_channels=in_channels, out_channels=out_channels,
-                     kernel=kernel, stride=stride, padding=padding,
-                     feeds_from=feeds_from)
+    return LayerSpec(kind="conv", name=name, in_channels=in_channels,
+                     out_channels=out_channels, kernel=kernel, stride=stride,
+                     padding=padding, feeds_from=feeds_from, bias=bias)
 
 
 def prelu_layer(name: str, channels: int) -> LayerSpec:
-    return LayerSpec(kind="prelu", name=name, out_channels=channels,
-                     params={"alpha": f"{name}.alpha"})
+    return LayerSpec(kind="prelu", name=name, out_channels=channels)
 
 
 def dense_layer(name: str, in_features: int, out_features: int,
                 bias: bool = True, feeds_from: str | None = None) -> LayerSpec:
-    params = {"weight": f"{name}.weight"}
-    if bias:
-        params["bias"] = f"{name}.bias"
-    return LayerSpec(kind="dense", name=name, params=params,
-                     in_channels=in_features, out_channels=out_features,
-                     feeds_from=feeds_from)
+    return LayerSpec(kind="dense", name=name, in_channels=in_features,
+                     out_channels=out_features, feeds_from=feeds_from,
+                     bias=bias)
 
 
 def bottleneck_layer(name: str, in_channels: int, out_channels: int,
-                     expansion: int, stride: int, residual: bool) -> LayerSpec:
-    roles = ["depthwise_weight", "project_weight"]
-    if expansion > 1:
-        roles.append("expand_weight")
-    params = {role: f"{name}.{role}" for role in roles}
-    norms = ["depthwise_norm", "project_norm"]
-    if expansion > 1:
-        norms.append("expand_norm")
-    for norm in norms:
-        for stat in ("gamma", "beta", "mean", "variance"):
-            params[f"{norm}.{stat}"] = f"{name}.{norm}.{stat}"
-    return LayerSpec(kind="bottleneck-block", name=name, params=params,
+                     expansion: int, stride: int) -> LayerSpec:
+    return LayerSpec(kind="bottleneck-block", name=name,
                      in_channels=in_channels, out_channels=out_channels,
-                     expansion=expansion, stride=stride, residual=residual)
+                     expansion=expansion, stride=stride)

@@ -21,6 +21,7 @@ identical archives can be reproduced anywhere:
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -131,25 +132,12 @@ def save(archive: WeightArchive, path: str | Path) -> None:
     Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise TruncatedArchiveError(
-                f"archive ends at byte {len(self.data)}, needed {self.pos + n}")
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-
 def load(path: str | Path) -> WeightArchive:
-    """Read an archive, validating magic, version and checksum first."""
+    """Read an archive, validating magic, version and checksum first.
+
+    Entries are read through one view of the file bytes; only the tensors
+    are copied out, so they are writable and own their memory.
+    """
     data = Path(path).read_bytes()
     if len(data) < len(MAGIC):
         raise TruncatedArchiveError(f"file is only {len(data)} bytes")
@@ -160,35 +148,51 @@ def load(path: str | Path) -> WeightArchive:
     version = struct.unpack_from("<I", data, 4)[0]
     if version != VERSION:
         raise UnsupportedVersionError(f"unsupported version {version}")
-    stored = struct.unpack_from("<I", data, len(data) - 4)[0]
-    actual = zlib.crc32(data[:-4])
+    body = memoryview(data)[:-4]
+    stored = struct.unpack_from("<I", data, len(body))[0]
+    actual = zlib.crc32(body)
     if stored != actual:
         raise ChecksumError(
             f"checksum mismatch: stored {stored:#010x}, computed {actual:#010x}")
 
-    reader = _Reader(data[:-4])
-    reader.pos = 8
-    count = reader.u32()
+    pos = 8
+
+    def take(n: int) -> memoryview:
+        nonlocal pos
+        if pos + n > len(body):
+            raise TruncatedArchiveError(
+                f"archive ends at byte {len(body)}, needed {pos + n}")
+        pos += n
+        return body[pos - n:pos]
+
+    def u32s(count: int) -> tuple[int, ...]:
+        return struct.unpack_from(f"<{count}I", take(4 * count))
+
+    def text(n: int, encoding: str, what: str) -> str:
+        try:
+            return str(take(n), encoding)
+        except UnicodeDecodeError:
+            raise ArchiveError(f"{what} is not {encoding}") from None
+
     tensors: dict[str, np.ndarray] = {}
     metadata: dict[str, str] = {}
-    for _ in range(count):
-        name = reader.take(reader.u32()).decode("ascii")
-        rank = reader.u32()
-        extents = tuple(reader.u32() for _ in range(rank))
+    for _ in range(u32s(1)[0]):
+        length = u32s(1)[0]
+        name = text(length, "ascii", f"entry name at byte {pos}")
+        rank = u32s(1)[0]
+        extents = u32s(rank)
         if name == META_ENTRY:
-            text = reader.take(extents[0]).decode("utf-8")
-            for line in text.splitlines():
+            if rank != 1:
+                raise ArchiveError(f"{META_ENTRY!r} must have rank 1, got {rank}")
+            for line in text(extents[0], "utf-8", META_ENTRY).splitlines():
                 key, _, value = line.partition("=")
                 metadata[key] = value
             continue
-        size = 1
-        for extent in extents:
-            size *= extent
-        payload = reader.take(size * 4)
+        payload = take(4 * math.prod(extents))
         tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(extents).copy()
-    if reader.pos != len(reader.data):
+    if pos != len(body):
         raise TruncatedArchiveError(
-            f"{len(reader.data) - reader.pos} trailing bytes after last entry")
+            f"{len(body) - pos} trailing bytes after last entry")
     return WeightArchive(tensors, metadata)
 
 

@@ -90,6 +90,12 @@ class TestBuild:
                 np.testing.assert_array_equal(outs[layer.name], previous)
             previous = outs[layer.name]
 
+    def test_default_backbone_residual_blocks(self):
+        residual = [layer.name for layer in C.classifier_layers(C.BackboneSpec())
+                    if layer.residual]
+        assert residual == [f"backbone.block{i}"
+                            for i in (3, 5, 6, 8, 9, 10, 12, 13, 15, 16)]
+
     def test_width_multiplier_scales_channels(self):
         layers = C.classifier_layers(C.BackboneSpec(width_multiplier=0.5))
         stem = next(l for l in layers if l.name == "backbone.stem")

@@ -1,7 +1,12 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from cascadet import tensor as T
+from cascadet.classifier import BackboneSpec, classifier_parameter_shapes
+from cascadet.detector import cascade_parameter_shapes
 from cascadet.tensor import (LayerSpec, Network, NetworkError, bn_layer,
                              bottleneck_layer, conv_layer, dense_layer,
                              parameter_shapes, prelu_layer)
@@ -24,19 +29,19 @@ def bn_params(prefix, c, rng=None, zero=False):
     return {f"{prefix}.{s}": v for s, v in stats.items()}
 
 
-def bottleneck_net(in_c, out_c, expansion, residual, params):
-    """One-block Network over ``params`` (role -> tensor)."""
-    return Network([bottleneck_layer("b", in_c, out_c, expansion, stride=1,
-                                     residual=residual)],
+def bottleneck_net(in_c, out_c, expansion, params):
+    """One stride-1 block Network over ``params`` (role -> tensor)."""
+    return Network([bottleneck_layer("b", in_c, out_c, expansion, stride=1)],
                    WeightArchive({f"b.{role}": v for role, v in params.items()}))
 
 
-def zeroed_bottleneck(residual):
-    return bottleneck_net(4, 4, 6, residual, {
+def zeroed_bottleneck(out_c):
+    """A 4 -> ``out_c`` stride-1 block with zero weights and statistics."""
+    return bottleneck_net(4, out_c, 6, {
         "depthwise_weight": np.zeros((24, 1, 3, 3), np.float32),
         **bn_params("depthwise_norm", 24, zero=True),
-        "project_weight": np.zeros((4, 24, 1, 1), np.float32),
-        **bn_params("project_norm", 4, zero=True),
+        "project_weight": np.zeros((out_c, 24, 1, 1), np.float32),
+        **bn_params("project_norm", out_c, zero=True),
         "expand_weight": np.zeros((24, 4, 1, 1), np.float32),
         **bn_params("expand_norm", 24, zero=True)})
 
@@ -59,14 +64,14 @@ class TestBottleneckBlock:
     def test_zeroed_residual_is_exact_identity(self):
         rng = np.random.default_rng(0)
         x = rng.uniform(-1, 1, (1, 4, 6, 6)).astype(np.float32)
-        out = zeroed_bottleneck(residual=True).forward(x)
+        out = zeroed_bottleneck(4).forward(x)
         np.testing.assert_array_equal(out, x)
 
     def test_zeroed_without_residual_is_zero(self):
         rng = np.random.default_rng(1)
         x = rng.uniform(-1, 1, (1, 4, 6, 6)).astype(np.float32)
-        out = zeroed_bottleneck(residual=False).forward(x)
-        np.testing.assert_array_equal(out, np.zeros_like(x))
+        out = zeroed_bottleneck(8).forward(x)
+        np.testing.assert_array_equal(out, np.zeros((1, 8, 6, 6), np.float32))
 
     def test_matches_manual_operator_composition(self):
         rng = np.random.default_rng(2)
@@ -77,14 +82,13 @@ class TestBottleneckBlock:
         p.update(bn_params("expand_norm", 24, rng))
         p.update(bn_params("depthwise_norm", 24, rng))
         p.update(bn_params("project_norm", 4, rng))
-        got = bottleneck_net(4, 4, 6, True, p).forward(x)
+        got = bottleneck_net(4, 4, 6, p).forward(x)
         np.testing.assert_allclose(got, bottleneck_ops(x, p), atol=1e-5)
 
-    def test_residual_shape_mismatch_rejected(self):
-        layers = [bottleneck_layer("b", 4, 8, expansion=1, stride=1,
-                                   residual=True)]
-        with pytest.raises(NetworkError, match="residual"):
-            Network(layers, archive_for(layers))
+    @pytest.mark.parametrize("stride, out_c, residual",
+                             [(1, 4, True), (2, 4, False), (1, 8, False)])
+    def test_residual_follows_geometry(self, stride, out_c, residual):
+        assert bottleneck_layer("b", 4, out_c, 6, stride).residual is residual
 
 
 def archive_for(layers, fill=0.0):
@@ -143,15 +147,8 @@ class TestNetwork:
         with pytest.raises(NetworkError, match="kind"):
             LayerSpec(kind="warp", name="w")
 
-    def test_residual_constraint_checked_at_construction(self):
-        layers = [bottleneck_layer("b1", 4, 8, expansion=6, stride=1,
-                                   residual=True)]
-        with pytest.raises(NetworkError, match="residual"):
-            Network(layers, archive_for(layers))
-
     def test_bottleneck_stride_checked_at_construction(self):
-        layers = [bottleneck_layer("b1", 4, 8, expansion=6, stride=3,
-                                   residual=False)]
+        layers = [bottleneck_layer("b1", 4, 8, expansion=6, stride=3)]
         with pytest.raises(NetworkError, match="stride 1 or 2"):
             Network(layers, archive_for(layers))
 
@@ -211,8 +208,7 @@ ONE_LAYER_CASES = {
              lambda x, p: T.conv2d(x, p["weight"], p["bias"], 2, 1)),
     "conv-1x1": (conv_layer("l", 4, 6, 1), (2, 4, 7, 7),
                  lambda x, p: T.pointwise_conv2d(x, p["weight"], p["bias"])),
-    "depthwise-conv": (LayerSpec(kind="depthwise-conv", name="l",
-                                 params={"weight": "l.weight", "bias": "l.bias"},
+    "depthwise-conv": (LayerSpec(kind="depthwise-conv", name="l", bias=True,
                                  out_channels=4, kernel=3, stride=2, padding=1),
                        (2, 4, 7, 7),
                        lambda x, p: T.depthwise_conv2d(x, p["weight"],
@@ -235,9 +231,9 @@ ONE_LAYER_CASES = {
                 lambda x, p: T.softmax(x, axis=1)),
     "softmax-rank2": (LayerSpec(kind="softmax", name="l"), (3, 5),
                       lambda x, p: T.softmax(x, axis=-1)),
-    "bottleneck-block": (bottleneck_layer("l", 4, 4, 6, 1, True), (2, 4, 7, 7),
+    "bottleneck-block": (bottleneck_layer("l", 4, 4, 6, 1), (2, 4, 7, 7),
                          lambda x, p: bottleneck_ops(x, p)),
-    "bottleneck-block-s2": (bottleneck_layer("l", 4, 8, 1, 2, False),
+    "bottleneck-block-s2": (bottleneck_layer("l", 4, 8, 1, 2),
                             (2, 4, 7, 7),
                             lambda x, p: bottleneck_ops(x, p, stride=2,
                                                         residual=False)),
@@ -258,7 +254,25 @@ def test_compiled_layer_equals_direct_operator_call(case):
         archive.put(entry, rng.uniform(low, 1.0, entry_shape).astype(np.float32))
     x = rng.uniform(-8, 8, shape).astype(np.float32)
     got = Network([layer], archive).forward(x)
-    want = direct(x, {role: archive.get(entry)
-                      for role, entry in layer.params.items()})
+    want = direct(x, {role: archive.get(f"l.{role}")
+                      for role, _ in T.layer_parameters(layer)})
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+# Fixture weights are drawn in parameter_shapes order, so any reordering or
+# renaming would silently change every fixture weight.
+PINNED_PARAMETER_LISTS = {
+    "cascade": (cascade_parameter_shapes, 50,
+                "10861b17f19cc7c8de384221f67c218bad5024fd32a570cb95b497d2b216b780"),
+    "classifier": (lambda: classifier_parameter_shapes(BackboneSpec()), 264,
+                   "ebadcc954b357e06c855ab5972c7f03e733235dcf534e068c506f4d0a6824dbe"),
+}
+
+
+@pytest.mark.parametrize("network", sorted(PINNED_PARAMETER_LISTS))
+def test_parameter_order_pinned(network):
+    shapes_of, count, digest = PINNED_PARAMETER_LISTS[network]
+    shapes = shapes_of()
+    assert len(shapes) == count
+    assert hashlib.sha256(json.dumps(shapes).encode()).hexdigest() == digest

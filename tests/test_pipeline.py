@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -356,6 +357,15 @@ class TestParseConfig:
                                      "CASCADET_PYRAMID_FACTOR": "0.5"})
         assert config.workers == 8
         assert config.cascade.pyramid_factor == 0.5
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(D.CascadeConfig)])
+    def test_every_cascade_field_is_a_key(self, tmp_path, field):
+        default = getattr(D.CascadeConfig(), field)
+        value = default + 1 if isinstance(default, int) else default / 2
+        config_path = write_run_setup(tmp_path, [],
+                                      extra_config=f"{field}={value}\n")
+        config = P.parse_config(config_path)
+        assert getattr(config.cascade, field) == value
 
     def test_unknown_key_rejected(self, tmp_path):
         config_path = write_run_setup(tmp_path, [], extra_config="typo_key=1\n")

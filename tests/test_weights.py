@@ -1,10 +1,14 @@
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
+from cascadet import cli, fixtures
 from cascadet import weights as W
+
+from test_pipeline import write_run_setup
 
 
 def sample_archive():
@@ -100,6 +104,38 @@ class TestValidation:
                 path.write_bytes(bytes(blob2))
                 with pytest.raises(W.ChecksumError):
                     W.load(path)
+
+    @pytest.mark.parametrize("name, rank, extents, payload", [
+        (b"__meta__", 0, (), b""),
+        (b"b\xc3\xa9zier", 1, (1,), b"\0" * 4),
+        (b"__meta__", 1, (2,), b"\xff\xfe"),
+    ], ids=["meta-rank-0", "non-ascii-name", "non-utf8-meta"])
+    def test_malformed_entry_is_data_error(self, tmp_path, capsys, name, rank,
+                                           extents, payload):
+        # A one-entry archive with a correct checksum, used as the cascade
+        # weights of an otherwise valid run.
+        config_path = write_run_setup(tmp_path, [0], width=160, height=120)
+        entry = (struct.pack("<I", len(name)) + name
+                 + struct.pack(f"<{1 + rank}I", rank, *extents) + payload)
+        body = W.MAGIC + struct.pack("<II", W.VERSION, 1) + entry
+        path = tmp_path / "cascade.cwts"
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(W.ArchiveError):
+            W.load(path)
+        assert cli.main(["detect", "--config", str(config_path)]) == cli.EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+
+    def test_load_peak_memory_near_file_size(self, tmp_path):
+        path = tmp_path / "classifier.cwts"
+        W.save(fixtures.fixture_classifier_archive(), path)
+        tracemalloc.start()
+        try:
+            W.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The file bytes plus one copy of every tensor, with small overhead.
+        assert peak < 2.2 * path.stat().st_size
 
     def test_name_rules(self):
         archive = W.WeightArchive()

@@ -7,6 +7,7 @@ finally localize five facial landmarks, with greedy non-maximum suppression
 between every stage. Candidates move between stages as (N, 4) float64
 (x1, y1, x2, y2) frame-pixel box arrays with parallel score, offset and
 landmark arrays; only returned faces become :class:`FaceCandidate` objects.
+:func:`iou` compares two such box arrays pairwise.
 
 Pixel tensors entering the cascade are normalized as (v - 127.5) / 128;
 :func:`frame_to_tensor` applies the convention.
@@ -15,6 +16,7 @@ Pixel tensors entering the cascade are normalized as (v - 127.5) / 128;
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 
@@ -40,40 +42,20 @@ class BoundingBox:
     y2: float
 
     def __post_init__(self):
-        if not all(np.isfinite(v) for v in (self.x1, self.y1, self.x2, self.y2)):
+        if not all(map(math.isfinite, (self.x1, self.y1, self.x2, self.y2))):
             raise ValueError("bounding box coordinates must be finite")
         if self.x2 <= self.x1 or self.y2 <= self.y1:
             raise ValueError(
                 f"degenerate box ({self.x1}, {self.y1}, {self.x2}, {self.y2})")
 
-    @property
-    def width(self) -> float:
-        return self.x2 - self.x1
-
-    @property
-    def height(self) -> float:
-        return self.y2 - self.y1
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-
-@dataclass(frozen=True)
-class Landmarks:
-    """Five (x, y) frame-pixel points: eyes, nose, mouth corners."""
-    points: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        if len(self.points) != 5:
-            raise ValueError(f"expected 5 landmark points, got {len(self.points)}")
-
 
 @dataclass(frozen=True)
 class FaceCandidate:
+    """A returned face; ``landmarks`` holds five (x, y) frame-pixel points
+    (eyes, nose, mouth corners)."""
     box: BoundingBox
     score: float
-    landmarks: Landmarks | None = None
+    landmarks: tuple[tuple[float, float], ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -264,14 +246,16 @@ def generate_proposals(level: PyramidLevel, pnet: Network, threshold: float
     return boxes, face_prob[rows, cols].astype(np.float64), offsets
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union; 0 for disjoint boxes."""
-    ix = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
-    iy = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
-    inter = ix * iy
-    if inter == 0.0:
-        return 0.0
-    return inter / (a.area + b.area - inter)
+def iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Intersection over union of every box in ``a`` (N, 4) with every box
+    in ``b`` (M, 4), as an (N, M) float64 matrix; 0 for disjoint pairs."""
+    overlap = np.maximum(0.0, np.minimum(a[:, None, 2:], b[:, 2:])
+                         - np.maximum(a[:, None, :2], b[:, :2]))
+    inter = overlap[..., 0] * overlap[..., 1]
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    return np.divide(inter, area_a[:, None] + area_b - inter,
+                     out=np.zeros(inter.shape), where=inter > 0.0)
 
 
 def nms(boxes: np.ndarray, scores: np.ndarray, threshold: float,
@@ -462,6 +446,6 @@ def detect_faces(frame: Tensor, networks: CascadeNetworks,
     if trace is not None:
         trace.update(counts, final=int(ok.sum()))
     return [FaceCandidate(box=BoundingBox(*box), score=score,
-                          landmarks=Landmarks(points=tuple(map(tuple, points))))
+                          landmarks=tuple(map(tuple, points)))
             for box, score, points in zip(boxes[ok].tolist(), scores[ok].tolist(),
                                           landmarks[ok].tolist())]

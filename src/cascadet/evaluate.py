@@ -13,6 +13,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .classifier import MaskLabel
 from .detector import BoundingBox, iou
 from .pipeline import Detection
@@ -95,16 +97,22 @@ _MASK_CELL = {(MaskLabel.MASK, MaskLabel.MASK): "tp",
               (MaskLabel.NO_MASK, MaskLabel.MASK): "fn"}
 
 
+def _boxes(rows: list[tuple[float, float, float, float]]) -> np.ndarray:
+    return np.array(rows, dtype=np.float64).reshape(-1, 4)
+
+
 def match_detections(detections: list[Detection],
                      truths: list[GroundTruthEntry],
                      iou_threshold: float = DEFAULT_IOU_THRESHOLD,
                      ) -> tuple[ConfusionCounts, ConfusionCounts]:
     """Greedy per-frame matching; returns (face counts, mask counts).
 
-    Within a frame, detections are visited in descending face score; each
-    claims the unmatched truth with the highest IoU at or above the
-    threshold. Exact score or IoU ties go to the earlier item in input
-    order; otherwise input order never affects the result.
+    Within a frame, detections are visited in descending face score, then
+    ascending (x1, y1, x2, y2, label, confidence); each claims the unmatched
+    truth with the highest positive IoU at or above the threshold, an exact
+    IoU tie going to the truth first in (x1, y1, x2, y2, label) order. Only
+    identical records are interchangeable, so input order never affects the
+    result.
     """
     by_frame: dict[int, tuple[list, list]] = {}
     for det in detections:
@@ -114,24 +122,25 @@ def match_detections(detections: list[Detection],
     face = dict(tp=0, fp=0, fn=0)
     mask = dict(tp=0, tn=0, fp=0, fn=0)
     for dets, gts in by_frame.values():
-        dets.sort(key=lambda d: -d.face_score)
-        taken = [False] * len(gts)
-        for det in dets:
-            det_box = BoundingBox(det.x1, det.y1, det.x2, det.y2)
-            best, best_iou = None, 0.0
-            for gi, gt in enumerate(gts):
-                if taken[gi]:
-                    continue
-                overlap = iou(det_box, gt.box)
-                if overlap >= iou_threshold and overlap > best_iou:
-                    best, best_iou = gi, overlap
-            if best is None:
-                face["fp"] += 1
+        dets.sort(key=lambda d: (-d.face_score, d.x1, d.y1, d.x2, d.y2,
+                                 d.label.value, d.confidence))
+        gts.sort(key=lambda g: (g.box.x1, g.box.y1, g.box.x2, g.box.y2,
+                                g.label.value))
+        overlaps = iou(_boxes([(d.x1, d.y1, d.x2, d.y2) for d in dets]),
+                       _boxes([(g.box.x1, g.box.y1, g.box.x2, g.box.y2)
+                               for g in gts]))
+        overlaps = np.where(overlaps >= iou_threshold, overlaps, 0.0)
+        matched = 0
+        for det, row in zip(dets, overlaps):
+            if not row.any():
                 continue
-            taken[best] = True
-            face["tp"] += 1
+            best = row.argmax()
+            overlaps[:, best] = 0.0  # this truth is taken
+            matched += 1
             mask[_MASK_CELL[det.label, gts[best].label]] += 1
-        face["fn"] += taken.count(False)
+        face["tp"] += matched
+        face["fp"] += len(dets) - matched
+        face["fn"] += len(gts) - matched
     return ConfusionCounts(**face), ConfusionCounts(**mask)
 
 

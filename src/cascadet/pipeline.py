@@ -70,6 +70,9 @@ class Detection:
     confidence: float
     face_score: float
 
+    def __post_init__(self):
+        BoundingBox(self.x1, self.y1, self.x2, self.y2)  # rejects a degenerate box
+
     def to_json(self) -> str:
         return json.dumps({
             "frame": self.frame_index,
@@ -93,7 +96,6 @@ class Detection:
                   face_score=float(obj["face_score"]))
         if not (math.isfinite(det.confidence) and math.isfinite(det.face_score)):
             raise ValueError("confidence and face_score must be finite")
-        BoundingBox(det.x1, det.y1, det.x2, det.y2)  # rejects a degenerate box
         return det
 
 
@@ -177,17 +179,6 @@ def _load_frame(index: int, lineno: int, path: Path, entry: str) -> Frame:
     pixels = parse_ppm(data, f"manifest line {lineno} ({entry})")
     h, w = pixels.shape[:2]
     return Frame(index=index, width=w, height=h, pixels=pixels, source=entry)
-
-
-def read_frames(manifest_path: str | Path):
-    """Yield frames listed in the manifest, indexed from 0 in file order.
-
-    Errors name the offending manifest line. The stream stops at the first
-    unreadable entry; the batch pipeline isolates such failures per frame
-    instead via :func:`run`.
-    """
-    for index, (lineno, path, entry) in enumerate(list_manifest(manifest_path)):
-        yield _load_frame(index, lineno, path, entry)
 
 
 def process_frame(frame: Frame, networks: CascadeNetworks, classifier: Network,

@@ -9,7 +9,7 @@ File format (".cwts", all integers unsigned 32-bit little-endian):
 Tensor payloads are raw float32 little-endian values, row major. The
 reserved entry name ``__meta__`` carries archive metadata instead of a
 tensor: its payload is UTF-8 ``key=value`` lines, one per line, with rank 1
-and a single extent equal to the byte length.
+and a single extent equal to the byte length. No two entries share a name.
 
 Fixture initialization uses a fixed 64-bit linear congruential generator so
 identical archives can be reproduced anywhere:
@@ -176,9 +176,13 @@ def load(path: str | Path) -> WeightArchive:
 
     tensors: dict[str, np.ndarray] = {}
     metadata: dict[str, str] = {}
+    names: set[str] = set()
     for _ in range(u32s(1)[0]):
         length = u32s(1)[0]
         name = text(length, "ascii", f"entry name at byte {pos}")
+        if name in names:
+            raise ArchiveError(f"duplicate entry name {name!r}")
+        names.add(name)
         rank = u32s(1)[0]
         extents = u32s(rank)
         if name == META_ENTRY:

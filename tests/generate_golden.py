@@ -38,8 +38,7 @@ def compute_golden() -> dict:
         "x1": face.box.x1, "y1": face.box.y1,
         "x2": face.box.x2, "y2": face.box.y2,
         "score": face.score,
-        "landmarks": [coord for point in face.landmarks.points
-                      for coord in point],
+        "landmarks": [coord for point in face.landmarks for coord in point],
     } for face in faces]
 
     frame = Frame(index=0, width=GOLDEN_WIDTH, height=GOLDEN_HEIGHT,

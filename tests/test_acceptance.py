@@ -187,19 +187,22 @@ def test_criterion_4_nms_and_iou():
         want = oracles.brute_force_nms(boxes, scores, threshold, mode)
         assert got == want
         if mode == "union":
-            kept = [D.BoundingBox(*boxes[i]) for i in got]
-            for i, a in enumerate(kept):
-                for b in kept[i + 1:]:
-                    assert D.iou(a, b) <= threshold
+            kept = boxes[got]
+            assert (np.triu(D.iou(kept, kept), k=1) <= threshold).all()
 
+    a_rows, b_rows = [], []
     for _ in range(50):
         x1, y1 = rng.integers(0, 12, 2)
-        a = D.BoundingBox(int(x1), int(y1), int(x1 + rng.integers(1, 12)),
-                          int(y1 + rng.integers(1, 12)))
+        a_rows.append((int(x1), int(y1), int(x1 + rng.integers(1, 12)),
+                       int(y1 + rng.integers(1, 12))))
         x1, y1 = rng.integers(0, 12, 2)
-        b = D.BoundingBox(int(x1), int(y1), int(x1 + rng.integers(1, 12)),
-                          int(y1 + rng.integers(1, 12)))
-        assert abs(D.iou(a, b) - oracles.raster_iou(a, b)) <= 1e-6
+        b_rows.append((int(x1), int(y1), int(x1 + rng.integers(1, 12)),
+                       int(y1 + rng.integers(1, 12))))
+    overlaps = D.iou(np.array(a_rows, dtype=np.float64),
+                     np.array(b_rows, dtype=np.float64))
+    for i, (a, b) in enumerate(zip(a_rows, b_rows)):
+        want = oracles.raster_iou(D.BoundingBox(*a), D.BoundingBox(*b))
+        assert abs(overlaps[i, i] - want) <= 1e-6
     report(4, "NMS matches brute force on 1,000 instances; IoU matches "
               "pixel-count oracle")
 

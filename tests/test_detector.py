@@ -9,10 +9,6 @@ from cascadet.tensor import Network, parameter_shapes
 from cascadet.weights import WeightArchive
 
 
-def box(x1, y1, x2, y2):
-    return D.BoundingBox(x1, y1, x2, y2)
-
-
 def boxes(*rows):
     """(N, 4) float64 box array from (x1, y1, x2, y2) rows."""
     return np.array(rows, dtype=np.float64).reshape(-1, 4)
@@ -119,30 +115,35 @@ class TestResampling:
 
 class TestIoU:
     def test_identical_boxes(self):
-        b = box(2, 3, 10, 12)
-        assert D.iou(b, b) == 1.0
+        b = boxes((2, 3, 10, 12))
+        assert D.iou(b, b).tolist() == [[1.0]]
 
     def test_disjoint_boxes(self):
-        assert D.iou(box(0, 0, 5, 5), box(10, 10, 15, 15)) == 0.0
+        assert D.iou(boxes((0, 0, 5, 5)), boxes((10, 10, 15, 15))).tolist() == [[0.0]]
 
     def test_documented_case(self):
-        got = D.iou(box(0, 0, 10, 10), box(5, 5, 15, 15))
-        assert got == pytest.approx(25 / 175, abs=1e-6)
+        got = D.iou(boxes((0, 0, 10, 10)), boxes((5, 5, 15, 15)))
+        assert got[0, 0] == pytest.approx(25 / 175, abs=1e-6)
 
     def test_symmetry_and_raster_oracle(self):
         rng = np.random.default_rng(2)
+        a_rows, b_rows = [], []
         for _ in range(30):
             x1, y1 = rng.integers(0, 10, 2)
-            a = box(x1, y1, x1 + rng.integers(1, 10), y1 + rng.integers(1, 10))
+            a_rows.append((x1, y1, x1 + rng.integers(1, 10), y1 + rng.integers(1, 10)))
             x1, y1 = rng.integers(0, 10, 2)
-            b = box(x1, y1, x1 + rng.integers(1, 10), y1 + rng.integers(1, 10))
-            assert D.iou(a, b) == pytest.approx(D.iou(b, a), abs=0)
-            assert D.iou(a, b) == pytest.approx(oracles.raster_iou(a, b),
-                                                abs=1e-6)
+            b_rows.append((x1, y1, x1 + rng.integers(1, 10), y1 + rng.integers(1, 10)))
+        got = D.iou(boxes(*a_rows), boxes(*b_rows))
+        assert got.shape == (30, 30)
+        assert got.tolist() == D.iou(boxes(*b_rows), boxes(*a_rows)).T.tolist()
+        for i, a in enumerate(a_rows):
+            for j, b in enumerate(b_rows):
+                assert got[i, j] == pytest.approx(
+                    oracles.raster_iou(D.BoundingBox(*a), D.BoundingBox(*b)),
+                    abs=1e-6)
 
     def test_one_iff_identical(self):
-        a = box(0, 0, 10, 10)
-        assert D.iou(a, box(0, 0, 10, 10.5)) < 1.0
+        assert D.iou(boxes((0, 0, 10, 10)), boxes((0, 0, 10, 10.5)))[0, 0] < 1.0
 
 
 def random_candidates(rng, n):
@@ -176,10 +177,8 @@ class TestNMS:
     def test_survivor_pairwise_overlap_bounded(self):
         rng = np.random.default_rng(4)
         cand_boxes, scores = random_candidates(rng, 60)
-        kept = [box(*cand_boxes[i]) for i in D.nms(cand_boxes, scores, 0.4, "union")]
-        for i, a in enumerate(kept):
-            for b in kept[i + 1:]:
-                assert D.iou(a, b) <= 0.4
+        kept = cand_boxes[D.nms(cand_boxes, scores, 0.4, "union")]
+        assert (np.triu(D.iou(kept, kept), k=1) <= 0.4).all()
 
     def test_idempotent_and_subset(self):
         rng = np.random.default_rng(5)
@@ -248,10 +247,11 @@ class TestSquarePad:
         rng = np.random.default_rng(7)
         for _ in range(30):
             x1, y1 = rng.uniform(-10, 50, 2)
-            b = box(x1, y1, x1 + rng.uniform(1, 40), y1 + rng.uniform(1, 40))
-            sq = box(*D.square_pad(boxes((b.x1, b.y1, b.x2, b.y2)))[0])
-            assert sq.width == pytest.approx(sq.height, abs=1e-9)
-            assert sq.width == pytest.approx(max(b.width, b.height), abs=1e-9)
+            b = boxes((x1, y1, x1 + rng.uniform(1, 40), y1 + rng.uniform(1, 40)))
+            sq = D.square_pad(b)
+            width, height = sq[0, 2:] - sq[0, :2]
+            assert width == pytest.approx(height, abs=1e-9)
+            assert width == pytest.approx(max(b[0, 2:] - b[0, :2]), abs=1e-9)
 
 
 class TestProposals:

@@ -3,7 +3,7 @@ import pytest
 
 from cascadet import evaluate as E
 from cascadet.classifier import MaskLabel
-from cascadet.detector import BoundingBox, iou
+from cascadet.detector import BoundingBox
 from cascadet.pipeline import Detection
 
 
@@ -17,27 +17,43 @@ def truth(frame, x1, y1, x2, y2, label=MaskLabel.MASK):
                               box=BoundingBox(x1, y1, x2, y2), label=label)
 
 
+def scalar_iou(a, b):
+    """IoU of two (x1, y1, x2, y2) tuples, one pair at a time."""
+    ix = max(0.0, min(a[2], b[2]) - max(a[0], b[0]))
+    iy = max(0.0, min(a[3], b[3]) - max(a[1], b[1]))
+    inter = ix * iy
+    if inter == 0.0:
+        return 0.0
+    area_a = (a[2] - a[0]) * (a[3] - a[1])
+    area_b = (b[2] - b[0]) * (b[3] - b[1])
+    return inter / (area_a + area_b - inter)
+
+
 def reference_matcher(detections, truths, threshold):
     """Independent re-implementation of the greedy matching protocol."""
+    def truth_key(t):
+        return (t.box.x1, t.box.y1, t.box.x2, t.box.y2, t.label.value)
+
     frames = sorted({d.frame_index for d in detections}
                     | {t.frame_index for t in truths})
     face = {"tp": 0, "fp": 0, "fn": 0}
     mask = {"tp": 0, "tn": 0, "fp": 0, "fn": 0}
     for f in frames:
         dets = sorted([d for d in detections if d.frame_index == f],
-                      key=lambda d: -d.face_score)
+                      key=lambda d: (-d.face_score, d.x1, d.y1, d.x2, d.y2,
+                                     d.label.value, d.confidence))
         gts = [t for t in truths if t.frame_index == f]
         used = set()
         for d in dets:
-            dbox = BoundingBox(d.x1, d.y1, d.x2, d.y2)
-            candidates = [(iou(dbox, g.box), gi) for gi, g in enumerate(gts)
-                          if gi not in used]
+            candidates = [(scalar_iou((d.x1, d.y1, d.x2, d.y2), truth_key(g)), gi)
+                          for gi, g in enumerate(gts) if gi not in used]
             candidates = [(o, gi) for o, gi in candidates if o >= threshold]
             if not candidates:
                 face["fp"] += 1
                 continue
             best_overlap = max(o for o, _ in candidates)
-            gi = min(gi for o, gi in candidates if o == best_overlap)
+            gi = min((gi for o, gi in candidates if o == best_overlap),
+                     key=lambda gi: truth_key(gts[gi]))
             used.add(gi)
             face["tp"] += 1
             want_mask = gts[gi].label is MaskLabel.MASK
@@ -51,6 +67,17 @@ def reference_matcher(detections, truths, threshold):
             else:
                 mask["fn"] += 1
         face["fn"] += len(gts) - len(used)
+    return face, mask
+
+
+def assert_matches_reference(detections, truths):
+    """``E.match_detections`` at IoU 0.5, checked against the reference."""
+    face, mask = E.match_detections(detections, truths)
+    ref_face, ref_mask = reference_matcher(detections, truths, 0.5)
+    assert (face.tp, face.fp, face.fn) == (
+        ref_face["tp"], ref_face["fp"], ref_face["fn"])
+    assert (mask.tp, mask.tn, mask.fp, mask.fn) == (
+        ref_mask["tp"], ref_mask["tn"], ref_mask["fp"], ref_mask["fn"])
     return face, mask
 
 
@@ -103,12 +130,7 @@ class TestMatchDetections:
                         truths.append(truth(frame, float(x1), float(y1),
                                             float(x1 + w), float(y1 + h),
                                             label=label))
-            face, mask = E.match_detections(dets, truths)
-            ref_face, ref_mask = reference_matcher(dets, truths, 0.5)
-            assert (face.tp, face.fp, face.fn) == (
-                ref_face["tp"], ref_face["fp"], ref_face["fn"])
-            assert (mask.tp, mask.tn, mask.fp, mask.fn) == (
-                ref_mask["tp"], ref_mask["tn"], ref_mask["fp"], ref_mask["fn"])
+            face, mask = assert_matches_reference(dets, truths)
             # Conservation: every detection and truth is accounted for.
             assert face.tp + face.fp == len(dets)
             assert face.tp + face.fn == len(truths)
@@ -120,8 +142,6 @@ class TestMatchDetections:
         truths = [truth(0, 10 * i + 1, 0, 10 * i + 8, 8) for i in range(7)]
         # Frames 1-3: overlapping detections with mixed labels compete for
         # the same truths, so shuffling interleaves frames and contenders.
-        # Growing truth widths keep any detection from having two truths at
-        # exactly the same IoU (such a tie goes to the earlier truth).
         labels = (MaskLabel.MASK, MaskLabel.NO_MASK)
         for frame in (1, 2, 3):
             dets += [det(frame, 5 * i, 0, 5 * i + 12, 12,
@@ -129,7 +149,13 @@ class TestMatchDetections:
                          score=float(rng.random())) for i in range(6)]
             truths += [truth(frame, 6 * i + frame, 1, 7 * i + 12, 12,
                              label=labels[i % 2]) for i in range(frame + 2)]
-        base = E.match_detections(dets, truths)
+        # Frame 4: exact ties. Equal face scores, and detections with the
+        # same IoU to two unmatched truths.
+        dets += [det(4, 5 * i, 0, 5 * i + 12, 12, label=labels[i % 2])
+                 for i in range(6)]
+        truths += [truth(4, 6 * i, 0, 6 * i + 12, 12, label=labels[i % 2])
+                   for i in range(6)]
+        base = assert_matches_reference(dets, truths)
         for _ in range(5):
             shuffled_d = list(dets)
             shuffled_t = list(truths)

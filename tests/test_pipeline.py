@@ -54,11 +54,17 @@ class TestPpm:
                                       frame.pixels)
 
 
+def load_manifest(manifest):
+    """Every manifest frame, loaded the way ``P.run`` loads each one."""
+    return [P._load_frame(index, *entry)
+            for index, entry in enumerate(P.list_manifest(manifest))]
+
+
 class TestReadFrames:
     def test_empty_manifest(self, tmp_path):
         manifest = tmp_path / "frames.txt"
         manifest.write_text("")
-        assert list(P.read_frames(manifest)) == []
+        assert P.list_manifest(manifest) == []
 
     def test_indices_follow_manifest_order(self, tmp_path):
         names = []
@@ -68,7 +74,7 @@ class TestReadFrames:
             names.append(name)
         manifest = tmp_path / "frames.txt"
         manifest.write_text("\n".join(names) + "\n")
-        frames = list(P.read_frames(manifest))
+        frames = load_manifest(manifest)
         assert [f.index for f in frames] == [0, 1, 2]
         assert [f.source for f in frames] == names
 
@@ -77,14 +83,14 @@ class TestReadFrames:
         P.write_ppm(tmp_path / "ok.ppm", make_frame().pixels)
         manifest.write_text("ok.ppm\nmissing.ppm\n")
         with pytest.raises(P.FrameReadError, match="line 2"):
-            list(P.read_frames(manifest))
+            load_manifest(manifest)
 
     def test_bad_ppm_names_the_line(self, tmp_path):
         manifest = tmp_path / "frames.txt"
         (tmp_path / "bad.ppm").write_bytes(b"not a ppm at all")
         manifest.write_text("bad.ppm\n")
         with pytest.raises(P.FrameReadError, match="line 1"):
-            list(P.read_frames(manifest))
+            load_manifest(manifest)
 
 
 class TestAnnotate:
@@ -168,12 +174,21 @@ def stack():
     return networks, classifier, spec
 
 
+@pytest.fixture(scope="module")
+def fresh_golden():
+    return compute_golden()
+
+
 class TestProcessFrame:
-    def test_matches_golden_trace(self, golden, stack):
-        fresh = compute_golden()
-        assert fresh["trace"] == golden["trace"]
-        assert fresh["candidates"] == golden["candidates"]
-        assert fresh["detections"] == golden["detections"]
+    def test_matches_golden_trace(self, golden, fresh_golden):
+        assert fresh_golden["trace"] == golden["trace"]
+        assert fresh_golden["candidates"] == golden["candidates"]
+        assert fresh_golden["detections"] == golden["detections"]
+
+    def test_golden_trace_bytes(self, fresh_golden):
+        # Parsed dicts compare 10 == 10.0; the file pins int vs float too.
+        written = json.dumps(fresh_golden, indent=2) + "\n"
+        assert written.encode() == GOLDEN_PATH.read_bytes()
 
     def test_boxes_inside_frame(self, golden):
         for det in golden["detections"]:

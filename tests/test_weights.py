@@ -105,19 +105,22 @@ class TestValidation:
                 with pytest.raises(W.ChecksumError):
                     W.load(path)
 
-    @pytest.mark.parametrize("name, rank, extents, payload", [
-        (b"__meta__", 0, (), b""),
-        (b"b\xc3\xa9zier", 1, (1,), b"\0" * 4),
-        (b"__meta__", 1, (2,), b"\xff\xfe"),
-    ], ids=["meta-rank-0", "non-ascii-name", "non-utf8-meta"])
-    def test_malformed_entry_is_data_error(self, tmp_path, capsys, name, rank,
-                                           extents, payload):
-        # A one-entry archive with a correct checksum, used as the cascade
-        # weights of an otherwise valid run.
+    @pytest.mark.parametrize("entries", [
+        [(b"__meta__", 0, (), b"")],
+        [(b"b\xc3\xa9zier", 1, (1,), b"\0" * 4)],
+        [(b"__meta__", 1, (2,), b"\xff\xfe")],
+        [(b"a", 1, (1,), b"\0" * 4), (b"a", 1, (1,), b"\1" * 4)],
+        [(b"__meta__", 1, (4,), b"a=1\n"), (b"__meta__", 1, (4,), b"b=2\n")],
+    ], ids=["meta-rank-0", "non-ascii-name", "non-utf8-meta", "duplicate-tensor",
+            "duplicate-meta"])
+    def test_malformed_entry_is_data_error(self, tmp_path, capsys, entries):
+        # An archive of (name, rank, extents, payload) entries with a correct
+        # checksum, used as the cascade weights of an otherwise valid run.
         config_path = write_run_setup(tmp_path, [0], width=160, height=120)
-        entry = (struct.pack("<I", len(name)) + name
-                 + struct.pack(f"<{1 + rank}I", rank, *extents) + payload)
-        body = W.MAGIC + struct.pack("<II", W.VERSION, 1) + entry
+        body = W.MAGIC + struct.pack("<II", W.VERSION, len(entries))
+        for name, rank, extents, payload in entries:
+            body += (struct.pack("<I", len(name)) + name
+                     + struct.pack(f"<{1 + rank}I", rank, *extents) + payload)
         path = tmp_path / "cascade.cwts"
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         with pytest.raises(W.ArchiveError):

@@ -9,7 +9,7 @@ dense(hidden) -> ReLU -> dense(2) -> softmax. Class order is fixed as
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,11 +17,9 @@ from . import detector
 from .tensor import (LayerSpec, Network, Tensor, bn_layer, bottleneck_layer,
                      conv_layer, dense_layer, parameter_shapes)
 
-BLOCK_COUNT = 17
-
 # (expansion, output channels, repeats, first-block stride) per group; the
 # standard inverted-residual progression, 17 blocks total.
-DEFAULT_BLOCK_TABLE: tuple[tuple[int, int, int, int], ...] = (
+BLOCK_TABLE: tuple[tuple[int, int, int, int], ...] = (
     (1, 16, 1, 1),
     (6, 24, 2, 2),
     (6, 32, 3, 2),
@@ -55,15 +53,18 @@ class MaskPrediction:
 class BackboneSpec:
     input_extent: int = 96
     width_multiplier: float = 1.0
-    blocks: tuple[tuple[int, int, int, int], ...] = DEFAULT_BLOCK_TABLE
     head_hidden: int = 128
 
     def __post_init__(self):
         if self.input_extent < 32:
             raise ValueError(
                 f"input extent must be at least 32, got {self.input_extent}")
-        if self.width_multiplier <= 0:
-            raise ValueError("width multiplier must be positive")
+        if not 0 < self.width_multiplier < np.inf:
+            raise ValueError("width_multiplier must be finite and positive, "
+                             f"got {self.width_multiplier}")
+        if self.head_hidden < 1:
+            raise ValueError(
+                f"head_hidden must be at least 1, got {self.head_hidden}")
 
 
 def _scaled(channels: int, multiplier: float) -> int:
@@ -72,10 +73,6 @@ def _scaled(channels: int, multiplier: float) -> int:
 
 
 def classifier_layers(spec: BackboneSpec) -> list[LayerSpec]:
-    total_blocks = sum(repeats for _, _, repeats, _ in spec.blocks)
-    if total_blocks != BLOCK_COUNT:
-        raise ValueError(
-            f"block table must total {BLOCK_COUNT} blocks, got {total_blocks}")
     m = spec.width_multiplier
     layers = [
         conv_layer("backbone.stem", 3, _scaled(STEM_CHANNELS, m), 3,
@@ -85,7 +82,7 @@ def classifier_layers(spec: BackboneSpec) -> list[LayerSpec]:
     ]
     channels = _scaled(STEM_CHANNELS, m)
     index = 0
-    for expansion, out, repeats, stride in spec.blocks:
+    for expansion, out, repeats, stride in BLOCK_TABLE:
         out = _scaled(out, m)
         for rep in range(repeats):
             index += 1

@@ -34,6 +34,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageExit(message)
 
 
+def _unit_interval(text: str) -> float:
+    """argparse type: a number in [0, 1]; NaN is rejected."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"must be a number in [0, 1], got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cascadet",
                      description="Masked-face detection pipeline and tools")
@@ -46,8 +58,8 @@ def _build_parser() -> _Parser:
     evalp = sub.add_parser("eval", help="evaluate a detection log")
     evalp.add_argument("--log", required=True, help="detections JSONL")
     evalp.add_argument("--truth", required=True, help="ground-truth JSONL")
-    evalp.add_argument("--iou", type=float, default=0.5,
-                       help="matching IoU threshold (default 0.5)")
+    evalp.add_argument("--iou", type=_unit_interval, default=0.5,
+                       help="matching IoU threshold in [0, 1] (default 0.5)")
     evalp.add_argument("--compare", action="store_true",
                        help="include shipped literature baseline rows")
     evalp.add_argument("--csv", metavar="PATH",

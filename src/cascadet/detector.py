@@ -78,6 +78,9 @@ class CascadeConfig:
     nms_stage3: float = 0.7     # after landmarks, min mode
 
     def __post_init__(self):
+        if self.min_face_size < 1:
+            raise ValueError(
+                f"min_face_size must be at least 1, got {self.min_face_size}")
         if not 0 < self.pyramid_factor < 1:
             raise ValueError(
                 f"pyramid_factor must be in (0, 1), got {self.pyramid_factor}")

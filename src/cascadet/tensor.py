@@ -270,8 +270,8 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 LAYER_KINDS = frozenset({
-    "conv", "depthwise-conv", "batch-norm", "relu6", "relu", "prelu",
-    "max-pool", "global-avg-pool", "dense", "softmax", "bottleneck-block",
+    "conv", "batch-norm", "relu6", "relu", "prelu", "max-pool",
+    "global-avg-pool", "dense", "softmax", "bottleneck-block",
 })
 
 
@@ -280,10 +280,10 @@ class LayerSpec:
     """Declarative description of one layer's geometry.
 
     The parameters a layer needs follow from its kind and geometry alone
-    (see :func:`layer_parameters`); ``bias`` adds a bias to a conv,
-    depthwise-conv or dense layer. ``feeds_from`` names an earlier layer
-    whose output this layer consumes instead of the immediately preceding
-    one, which is how multi-head networks branch.
+    (see :func:`layer_parameters`); ``bias`` adds a bias to a conv or dense
+    layer. ``feeds_from`` names an earlier layer whose output this layer
+    consumes instead of the immediately preceding one, which is how
+    multi-head networks branch.
     """
     kind: str
     name: str
@@ -293,7 +293,6 @@ class LayerSpec:
     stride: int = 1
     padding: int = 0
     expansion: int = 1
-    epsilon: float = 1e-5
     feeds_from: str | None = None
     bias: bool = False
 
@@ -336,9 +335,8 @@ def layer_parameters(layer: LayerSpec) -> list[tuple[str, tuple[int, ...]]]:
                 ("project_weight", (out, mid, 1, 1)), *norm("project_norm.", out)]
     if kind == "dense":
         weight = (out, layer.in_channels)
-    elif kind in ("conv", "depthwise-conv"):
-        in_c = 1 if kind == "depthwise-conv" else layer.in_channels
-        weight = (out, in_c, layer.kernel, layer.kernel)
+    elif kind == "conv":
+        weight = (out, layer.in_channels, layer.kernel, layer.kernel)
     else:
         return []
     return [("weight", weight)] + ([("bias", (out,))] if layer.bias else [])
@@ -380,11 +378,8 @@ def _compile(layer: LayerSpec, params: dict) -> Callable[[Tensor], Tensor]:
             return partial(pointwise_conv2d, **params)
         return partial(conv2d, **params, stride=layer.stride,
                        padding=layer.padding)
-    if kind == "depthwise-conv":
-        return partial(depthwise_conv2d, **params, stride=layer.stride,
-                       padding=layer.padding)
     if kind == "batch-norm":
-        return partial(batch_norm, **params, epsilon=layer.epsilon)
+        return partial(batch_norm, **params)
     if kind == "relu6":
         return relu6
     if kind == "relu":
@@ -412,9 +407,8 @@ def _compile(layer: LayerSpec, params: dict) -> Callable[[Tensor], Tensor]:
     residual = layer.residual
 
     def norm(prefix: str):
-        return partial(batch_norm, epsilon=layer.epsilon,
-                       **{stat: params[f"{prefix}.{stat}"]
-                          for stat in _NORM_STATS})
+        return partial(batch_norm, **{stat: params[f"{prefix}.{stat}"]
+                                      for stat in _NORM_STATS})
 
     if expansion > 1:
         expand_weight, expand_norm = params["expand_weight"], norm("expand_norm")
@@ -501,9 +495,8 @@ class Network:
         return current
 
 
-def bn_layer(name: str, channels: int, epsilon: float = 1e-5) -> LayerSpec:
-    return LayerSpec(kind="batch-norm", name=name, out_channels=channels,
-                     epsilon=epsilon)
+def bn_layer(name: str, channels: int) -> LayerSpec:
+    return LayerSpec(kind="batch-norm", name=name, out_channels=channels)
 
 
 def conv_layer(name: str, in_channels: int, out_channels: int, kernel: int,

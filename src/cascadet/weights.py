@@ -109,6 +109,10 @@ class WeightArchive:
             for a, b in zip(self._tensors.values(), other._tensors.values()))
 
 
+def _parse_metadata(text: str) -> dict[str, str]:
+    return dict(line.partition("=")[::2] for line in text.splitlines())
+
+
 def _pack_entry(name: str, rank: int, extents: tuple[int, ...],
                 payload: bytes) -> bytes:
     encoded = name.encode("ascii")
@@ -118,10 +122,17 @@ def _pack_entry(name: str, rank: int, extents: tuple[int, ...],
 
 
 def save(archive: WeightArchive, path: str | Path) -> None:
-    """Write the archive; the trailing CRC32 covers every preceding byte."""
+    """Write the archive; the trailing CRC32 covers every preceding byte.
+
+    Raises ArchiveError, before writing, for metadata that would not load
+    back as written: a key holding ``=``, or a line break anywhere."""
+    lines = "".join(f"{k}={v}\n" for k, v in archive.metadata.items())
+    if _parse_metadata(lines) != archive.metadata:
+        raise ArchiveError(
+            f"metadata {archive.metadata!r} would not load back: keys may not "
+            "hold '=', and neither keys nor values a line break")
     entries = []
     if archive.metadata:
-        lines = "".join(f"{k}={v}\n" for k, v in archive.metadata.items())
         payload = lines.encode("utf-8")
         entries.append(_pack_entry(META_ENTRY, 1, (len(payload),), payload))
     for name in archive.names():
@@ -188,9 +199,7 @@ def load(path: str | Path) -> WeightArchive:
         if name == META_ENTRY:
             if rank != 1:
                 raise ArchiveError(f"{META_ENTRY!r} must have rank 1, got {rank}")
-            for line in text(extents[0], "utf-8", META_ENTRY).splitlines():
-                key, _, value = line.partition("=")
-                metadata[key] = value
+            metadata = _parse_metadata(text(extents[0], "utf-8", META_ENTRY))
             continue
         payload = take(4 * math.prod(extents))
         tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(extents).copy()
@@ -200,43 +209,15 @@ def load(path: str | Path) -> WeightArchive:
     return WeightArchive(tensors, metadata)
 
 
-def _lcg_block(start_state: int, count: int) -> tuple[np.ndarray, int]:
-    """`count` successive LCG states starting after ``start_state``."""
-    states = np.empty(count, dtype=np.uint64)
-    state = start_state
-    for i in range(count):
-        state = (state * LCG_MULTIPLIER + LCG_INCREMENT) & _U64
-        states[i] = state
-    return states, state
-
-
 def _lcg_uniform(seed: int, count: int) -> np.ndarray:
-    """`count` draws in [-0.1, 0.1) as float32, vectorized in blocks.
-
-    Blocks after the first advance the whole previous block by B steps at
-    once: state[i+B] = A^B * state[i] + C_B (mod 2^64), with (A^B, C_B)
-    accumulated exactly in Python integers. Identical to the scalar
-    recurrence, draw for draw.
-    """
-    block = min(count, 4096)
-    if block == 0:
-        return np.zeros(0, dtype=np.float32)
-    states, _ = _lcg_block(seed & _U64, block)
-    chunks = [states]
-    produced = block
-    if produced < count:
-        mult_b, inc_b = 1, 0
-        for _ in range(block):
-            mult_b = (mult_b * LCG_MULTIPLIER) & _U64
-            inc_b = (inc_b * LCG_MULTIPLIER + LCG_INCREMENT) & _U64
-        mult_arr = np.uint64(mult_b)
-        inc_arr = np.uint64(inc_b)
-        prev = states
-        while produced < count:
-            prev = prev * mult_arr + inc_arr
-            chunks.append(prev)
-            produced += block
-    states = np.concatenate(chunks)[:count]
+    """`count` draws in [-0.1, 0.1) as float32, from the recurrence's closed
+    form state_i = A^i * seed + C * (A^0 + ... + A^(i-1)) mod 2^64, which
+    uint64 products and sums give exactly: they wrap mod 2^64."""
+    powers = np.full(count + 1, LCG_MULTIPLIER, dtype=np.uint64)
+    powers[0] = 1
+    powers = np.multiply.accumulate(powers)  # A^0 .. A^count
+    states = (powers[1:] * np.uint64(seed & _U64)
+              + np.uint64(LCG_INCREMENT) * np.add.accumulate(powers[:-1]))
     uniform = (states >> np.uint64(11)).astype(np.float64) / float(1 << 53)
     return (uniform * 0.2 - 0.1).astype(np.float32)
 

@@ -11,6 +11,7 @@ exactly, so regenerate it only when output changes are intended.
 """
 
 import json
+import sys
 from pathlib import Path
 
 GOLDEN_FRAME_SEED = 0
@@ -66,4 +67,6 @@ def main():
 
 
 if __name__ == "__main__":
+    # Import the package from this checkout's src/ without installing it.
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     main()

@@ -22,11 +22,6 @@ def zeroed(spec):
 
 
 class TestBuild:
-    def test_seventeen_blocks_enforced(self):
-        bad = C.BackboneSpec(blocks=((1, 16, 1, 1), (6, 24, 2, 2)))
-        with pytest.raises(ValueError, match="17"):
-            C.classifier_layers(bad)
-
     def test_default_block_table_totals_seventeen(self):
         blocks = [l for l in C.classifier_layers(C.BackboneSpec())
                   if l.kind == "bottleneck-block"]

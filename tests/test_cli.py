@@ -1,6 +1,6 @@
 import pytest
 
-from cascadet import cli
+from cascadet import cli, losses
 from cascadet.classifier import MaskLabel
 from cascadet.pipeline import Detection
 
@@ -41,6 +41,14 @@ class TestDetect:
         rc = cli.main(["detect", "--config", str(config_path)])
         assert rc == cli.EXIT_DATA
         assert "data error" in capsys.readouterr().err
+
+    def test_out_of_range_setting_is_usage_error(self, tmp_path, capsys):
+        config_path = write_run_setup(tmp_path, [0], width=160, height=120,
+                                      extra_config="min_face_size=0\n")
+        rc = cli.main(["detect", "--config", str(config_path)])
+        assert rc == cli.EXIT_USAGE
+        assert "min_face_size" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_corrupt_archive_is_data_error(self, tmp_path, capsys):
         config_path = write_run_setup(tmp_path, [0], width=160, height=120)
@@ -105,6 +113,15 @@ class TestEval:
         assert rc == cli.EXIT_DATA
         assert f"{log}:3: bad detection record" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("iou", ["nan", "1.5", "-0.1", "half"])
+    def test_iou_outside_unit_interval_is_usage_error(self, tmp_path, capsys,
+                                                      iou):
+        log, truth = self.write_logs(tmp_path)
+        rc = cli.main(["eval", "--log", str(log), "--truth", str(truth),
+                       "--iou", iou])
+        assert rc == cli.EXIT_USAGE
+        assert "--iou" in capsys.readouterr().err
+
     def test_eval_missing_log_is_data_error(self, tmp_path):
         truth = tmp_path / "truth.jsonl"
         truth.write_text("")
@@ -139,3 +156,16 @@ class TestSelfcheck:
         assert rc == cli.EXIT_OK
         assert "[PASS]" in out
         assert "[FAIL]" not in out
+
+    def test_selfcheck_fails_on_wrong_gradient(self, capsys, monkeypatch):
+        true_loss_box = losses.loss_box
+
+        def skewed(pred, target):
+            loss, grad = true_loss_box(pred, target)
+            return loss, grad + 0.01
+
+        monkeypatch.setattr(losses, "loss_box", skewed)
+        rc = cli.main(["selfcheck"])
+        out = capsys.readouterr().out
+        assert rc == cli.EXIT_INTERNAL
+        assert "[FAIL] analytic vs finite-difference gradients" in out

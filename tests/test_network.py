@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from cascadet import tensor as T
-from cascadet.classifier import BackboneSpec, classifier_parameter_shapes
-from cascadet.detector import cascade_parameter_shapes
+from cascadet.classifier import (BackboneSpec, classifier_layers,
+                                 classifier_parameter_shapes)
+from cascadet.detector import (build_onet_layers, build_pnet_layers,
+                               build_rnet_layers, cascade_parameter_shapes)
 from cascadet.tensor import (LayerSpec, Network, NetworkError, bn_layer,
                              bottleneck_layer, conv_layer, dense_layer,
                              parameter_shapes, prelu_layer)
@@ -208,13 +210,8 @@ ONE_LAYER_CASES = {
              lambda x, p: T.conv2d(x, p["weight"], p["bias"], 2, 1)),
     "conv-1x1": (conv_layer("l", 4, 6, 1), (2, 4, 7, 7),
                  lambda x, p: T.pointwise_conv2d(x, p["weight"], p["bias"])),
-    "depthwise-conv": (LayerSpec(kind="depthwise-conv", name="l", bias=True,
-                                 out_channels=4, kernel=3, stride=2, padding=1),
-                       (2, 4, 7, 7),
-                       lambda x, p: T.depthwise_conv2d(x, p["weight"],
-                                                       p["bias"], 2, 1)),
-    "batch-norm": (bn_layer("l", 4, epsilon=1e-3), (2, 4, 7, 7),
-                   lambda x, p: T.batch_norm(x, *(p[s] for s in STATS), 1e-3)),
+    "batch-norm": (bn_layer("l", 4), (2, 4, 7, 7),
+                   lambda x, p: T.batch_norm(x, *(p[s] for s in STATS))),
     "relu6": (LayerSpec(kind="relu6", name="l"), (2, 4, 7, 7),
               lambda x, p: T.relu6(x)),
     "relu": (LayerSpec(kind="relu", name="l"), (2, 4, 7, 7),
@@ -242,6 +239,12 @@ ONE_LAYER_CASES = {
 
 def test_one_layer_cases_cover_every_kind():
     assert {layer.kind for layer, _, _ in ONE_LAYER_CASES.values()} == T.LAYER_KINDS
+
+
+def test_layer_kinds_are_the_kinds_the_networks_use():
+    layers = (build_pnet_layers() + build_rnet_layers() + build_onet_layers()
+              + classifier_layers(BackboneSpec()))
+    assert {layer.kind for layer in layers} == T.LAYER_KINDS
 
 
 @pytest.mark.parametrize("case", sorted(ONE_LAYER_CASES))

@@ -398,10 +398,12 @@ class TestParseConfig:
         with pytest.raises(P.ConfigError, match="workers"):
             P.parse_config(config_path)
 
-    def test_bad_value_rejected(self, tmp_path):
-        config_path = write_run_setup(tmp_path, [],
-                                      extra_config="pyramid_factor=2.0\n")
-        with pytest.raises(P.ConfigError):
+    @pytest.mark.parametrize("setting", [
+        "pyramid_factor=2.0", "min_face_size=0", "min_face_size=-5",
+        "width_multiplier=inf", "width_multiplier=nan", "head_hidden=0"])
+    def test_bad_value_rejected(self, tmp_path, setting):
+        config_path = write_run_setup(tmp_path, [], extra_config=setting + "\n")
+        with pytest.raises(P.ConfigError, match=setting.partition("=")[0]):
             P.parse_config(config_path)
 
     def test_malformed_line_rejected(self, tmp_path):

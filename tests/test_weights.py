@@ -156,6 +156,24 @@ class TestValidation:
         with pytest.raises(W.ArchiveError):
             W.WeightArchive({"t": np.zeros((0, 3), np.float32)})
 
+    @pytest.mark.parametrize("metadata", [
+        {"a": "x\ny"}, {"k=1": "v"}, {"a": "line\r"}, {"a\n": "v"},
+        {"a": "x\u2028y"},
+    ], ids=["value-newline", "key-equals", "value-cr", "key-newline",
+            "value-line-separator"])
+    def test_unreadable_metadata_refused_before_writing(self, tmp_path,
+                                                        metadata):
+        path = tmp_path / "a.cwts"
+        with pytest.raises(W.ArchiveError, match="metadata"):
+            W.save(W.WeightArchive({"t": np.ones(2, np.float32)}, metadata),
+                   path)
+        assert not path.exists()
+
+    def test_metadata_value_may_hold_equals(self, tmp_path):
+        path = tmp_path / "a.cwts"
+        W.save(W.WeightArchive(metadata={"k": "a=b"}), path)
+        assert W.load(path).metadata == {"k": "a=b"}
+
 
 class TestRandomInit:
     def test_same_seed_identical(self):
@@ -179,15 +197,23 @@ class TestRandomInit:
         np.testing.assert_array_equal(archive.get("t"), expected)
 
     def test_block_generator_matches_scalar_for_long_streams(self):
-        # Cross the vectorized block boundary (4096) and verify exactness.
-        n = 5000
-        archive = W.random_init([("t", (n,))], seed=123)
-        state = 123
-        values = np.empty(n, np.float32)
-        for i in range(n):
-            state = (state * 6364136223846793005 + 1442695040888963407) % 2**64
-            values[i] = np.float32((state >> 11) / 2**53 * 0.2 - 0.1)
-        np.testing.assert_array_equal(archive.get("t"), values)
+        # The vectorized generator equals the scalar recurrence draw for
+        # draw, for long and empty streams and at the largest seed.
+        def scalar(seed, n):
+            state = seed
+            values = np.empty(n, np.float32)
+            for i in range(n):
+                state = (state * 6364136223846793005
+                         + 1442695040888963407) % 2**64
+                values[i] = np.float32((state >> 11) / 2**53 * 0.2 - 0.1)
+            return values
+
+        archive = W.random_init([("t", (5000,))], seed=123)
+        np.testing.assert_array_equal(archive.get("t"), scalar(123, 5000))
+        for seed, n in ((123, 0), (123, 1), (2**64 - 1, 5000)):
+            got = W._lcg_uniform(seed, n)
+            assert got.dtype == np.float32
+            np.testing.assert_array_equal(got, scalar(seed, n))
 
     def test_values_in_range(self):
         archive = W.random_init([("t", (1000,))], seed=9)

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import traceback
@@ -34,16 +35,23 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageExit(message)
 
 
-def _unit_interval(text: str) -> float:
-    """argparse type: a number in [0, 1]; NaN is rejected."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = float("nan")
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(
-            f"must be a number in [0, 1], got {text!r}")
-    return value
+def _bounded(convert, low, high, what: str):
+    """argparse type: ``convert(text)`` in [low, high], else a usage error
+    saying the value must be ``what``; NaN is never in range."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    return parse
+
+
+_unit_interval = _bounded(float, 0.0, 1.0, "a number in [0, 1]")
+_count = _bounded(int, 1, math.inf, "an integer >= 1")
+_rate = _bounded(float, 0.0, sys.float_info.max, "a finite number >= 0")
 
 
 def _build_parser() -> _Parser:
@@ -68,11 +76,11 @@ def _build_parser() -> _Parser:
     train = sub.add_parser("train-demo",
                            help="train the classifier head on synthetic data")
     train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--samples", type=int, default=200)
-    train.add_argument("--features", type=int, default=32)
-    train.add_argument("--hidden", type=int, default=16)
-    train.add_argument("--lr", type=float, default=0.05)
-    train.add_argument("--epochs", type=int, default=40)
+    train.add_argument("--samples", type=_count, default=200)
+    train.add_argument("--features", type=_count, default=32)
+    train.add_argument("--hidden", type=_count, default=16)
+    train.add_argument("--lr", type=_rate, default=0.05)
+    train.add_argument("--epochs", type=_count, default=40)
     train.add_argument("--curve", metavar="PATH",
                        help="write the loss curve CSV here")
 

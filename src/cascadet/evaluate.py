@@ -17,7 +17,7 @@ import numpy as np
 
 from .classifier import MaskLabel
 from .detector import BoundingBox, iou
-from .pipeline import Detection
+from .pipeline import Detection, check_json_types
 
 DEFAULT_IOU_THRESHOLD = 0.5
 UNDEFINED = "undefined"
@@ -32,7 +32,8 @@ class GroundTruthEntry:
     @classmethod
     def from_json(cls, line: str) -> GroundTruthEntry:
         obj = json.loads(line)
-        return cls(frame_index=int(obj["frame"]),
+        check_json_types(obj, ("frame",), ("x1", "y1", "x2", "y2"))
+        return cls(frame_index=obj["frame"],
                    box=BoundingBox(float(obj["x1"]), float(obj["y1"]),
                                    float(obj["x2"]), float(obj["y2"])),
                    label=MaskLabel(obj["label"]))

@@ -36,7 +36,7 @@ def naive_conv2d(x, weight, bias=None, stride=1, padding=1):
     return out
 
 
-def naive_depthwise_conv2d(x, weight, bias=None, stride=1, padding=0):
+def naive_depthwise_conv2d(x, weight, stride=1, padding=0):
     x = np.asarray(x, dtype=np.float64)
     weight = np.asarray(weight, dtype=np.float64)
     n, c, h, w = x.shape
@@ -55,8 +55,6 @@ def naive_depthwise_conv2d(x, weight, bias=None, stride=1, padding=0):
                             acc += (weight[ci, 0, ky, kx]
                                     * xp[ni, ci, yi * stride + ky,
                                          xi * stride + kx])
-                    if bias is not None:
-                        acc += bias[ci]
                     out[ni, ci, yi, xi] = acc
     return out
 

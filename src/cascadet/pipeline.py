@@ -59,6 +59,19 @@ class Frame:
                 f"match {self.height}x{self.width}x3")
 
 
+def check_json_types(obj: dict, integers: tuple[str, ...],
+                     numbers: tuple[str, ...]) -> None:
+    """Raise TypeError unless each ``integers`` field of a parsed JSON object
+    is a JSON integer and each ``numbers`` field a JSON number (true and
+    false are neither)."""
+    for key in integers:
+        if type(obj[key]) is not int:
+            raise TypeError(f"{key} must be an integer, got {obj[key]!r}")
+    for key in numbers:
+        if type(obj[key]) not in (int, float):
+            raise TypeError(f"{key} must be a number, got {obj[key]!r}")
+
+
 @dataclass(frozen=True)
 class Detection:
     frame_index: int
@@ -85,12 +98,13 @@ class Detection:
     @classmethod
     def from_json(cls, line: str) -> Detection:
         """Inverse of :meth:`to_json`. Raises KeyError, TypeError or
-        ValueError on a malformed record, a non-finite score or a degenerate
-        box."""
+        ValueError on a malformed or mistyped record, a non-finite score or
+        a degenerate box."""
         obj = json.loads(line)
-        det = cls(frame_index=int(obj["frame"]),
-                  x1=int(obj["x1"]), y1=int(obj["y1"]),
-                  x2=int(obj["x2"]), y2=int(obj["y2"]),
+        check_json_types(obj, ("frame", "x1", "y1", "x2", "y2"),
+                         ("confidence", "face_score"))
+        det = cls(frame_index=obj["frame"], x1=obj["x1"], y1=obj["y1"],
+                  x2=obj["x2"], y2=obj["y2"],
                   label=MaskLabel(obj["label"]),
                   confidence=float(obj["confidence"]),
                   face_score=float(obj["face_score"]))
@@ -310,17 +324,21 @@ def parse_config(path: str | Path, env: dict | None = None) -> RunConfig:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         values[key.strip()] = value.strip()
-    for key, value in (env or {}).items():
-        if key.startswith("CASCADET_"):
-            values[key[len("CASCADET_"):].lower()] = value
 
     required = ("manifest", "output_dir", "cascade_weights", "classifier_weights")
+    known = set(required) | set(_CASCADE_KEYS) | set(_BACKBONE_KEYS)
+    known |= {"workers", "annotate"}
+    for variable, value in (env or {}).items():
+        if not variable.startswith("CASCADET_"):
+            continue
+        key = variable[len("CASCADET_"):].lower()
+        if key not in known:
+            raise ConfigError(f"unknown environment override {variable}")
+        values[key] = value
+
     missing = [key for key in required if key not in values]
     if missing:
         raise ConfigError(f"{path}: missing required keys: {', '.join(missing)}")
-
-    known = set(required) | set(_CASCADE_KEYS) | set(_BACKBONE_KEYS)
-    known |= {"workers", "annotate"}
     unknown = set(values) - known
     if unknown:
         raise ConfigError(f"{path}: unknown keys: {', '.join(sorted(unknown))}")

@@ -6,6 +6,10 @@ function: inputs are never modified and repeated calls on identical inputs
 return bit-identical results. Dense reductions go through single-threaded
 BLAS (pinned in :mod:`cascadet`), which keeps the reduction order fixed
 across runs and caller thread counts.
+
+Operators check the activation they are given (rank, channels, geometry)
+but trust their float32 parameter tensors: a :class:`Network` checks those
+once, when it binds them.
 """
 
 from __future__ import annotations
@@ -65,23 +69,20 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     Output spatial extent is floor((in + 2*padding - k)/stride) + 1.
     """
     x = _as_f32(x)
-    weight = _as_f32(weight)
     if x.ndim != 4:
         raise ValueError(f"conv2d: input must be rank 4, got rank {x.ndim}")
-    if weight.ndim != 4:
-        raise ValueError(f"conv2d: weight must be rank 4, got rank {weight.ndim}")
     n, c, h, w = x.shape
     out_c, in_c, kh, kw = weight.shape
     if c != in_c:
         raise ValueError(
             f"conv2d: input has {c} channels but weight expects {in_c}")
     out_h, out_w = _check_conv_geometry("conv2d", h, w, kh, kw, stride, padding)
-    if bias is not None:
-        bias = _as_f32(bias)
-        if bias.shape != (out_c,):
-            raise ValueError(
-                f"conv2d: bias shape {bias.shape} does not match {out_c} "
-                "output channels")
+    if (kh, kw, stride, padding) == (1, 1, 1, 0):
+        # A per-pixel linear map across channels: one product per sample.
+        out = np.matmul(weight[:, :, 0, 0], x.reshape(n, c, h * w))
+        if bias is not None:
+            out = out + bias[None, :, None]
+        return out.reshape(n, out_c, h, w)
 
     win = _windows(_pad_spatial(x, padding), kh, kw, stride)
     # One GEMM: (N*outH*outW, C*kH*kW) x (C*kH*kW, outC).
@@ -94,80 +95,28 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         out.reshape(n, out_h, out_w, out_c).transpose(0, 3, 1, 2))
 
 
-def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
-                     stride: int = 1, padding: int = 0) -> Tensor:
+def depthwise_conv2d(x: Tensor, weight: Tensor, stride: int = 1,
+                     padding: int = 0) -> Tensor:
     """Per-channel 2D convolution; weight is (C, 1, kH, kW)."""
     x = _as_f32(x)
-    weight = _as_f32(weight)
     if x.ndim != 4:
         raise ValueError(f"depthwise_conv2d: input must be rank 4, got {x.ndim}")
-    if weight.ndim != 4 or weight.shape[1] != 1:
-        raise ValueError(
-            f"depthwise_conv2d: weight must be (C, 1, kH, kW), got {weight.shape}")
     n, c, h, w = x.shape
     wc, _, kh, kw = weight.shape
     if c != wc:
         raise ValueError(
             f"depthwise_conv2d: input has {c} channels but weight has {wc}")
     _check_conv_geometry("depthwise_conv2d", h, w, kh, kw, stride, padding)
-    if bias is not None:
-        bias = _as_f32(bias)
-        if bias.shape != (c,):
-            raise ValueError(
-                f"depthwise_conv2d: bias shape {bias.shape} does not match "
-                f"{c} channels")
-
     win = _windows(_pad_spatial(x, padding), kh, kw, stride)
     out = np.einsum("nchwij,cij->nchw", win, weight[:, 0], optimize=False)
-    out = np.ascontiguousarray(out, dtype=np.float32)
-    if bias is not None:
-        out = out + bias[None, :, None, None]
-    return out
-
-
-def pointwise_conv2d(x: Tensor, weight: Tensor,
-                     bias: Tensor | None = None) -> Tensor:
-    """1x1 convolution: a per-pixel linear map across channels."""
-    x = _as_f32(x)
-    weight = _as_f32(weight)
-    if weight.ndim != 4 or weight.shape[2:] != (1, 1):
-        raise ValueError(
-            f"pointwise_conv2d: weight must be (outC, inC, 1, 1), got {weight.shape}")
-    n, c, h, w = x.shape
-    out_c, in_c = weight.shape[:2]
-    if c != in_c:
-        raise ValueError(
-            f"pointwise_conv2d: input has {c} channels but weight expects {in_c}")
-    out = np.matmul(weight[:, :, 0, 0], x.reshape(n, c, h * w))
-    if bias is not None:
-        bias = _as_f32(bias)
-        if bias.shape != (out_c,):
-            raise ValueError(
-                f"pointwise_conv2d: bias shape {bias.shape} does not match "
-                f"{out_c} output channels")
-        out = out + bias[None, :, None]
-    return np.ascontiguousarray(out.reshape(n, out_c, h, w))
+    return np.ascontiguousarray(out, dtype=np.float32)
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, mean: Tensor,
                variance: Tensor, epsilon: float = 1e-5) -> Tensor:
     """Inference-mode batch normalization with stored per-channel statistics."""
-    if epsilon < 0:
-        raise ValueError(f"batch_norm: epsilon must be non-negative, got {epsilon}")
     x = _as_f32(x)
-    gamma, beta = _as_f32(gamma), _as_f32(beta)
-    mean, variance = _as_f32(mean), _as_f32(variance)
-    if np.any(variance < 0):
-        raise ValueError("batch_norm: variance must be non-negative")
-    if np.any(variance + np.float32(epsilon) == 0):
-        raise ValueError("batch_norm: variance + epsilon must be positive")
-    c = x.shape[1]
-    for name, v in (("gamma", gamma), ("beta", beta), ("mean", mean),
-                    ("variance", variance)):
-        if v.shape != (c,):
-            raise ValueError(
-                f"batch_norm: {name} shape {v.shape} does not match {c} channels")
-    shape = (1, c) + (1,) * (x.ndim - 2)
+    shape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
     scale = (gamma / np.sqrt(variance + np.float32(epsilon))).reshape(shape)
     shift = beta.reshape(shape) - mean.reshape(shape) * scale
     return x * scale + shift
@@ -186,13 +135,7 @@ def relu(x: Tensor) -> Tensor:
 def prelu(x: Tensor, alpha: Tensor) -> Tensor:
     """Parametric ReLU with one slope per channel (axis 1)."""
     x = _as_f32(x)
-    alpha = _as_f32(alpha)
-    c = x.shape[1] if x.ndim > 1 else x.shape[0]
-    if alpha.shape != (c,):
-        raise ValueError(
-            f"prelu: alpha shape {alpha.shape} does not match {c} channels")
-    if x.ndim > 1:
-        alpha = alpha.reshape((1, c) + (1,) * (x.ndim - 2))
+    alpha = alpha.reshape((1, x.shape[1]) + (1,) * (x.ndim - 2))
     # max(x, 0) + alpha * min(x, 0): same values as the piecewise form,
     # without materializing a boolean mask.
     out = np.maximum(x, 0.0)
@@ -230,35 +173,21 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
 
 def dense(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Affine map weight @ x + bias; weight is (out, in).
+    """Affine map weight @ x + bias per row; weight is (out, in).
 
-    Rank-4 input is flattened channel-major to (N, C*H*W); rank-1 input maps
-    to a rank-1 output.
+    Rank-4 input is flattened channel-major to (N, C*H*W).
     """
     x = _as_f32(x)
-    weight = _as_f32(weight)
-    if weight.ndim != 2:
-        raise ValueError(f"dense: weight must be rank 2, got {weight.ndim}")
-    single = x.ndim == 1
     if x.ndim == 4:
         x = x.reshape(x.shape[0], math.prod(x.shape[1:]))
-    elif single:
-        x = x.reshape(1, -1)
     elif x.ndim != 2:
-        raise ValueError(f"dense: input must be rank 1, 2 or 4, got {x.ndim}")
+        raise ValueError(f"dense: input must be rank 2 or 4, got {x.ndim}")
     if x.shape[1] != weight.shape[1]:
         raise ValueError(
             f"dense: input has {x.shape[1]} features but weight expects "
             f"{weight.shape[1]}")
     out = x @ weight.T
-    if bias is not None:
-        bias = _as_f32(bias)
-        if bias.shape != (weight.shape[0],):
-            raise ValueError(
-                f"dense: bias shape {bias.shape} does not match "
-                f"{weight.shape[0]} outputs")
-        out = out + bias
-    return out[0] if single else out
+    return out if bias is None else out + bias
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -350,7 +279,8 @@ def parameter_shapes(layers: list[LayerSpec]) -> list[tuple[str, tuple[int, ...]
 
 def _bind(layer: LayerSpec, archive) -> dict:
     """The layer's parameter tensors by role, fetched from ``archive`` and
-    checked against :func:`layer_parameters`."""
+    checked against :func:`layer_parameters`; every batch-norm variance must
+    be non-negative. Operators trust what this returns."""
     bound = {}
     for role, shape in layer_parameters(layer):
         entry = f"{layer.name}.{role}"
@@ -362,6 +292,10 @@ def _bind(layer: LayerSpec, archive) -> dict:
             raise NetworkError(
                 f"layer {layer.name!r}: parameter {entry!r} has shape "
                 f"{tuple(tensor.shape)}, expected {shape}")
+        if role.endswith("variance") and np.any(tensor < 0):
+            raise NetworkError(
+                f"layer {layer.name!r}: parameter {entry!r} has a negative "
+                "value; a variance must be non-negative")
         bound[role] = tensor
     return bound
 
@@ -374,8 +308,6 @@ def _compile(layer: LayerSpec, params: dict) -> Callable[[Tensor], Tensor]:
     """
     kind = layer.kind
     if kind == "conv":
-        if layer.kernel == 1 and layer.stride == 1 and layer.padding == 0:
-            return partial(pointwise_conv2d, **params)
         return partial(conv2d, **params, stride=layer.stride,
                        padding=layer.padding)
     if kind == "batch-norm":
@@ -393,7 +325,7 @@ def _compile(layer: LayerSpec, params: dict) -> Callable[[Tensor], Tensor]:
     if kind == "dense":
         return partial(dense, **params)
     if kind == "softmax":
-        return lambda x: softmax(x, axis=1 if x.ndim == 4 else -1)
+        return partial(softmax, axis=1)
 
     # bottleneck-block: 1x1 expand (when expansion > 1), 3x3 depthwise, 1x1
     # linear projection. Batch norm follows each convolution and ReLU6 the
@@ -419,11 +351,11 @@ def _compile(layer: LayerSpec, params: dict) -> Callable[[Tensor], Tensor]:
     def bottleneck(x: Tensor) -> Tensor:
         h = x
         if expansion > 1:
-            h = relu6(expand_norm(pointwise_conv2d(h, expand_weight)))
+            h = relu6(expand_norm(conv2d(h, expand_weight)))
         # parameter_shapes fixes the depthwise kernel at 3x3: "same" padding 1.
         h = relu6(depthwise_norm(depthwise_conv2d(h, depthwise_weight,
                                                   stride=stride, padding=1)))
-        h = project_norm(pointwise_conv2d(h, project_weight))
+        h = project_norm(conv2d(h, project_weight))
         return h + x if residual else h
 
     return bottleneck
@@ -432,13 +364,13 @@ def _compile(layer: LayerSpec, params: dict) -> Callable[[Tensor], Tensor]:
 class Network:
     """Ordered layers bound to parameter tensors from a weight archive.
 
-    Construction fetches and shape-checks every parameter, checks each
-    layer's geometry, and compiles each layer once into a callable with its
-    parameters bound; any mismatch raises NetworkError there, not on a
-    forward call. Immutable after construction and safe to share across
-    threads. The forward pass applies layers in order; each layer consumes
-    the previous output unless its spec names an earlier layer via
-    ``feeds_from``.
+    Construction fetches and checks every parameter (its shape, and a
+    non-negative batch-norm variance), checks each layer's geometry, and
+    compiles each layer once into a callable with its parameters bound; any
+    mismatch raises NetworkError there, not on a forward call. Immutable
+    after construction and safe to share across threads. The forward pass
+    applies layers in order; each layer consumes the previous output unless
+    its spec names an earlier layer via ``feeds_from``.
 
     ``input_shape`` optionally declares the expected per-sample input shape
     (channels, height, width); when set, forward rejects anything else.

@@ -61,9 +61,8 @@ def test_criterion_1_operator_oracles():
         c = int(rng.integers(1, 5))
         x = rng.uniform(-1, 1, (1, c, extent, extent)).astype(np.float32)
         w = rng.uniform(-1, 1, (c, 1, k, k)).astype(np.float32)
-        b = rng.uniform(-1, 1, c).astype(np.float32)
-        got = T.depthwise_conv2d(x, w, b, stride, padding)
-        want = oracles.naive_depthwise_conv2d(x, w, b, stride, padding)
+        got = T.depthwise_conv2d(x, w, stride, padding)
+        want = oracles.naive_depthwise_conv2d(x, w, stride, padding)
         assert np.abs(got - want).max() <= 1e-5
 
     for _ in range(100):
@@ -73,7 +72,7 @@ def test_criterion_1_operator_oracles():
         x = rng.uniform(-1, 1, (1, c, extent, extent)).astype(np.float32)
         w = rng.uniform(-1, 1, (oc, c, 1, 1)).astype(np.float32)
         b = rng.uniform(-1, 1, oc).astype(np.float32)
-        got = T.pointwise_conv2d(x, w, b)
+        got = T.conv2d(x, w, b)
         want = oracles.naive_conv2d(x, w, b, 1, 0)
         assert np.abs(got - want).max() <= 1e-5
 
@@ -93,7 +92,7 @@ def test_criterion_1_operator_oracles():
     for _ in range(100):
         n_in = int(rng.integers(1, 30))
         n_out = int(rng.integers(1, 30))
-        x = rng.uniform(-1, 1, n_in).astype(np.float32)
+        x = rng.uniform(-1, 1, (1, n_in)).astype(np.float32)
         w = rng.uniform(-1, 1, (n_out, n_in)).astype(np.float32)
         b = rng.uniform(-1, 1, n_out).astype(np.float32)
         assert np.abs(T.dense(x, w, b)

@@ -142,6 +142,14 @@ class TestTrainDemo:
         assert lines[0] == "epoch,loss,accuracy"
         assert len(lines) == 11
 
+    @pytest.mark.parametrize("args", [
+        ["--epochs", "0"], ["--samples", "0"], ["--samples", "-5"],
+        ["--features", "0"], ["--hidden", "0"], ["--lr", "-0.1"],
+        ["--lr", "inf"], ["--lr", "nan"]])
+    def test_out_of_range_size_is_usage_error(self, capsys, args):
+        assert cli.main(["train-demo", *args]) == cli.EXIT_USAGE
+        assert args[0] in capsys.readouterr().err
+
     def test_train_demo_deterministic(self, capsys):
         assert cli.main(["train-demo", "--seed", "7", "--epochs", "3"]) == 0
         first = capsys.readouterr().out

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -249,3 +251,25 @@ class TestJsonlIO:
         path.write_text('{"frame": 0}\n')
         with pytest.raises(ValueError, match="truth.jsonl:1"):
             E.load_ground_truth(path)
+
+    # Each record is one field away from a valid one; none may be coerced.
+    @pytest.mark.parametrize("load, fields", [
+        (E.load_detection_log, '"frame": true, "x1": 10'),
+        (E.load_detection_log, '"frame": 1, "x1": "5"'),
+        (E.load_detection_log, '"frame": 1, "x1": 5.9'),
+        (E.load_detection_log, '"frame": 1, "x1": 10, "confidence": "0.9"'),
+        (E.load_detection_log, '"frame": 1, "x1": 10, "face_score": false'),
+        (E.load_ground_truth, '"frame": 1.7, "x1": 10'),
+        (E.load_ground_truth, '"frame": 1, "x1": "5"'),
+        (E.load_ground_truth, '"frame": 1, "x1": true'),
+    ], ids=["det-bool-frame", "det-string-x1", "det-real-x1", "det-string-conf",
+            "det-bool-score", "truth-real-frame", "truth-string-x1",
+            "truth-bool-x1"])
+    def test_mistyped_field_reports_line(self, tmp_path, load, fields):
+        record = {"y1": 10, "x2": 30, "y2": 30, "label": "Mask",
+                  "confidence": 0.9, "face_score": 0.9}
+        record.update(json.loads("{" + fields + "}"))
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match="records.jsonl:1: .*must be"):
+            load(path)

@@ -55,10 +55,10 @@ def bottleneck_ops(x, p, stride=1, residual=True):
 
     h = x
     if "expand_weight" in p:
-        h = T.relu6(norm(T.pointwise_conv2d(h, p["expand_weight"]), "expand_norm"))
+        h = T.relu6(norm(T.conv2d(h, p["expand_weight"]), "expand_norm"))
     h = T.relu6(norm(T.depthwise_conv2d(h, p["depthwise_weight"], stride=stride,
                                         padding=1), "depthwise_norm"))
-    h = norm(T.pointwise_conv2d(h, p["project_weight"]), "project_norm")
+    h = norm(T.conv2d(h, p["project_weight"]), "project_norm")
     return h + x if residual else h
 
 
@@ -120,8 +120,8 @@ class TestNetwork:
         archive.put("fc.weight", np.eye(2, dtype=np.float32))
         archive.put("fc.bias", np.zeros(2, np.float32))
         net = Network(layers, archive)
-        out = net.forward(np.array([0.0, 0.0], np.float32))
-        np.testing.assert_array_equal(out, [0.5, 0.5])
+        out = net.forward(np.array([[0.0, 0.0]], np.float32))
+        np.testing.assert_array_equal(out, [[0.5, 0.5]])
 
     def test_missing_parameter_names_the_entry(self):
         layers = [conv_layer("c1", 3, 8, 3)]
@@ -158,7 +158,7 @@ class TestNetwork:
         layers = [LayerSpec(kind="relu6", name="first"),
                   LayerSpec(kind="softmax", name="last")]
         net = Network(layers, None)
-        x = np.array([1.0, -1.0], np.float32)
+        x = np.array([[1.0, -1.0]], np.float32)
         out, taps = net.forward(x, taps=("first",))
         np.testing.assert_array_equal(taps["first"], T.relu6(x))
         np.testing.assert_array_equal(out, T.softmax(T.relu6(x)))
@@ -175,7 +175,7 @@ class TestNetwork:
             "head_b.weight": np.array([[1.0, -1.0]], np.float32),
         })
         net = Network(layers, archive)
-        out, taps = net.forward(np.array([1.0, 1.0], np.float32),
+        out, taps = net.forward(np.array([[1.0, 1.0]], np.float32),
                                 taps=("head_a",))
         assert taps["head_a"].reshape(()) == 3.0   # 1 + 2
         assert out.reshape(()) == -1.0             # 1 - 2, from the trunk
@@ -209,7 +209,7 @@ ONE_LAYER_CASES = {
     "conv": (conv_layer("l", 4, 6, 3, stride=2, padding=1), (2, 4, 7, 7),
              lambda x, p: T.conv2d(x, p["weight"], p["bias"], 2, 1)),
     "conv-1x1": (conv_layer("l", 4, 6, 1), (2, 4, 7, 7),
-                 lambda x, p: T.pointwise_conv2d(x, p["weight"], p["bias"])),
+                 lambda x, p: T.conv2d(x, p["weight"], p["bias"])),
     "batch-norm": (bn_layer("l", 4), (2, 4, 7, 7),
                    lambda x, p: T.batch_norm(x, *(p[s] for s in STATS))),
     "relu6": (LayerSpec(kind="relu6", name="l"), (2, 4, 7, 7),

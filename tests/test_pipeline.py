@@ -382,6 +382,14 @@ class TestParseConfig:
         config = P.parse_config(config_path)
         assert getattr(config.cascade, field) == value
 
+    def test_unknown_environment_override_named(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("manifest=frames.txt\noutput_dir=out\n"
+                        "cascade_weights=c.cwts\nclassifier_weights=k.cwts\n")
+        with pytest.raises(P.ConfigError,
+                           match="unknown environment override CASCADET_HOME"):
+            P.parse_config(path, env={"CASCADET_HOME": "/x"})
+
     def test_unknown_key_rejected(self, tmp_path):
         config_path = write_run_setup(tmp_path, [], extra_config="typo_key=1\n")
         with pytest.raises(P.ConfigError, match="typo_key"):

@@ -3,6 +3,7 @@ import pytest
 
 from cascadet import oracles
 from cascadet import tensor as T
+from cascadet.weights import WeightArchive
 
 
 def rand_f32(rng, *shape, lo=-1.0, hi=1.0):
@@ -48,6 +49,10 @@ class TestConv2d:
             got = T.conv2d(x, w, b, stride, padding)
             want = oracles.naive_conv2d(x, w, b, stride, padding)
             np.testing.assert_allclose(got, want, atol=1e-5)
+        # A 1x1 kernel at stride 1 without padding: the per-pixel product.
+        x, w, b = rand_f32(rng, 2, 4, 5, 5), rand_f32(rng, 3, 4, 1, 1), rand_f32(rng, 3)
+        np.testing.assert_allclose(T.conv2d(x, w, b),
+                                   oracles.naive_conv2d(x, w, b, 1, 0), atol=1e-5)
 
     def test_output_shape_formula(self):
         rng = np.random.default_rng(3)
@@ -82,29 +87,18 @@ class TestDepthwiseConv2d:
         rng = np.random.default_rng(4)
         x = rand_f32(rng, 1, 3, 4, 4)
         w = np.ones((3, 1, 1, 1), np.float32)
-        out = T.depthwise_conv2d(x, w, np.zeros(3, np.float32))
-        np.testing.assert_array_equal(out, x)
+        np.testing.assert_array_equal(T.depthwise_conv2d(x, w), x)
 
     def test_equals_block_diagonal_dense_conv(self):
         rng = np.random.default_rng(5)
         x = rand_f32(rng, 1, 3, 6, 6)
         w = rand_f32(rng, 3, 1, 3, 3)
-        b = rand_f32(rng, 3)
         dense_w = np.zeros((3, 3, 3, 3), np.float32)
         for c in range(3):
             dense_w[c, c] = w[c, 0]
-        got = T.depthwise_conv2d(x, w, b, stride=1, padding=1)
-        want = T.conv2d(x, dense_w, b, stride=1, padding=1)
+        got = T.depthwise_conv2d(x, w, stride=1, padding=1)
+        want = T.conv2d(x, dense_w, stride=1, padding=1)
         np.testing.assert_allclose(got, want, atol=1e-5)
-
-    def test_zero_channel_gives_bias_only(self):
-        rng = np.random.default_rng(6)
-        x = rand_f32(rng, 1, 2, 5, 5)
-        x[0, 1] = 0.0
-        w = rand_f32(rng, 2, 1, 3, 3)
-        b = np.array([0.25, -0.75], np.float32)
-        out = T.depthwise_conv2d(x, w, b)
-        np.testing.assert_array_equal(out[0, 1], np.full((3, 3), -0.75, np.float32))
 
     def test_random_shapes_against_oracle(self):
         rng = np.random.default_rng(7)
@@ -116,9 +110,8 @@ class TestDepthwiseConv2d:
             extent = int(rng.integers(k, k + 5))
             x = rand_f32(rng, 1, c, extent, extent)
             w = rand_f32(rng, c, 1, k, k)
-            b = rand_f32(rng, c)
-            got = T.depthwise_conv2d(x, w, b, stride, padding)
-            want = oracles.naive_depthwise_conv2d(x, w, b, stride, padding)
+            got = T.depthwise_conv2d(x, w, stride, padding)
+            want = oracles.naive_depthwise_conv2d(x, w, stride, padding)
             np.testing.assert_allclose(got, want, atol=1e-5)
 
 
@@ -127,21 +120,12 @@ class TestPointwiseConv2d:
         rng = np.random.default_rng(8)
         x = rand_f32(rng, 1, 3, 4, 4)
         w = np.eye(3, dtype=np.float32).reshape(3, 3, 1, 1)
-        np.testing.assert_array_equal(T.pointwise_conv2d(x, w), x)
-
-    def test_equals_conv2d_kernel_one(self):
-        rng = np.random.default_rng(9)
-        x = rand_f32(rng, 2, 4, 5, 5)
-        w = rand_f32(rng, 3, 4, 1, 1)
-        b = rand_f32(rng, 3)
-        got = T.pointwise_conv2d(x, w, b)
-        want = T.conv2d(x, w, b, stride=1, padding=0)
-        np.testing.assert_allclose(got, want, atol=1e-6)
+        np.testing.assert_array_equal(T.conv2d(x, w), x)
 
     def test_hand_matrix_product(self):
         x = np.array([1.0, 2.0], np.float32).reshape(1, 2, 1, 1)
         w = np.array([[1.0, 1.0], [1.0, -1.0]], np.float32).reshape(2, 2, 1, 1)
-        out = T.pointwise_conv2d(x, w, np.zeros(2, np.float32))
+        out = T.conv2d(x, w, np.zeros(2, np.float32))
         np.testing.assert_array_equal(out.reshape(-1), [3.0, -1.0])
 
 
@@ -151,15 +135,12 @@ class TestDepthwiseSeparable:
         for stride, padding in ((1, 0), (1, 1), (2, 1)):
             x = rand_f32(rng, 1, 4, 7, 7)
             dw = rand_f32(rng, 4, 1, 3, 3)
-            db = rand_f32(rng, 4)
             pw = rand_f32(rng, 5, 4, 1, 1)
             pb = rand_f32(rng, 5)
-            got = T.pointwise_conv2d(
-                T.depthwise_conv2d(x, dw, db, stride, padding), pw, pb)
+            got = T.conv2d(T.depthwise_conv2d(x, dw, stride, padding), pw, pb)
             # Equivalent single dense convolution, built analytically.
             dense_w = pw[:, :, 0, 0][:, :, None, None] * dw[None, :, 0]
-            dense_b = pb + pw[:, :, 0, 0] @ db
-            want = T.conv2d(x, dense_w, dense_b, stride, padding)
+            want = T.conv2d(x, dense_w, pb, stride, padding)
             np.testing.assert_allclose(got, want, atol=1e-5)
 
 
@@ -192,10 +173,11 @@ class TestBatchNorm:
         np.testing.assert_allclose(got, want, atol=1e-6)
 
     def test_negative_variance_rejected(self):
-        x = np.zeros((1, 1, 2, 2), np.float32)
         one = np.ones(1, np.float32)
-        with pytest.raises(ValueError, match="variance"):
-            T.batch_norm(x, one, one, one, -one)
+        archive = WeightArchive({"bn.gamma": one, "bn.beta": one,
+                                 "bn.mean": one, "bn.variance": -one})
+        with pytest.raises(T.NetworkError, match="bn.variance"):
+            T.Network([T.bn_layer("bn", 1)], archive)
 
 
 class TestActivations:
@@ -262,24 +244,24 @@ class TestPooling:
 
 class TestDense:
     def test_identity(self):
-        x = np.array([3.0, -1.0, 2.0], np.float32)
+        x = np.array([[3.0, -1.0, 2.0]], np.float32)
         out = T.dense(x, np.eye(3, dtype=np.float32), np.zeros(3, np.float32))
         np.testing.assert_array_equal(out, x)
 
     def test_hand_case(self):
         w = np.array([[1.0, 1.0], [1.0, -1.0]], np.float32)
-        out = T.dense(np.array([3.0, 1.0], np.float32), w, np.zeros(2, np.float32))
-        np.testing.assert_array_equal(out, [4.0, 2.0])
+        out = T.dense(np.array([[3.0, 1.0]], np.float32), w, np.zeros(2, np.float32))
+        np.testing.assert_array_equal(out, [[4.0, 2.0]])
 
     def test_matches_scalar_two_loop_oracle(self):
         rng = np.random.default_rng(18)
         for _ in range(20):
             n = int(rng.integers(1, 20))
             m = int(rng.integers(1, 20))
-            x = rand_f32(rng, n)
+            x = rand_f32(rng, 1, n)
             w = rand_f32(rng, m, n)
             b = rand_f32(rng, m)
-            got = T.dense(x, w, b)
+            got = T.dense(x, w, b)[0]
             want = oracles.naive_dense(x, w, b)
             np.testing.assert_allclose(got, want, atol=1e-5)
 

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import tracemalloc
 import zlib
@@ -47,6 +48,18 @@ class TestRoundTrip:
         assert struct.unpack_from("<I", data, 8)[0] == 0
         loaded = W.load(path)
         assert len(loaded) == 0 and loaded.metadata == {}
+
+    # The golden trace and the benchmark both run on these exact bytes.
+    @pytest.mark.parametrize("make, digest", [
+        (fixtures.fixture_cascade_archive,
+         "f2d7d09a783f029dbd775efb7ec123c5023817102479d23c5d789c5963af4c2a"),
+        (fixtures.fixture_classifier_archive,
+         "34317a9c8a4ab1f7c6581acd47b1178c69a4fb8e2ca47319b62ef2fbe737c664"),
+    ], ids=["cascade", "classifier"])
+    def test_fixture_archive_bytes_pinned(self, tmp_path, make, digest):
+        path = tmp_path / "fixture.cwts"
+        W.save(make(), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestValidation:

@@ -51,6 +51,7 @@ def _bounded(convert, low, high, what: str):
 
 _unit_interval = _bounded(float, 0.0, 1.0, "a number in [0, 1]")
 _count = _bounded(int, 1, math.inf, "an integer >= 1")
+_seed = _bounded(int, 0, math.inf, "an integer >= 0")
 _rate = _bounded(float, 0.0, sys.float_info.max, "a finite number >= 0")
 
 
@@ -75,7 +76,7 @@ def _build_parser() -> _Parser:
 
     train = sub.add_parser("train-demo",
                            help="train the classifier head on synthetic data")
-    train.add_argument("--seed", type=int, default=0)
+    train.add_argument("--seed", type=_seed, default=0)
     train.add_argument("--samples", type=_count, default=200)
     train.add_argument("--features", type=_count, default=32)
     train.add_argument("--hidden", type=_count, default=16)

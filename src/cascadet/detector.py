@@ -323,8 +323,9 @@ def crop_resize_batch(frame: Tensor, boxes: np.ndarray,
                       out_extent: int) -> Tensor:
     """Bilinearly sample each box region of the frame into an E x E crop.
 
-    Returns a (len(boxes), C, E, E) batch. Sample points outside the frame
-    contribute zero, so boxes hanging past the edges come back zero-padded.
+    Returns a (len(boxes), C, E, E) batch, a view of channels-last memory.
+    Sample points outside the frame contribute zero, so boxes hanging past
+    the edges come back zero-padded.
     """
     if out_extent < 1:
         raise ValueError(f"out_extent must be positive, got {out_extent}")
@@ -337,20 +338,21 @@ def crop_resize_batch(frame: Tensor, boxes: np.ndarray,
     x0, y0 = lo.astype(np.int64).transpose(1, 0, 2)
     fx, fy = (src - lo).astype(np.float32).transpose(1, 0, 2)
 
-    image = frame[0]  # (C, H, W)
+    # Each gathered pixel is then C adjacent values.
+    image = np.ascontiguousarray(frame[0].transpose(1, 2, 0))  # (H, W, C)
 
     def gather(yy: np.ndarray, xx: np.ndarray) -> Tensor:
-        """Pixels at (yy[n, i], xx[n, j]) -> (C, N, E, E), zero outside."""
+        """Pixels at (yy[n, i], xx[n, j]) -> (N, E, E, C), zero outside."""
         valid = ((yy >= 0) & (yy < h))[:, :, None] & ((xx >= 0) & (xx < w))[:, None, :]
-        vals = image[:, np.clip(yy, 0, h - 1)[:, :, None],
+        vals = image[np.clip(yy, 0, h - 1)[:, :, None],
                      np.clip(xx, 0, w - 1)[:, None, :]]
-        return vals * valid[None]
+        return vals * valid[..., None]
 
-    wx0, wx1 = (1 - fx)[:, None, :], fx[:, None, :]
+    wx0, wx1 = (1 - fx)[:, None, :, None], fx[:, None, :, None]
     top = gather(y0, x0) * wx0 + gather(y0, x0 + 1) * wx1
     bottom = gather(y0 + 1, x0) * wx0 + gather(y0 + 1, x0 + 1) * wx1
-    out = top * (1 - fy)[:, :, None] + bottom * fy[:, :, None]
-    return np.ascontiguousarray(out.transpose(1, 0, 2, 3), dtype=np.float32)
+    out = top * (1 - fy)[:, :, None, None] + bottom * fy[:, :, None, None]
+    return out.astype(np.float32, copy=False).transpose(0, 3, 1, 2)
 
 
 def _head_names(network: Network) -> tuple[str, ...]:

@@ -1,11 +1,19 @@
 """Minimal deterministic tensor operators and a sequential network container.
 
-Tensors are plain ``numpy.ndarray`` objects in float32, laid out
-batch-channel-height-width (width fastest-varying). Every operator is a pure
-function: inputs are never modified and repeated calls on identical inputs
-return bit-identical results. Dense reductions go through single-threaded
-BLAS (pinned in :mod:`cascadet`), which keeps the reduction order fixed
-across runs and caller thread counts.
+Tensors are plain ``numpy.ndarray`` objects in float32 whose shapes are
+logical batch-channel-height-width (NCHW). Their memory order is not fixed:
+a returned array may be a strided view, and a convolution's output is held
+channels-last (channels fastest-varying) so the next layer reads it without
+a transpose copy. The result's bits never depend on the input's memory
+order; an operator whose arithmetic would (the matrix products, the
+depthwise einsum, the spatial mean) first makes its input contiguous.
+
+Operators are pure functions: inputs are never modified, except that
+:func:`prelu` writes to ``out`` when given one, and repeated calls on
+identical inputs return bit-identical results. :class:`Network` passes
+``out`` only for an intermediate that no one else holds. Dense reductions go
+through single-threaded BLAS (pinned in :mod:`cascadet`), which keeps the
+reduction order fixed across runs and caller thread counts.
 
 Operators check the activation they are given (rank, channels, geometry)
 but trust their float32 parameter tensors: a :class:`Network` checks those
@@ -79,9 +87,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     out_h, out_w = _check_conv_geometry("conv2d", h, w, kh, kw, stride, padding)
     if (kh, kw, stride, padding) == (1, 1, 1, 0):
         # A per-pixel linear map across channels: one product per sample.
-        out = np.matmul(weight[:, :, 0, 0], x.reshape(n, c, h * w))
+        # Its bits depend on the operand's strides, hence the contiguous copy.
+        out = np.matmul(weight[:, :, 0, 0],
+                        np.ascontiguousarray(x).reshape(n, c, h * w))
         if bias is not None:
-            out = out + bias[None, :, None]
+            out += bias[None, :, None]
         return out.reshape(n, out_c, h, w)
 
     win = _windows(_pad_spatial(x, padding), kh, kw, stride)
@@ -90,9 +100,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     cols = cols.reshape(n * out_h * out_w, c * kh * kw)
     out = cols @ weight.reshape(out_c, -1).T
     if bias is not None:
-        out = out + bias
-    return np.ascontiguousarray(
-        out.reshape(n, out_h, out_w, out_c).transpose(0, 3, 1, 2))
+        out += bias
+    # Channels-last memory under the logical NCHW shape: the next im2col
+    # copies windows out of any strides, so no transpose copy is needed.
+    return out.reshape(n, out_h, out_w, out_c).transpose(0, 3, 1, 2)
 
 
 def depthwise_conv2d(x: Tensor, weight: Tensor, stride: int = 1,
@@ -107,7 +118,8 @@ def depthwise_conv2d(x: Tensor, weight: Tensor, stride: int = 1,
         raise ValueError(
             f"depthwise_conv2d: input has {c} channels but weight has {wc}")
     _check_conv_geometry("depthwise_conv2d", h, w, kh, kw, stride, padding)
-    win = _windows(_pad_spatial(x, padding), kh, kw, stride)
+    # The einsum's bits depend on the input's strides.
+    win = _windows(_pad_spatial(np.ascontiguousarray(x), padding), kh, kw, stride)
     out = np.einsum("nchwij,cij->nchw", win, weight[:, 0], optimize=False)
     return np.ascontiguousarray(out, dtype=np.float32)
 
@@ -132,15 +144,20 @@ def relu(x: Tensor) -> Tensor:
     return np.maximum(_as_f32(x), np.float32(0.0))
 
 
-def prelu(x: Tensor, alpha: Tensor) -> Tensor:
-    """Parametric ReLU with one slope per channel (axis 1)."""
+def prelu(x: Tensor, alpha: Tensor, out: Tensor | None = None) -> Tensor:
+    """Parametric ReLU with one slope per channel (axis 1).
+
+    As with a numpy ufunc, the result is written to ``out`` when given; it
+    may be ``x`` itself.
+    """
     x = _as_f32(x)
     alpha = alpha.reshape((1, x.shape[1]) + (1,) * (x.ndim - 2))
     # max(x, 0) + alpha * min(x, 0): same values as the piecewise form,
-    # without materializing a boolean mask.
-    out = np.maximum(x, 0.0)
+    # without materializing a boolean mask. ``neg`` is read from ``x``
+    # before ``out`` can overwrite it.
     neg = np.minimum(x, 0.0)
     neg *= alpha
+    out = np.maximum(x, 0.0, out=out)
     out += neg
     return out
 
@@ -154,13 +171,15 @@ def max_pool2d(x: Tensor, kernel: int, stride: int) -> Tensor:
     out_h, out_w = _check_conv_geometry("max_pool2d", h, w, kernel, kernel,
                                         stride, 0)
     # Fold the k*k window offsets with elementwise maxima over strided
-    # slices; far faster than reducing a 6-D window view.
+    # slices into one buffer in the input's memory order; far faster than
+    # reducing a 6-D window view.
     out = None
     for ky in range(kernel):
         for kx in range(kernel):
             patch = x[:, :, ky:ky + stride * out_h:stride,
                       kx:kx + stride * out_w:stride]
-            out = patch.copy() if out is None else np.maximum(out, patch)
+            out = (patch.copy(order="K") if out is None
+                   else np.maximum(out, patch, out=out))
     return out
 
 
@@ -169,7 +188,8 @@ def global_avg_pool(x: Tensor) -> Tensor:
     x = _as_f32(x)
     if x.ndim != 4:
         raise ValueError(f"global_avg_pool: input must be rank 4, got {x.ndim}")
-    return x.mean(axis=(2, 3), keepdims=True, dtype=np.float32)
+    # The summation order, and so the bits, follow the input's strides.
+    return np.ascontiguousarray(x).mean(axis=(2, 3), keepdims=True, dtype=np.float32)
 
 
 def dense(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -186,8 +206,11 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ValueError(
             f"dense: input has {x.shape[1]} features but weight expects "
             f"{weight.shape[1]}")
-    out = x @ weight.T
-    return out if bias is None else out + bias
+    # The product's bits depend on the operand's strides.
+    out = np.ascontiguousarray(x) @ weight.T
+    if bias is not None:
+        out += bias
+    return out
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -394,7 +417,7 @@ class Network:
                     f"layer {layer.name!r} feeds from unknown layer "
                     f"{layer.feeds_from!r}")
             known.add(layer.name)
-            steps.append((layer.name, layer.feeds_from,
+            steps.append((layer.name, layer.feeds_from, layer.kind == "prelu",
                           _compile(layer, _bind(layer, archive))))
         self._steps = tuple(steps)
 
@@ -402,7 +425,9 @@ class Network:
         """Apply all layers; returns the final output.
 
         With ``taps`` the return value is ``(output, {name: tensor})`` for
-        the named intermediate layers.
+        the named intermediate layers. ``x``, the taps and every
+        ``feeds_from`` source are never written; a PReLU overwrites any
+        other intermediate with its own output.
         """
         unknown = set(taps) - self._names
         if unknown:
@@ -414,13 +439,22 @@ class Network:
             raise ValueError(
                 f"input shape {tuple(current.shape[1:])} does not match the "
                 f"network's declared {self.input_shape}")
-        for name, feeds_from, step in self._steps:
-            source = outputs[feeds_from] if feeds_from else current
+        # Whether ``current`` is an intermediate no one else holds: not the
+        # caller's input, a tap or a ``feeds_from`` source. No operator
+        # returns a view of its input, so a PReLU may then overwrite it.
+        owned = False
+        for name, feeds_from, in_place, step in self._steps:
             try:
-                current = step(source)
+                if feeds_from:
+                    current = step(outputs[feeds_from])
+                elif in_place and owned:
+                    current = step(current, out=current)
+                else:
+                    current = step(current)
             except ValueError as exc:
                 raise ValueError(f"layer {name!r}: {exc}") from exc
-            if name in keep:
+            owned = name not in keep
+            if not owned:
                 outputs[name] = current
         if taps:
             return current, {name: outputs[name] for name in taps}

@@ -145,7 +145,7 @@ class TestTrainDemo:
     @pytest.mark.parametrize("args", [
         ["--epochs", "0"], ["--samples", "0"], ["--samples", "-5"],
         ["--features", "0"], ["--hidden", "0"], ["--lr", "-0.1"],
-        ["--lr", "inf"], ["--lr", "nan"]])
+        ["--lr", "inf"], ["--lr", "nan"], ["--seed", "-1"]])
     def test_out_of_range_size_is_usage_error(self, capsys, args):
         assert cli.main(["train-demo", *args]) == cli.EXIT_USAGE
         assert args[0] in capsys.readouterr().err

@@ -4,11 +4,15 @@ import json
 import numpy as np
 import pytest
 
+from cascadet import fixtures
 from cascadet import tensor as T
-from cascadet.classifier import (BackboneSpec, classifier_layers,
+from cascadet.classifier import (BackboneSpec, build_classifier,
+                                 classifier_layers,
                                  classifier_parameter_shapes)
-from cascadet.detector import (build_onet_layers, build_pnet_layers,
-                               build_rnet_layers, cascade_parameter_shapes)
+from cascadet.detector import (CascadeNetworks, build_onet_layers,
+                               build_pnet_layers, build_rnet_layers,
+                               cascade_parameter_shapes, crop_resize_batch,
+                               frame_to_tensor)
 from cascadet.tensor import (LayerSpec, Network, NetworkError, bn_layer,
                              bottleneck_layer, conv_layer, dense_layer,
                              parameter_shapes, prelu_layer)
@@ -202,6 +206,24 @@ class TestNetwork:
         x = rng.uniform(-1, 1, (1, 3, 10, 10)).astype(np.float32)
         assert net.forward(x).tobytes() == net.forward(x).tobytes()
 
+    @pytest.mark.parametrize("tap, depth", [(None, 0), ("p1", 1), ("p2", 2)])
+    def test_forward_leaves_caller_input_and_taps_intact(self, tap, depth):
+        """Three PReLUs with slope 0.5: the tap after ``depth`` of them holds
+        the negatives scaled by 0.5 ** depth."""
+        layers = [prelu_layer(f"p{i}", 3) for i in (1, 2, 3)]
+        archive = WeightArchive({f"p{i}.alpha": np.full(3, 0.5, np.float32)
+                                 for i in (1, 2, 3)})
+        x = np.random.default_rng(4).uniform(-1, 1, (2, 3, 4, 4)).astype(np.float32)
+        snapshot = x.copy()
+        net = Network(layers, archive)
+        if tap is None:
+            net.forward(x)
+        else:
+            _, taps = net.forward(x, taps=(tap,))
+            want = np.where(x < 0, x * np.float32(0.5 ** depth), x)
+            assert taps[tap].tobytes() == want.tobytes()
+        assert x.tobytes() == snapshot.tobytes()
+
 
 # Per case: the layer, the input shape, and the same layer as a direct call
 # of the public operators on (input, {role: parameter tensor}).
@@ -279,3 +301,42 @@ def test_parameter_order_pinned(network):
     shapes = shapes_of()
     assert len(shapes) == count
     assert hashlib.sha256(json.dumps(shapes).encode()).hexdigest() == digest
+
+
+@pytest.fixture(scope="module")
+def fixture_networks():
+    cascade = CascadeNetworks.from_archive(fixtures.fixture_cascade_archive())
+    spec = BackboneSpec()
+    return {"pnet": cascade.pnet, "rnet": cascade.rnet, "onet": cascade.onet,
+            "classifier": build_classifier(
+                spec, fixtures.fixture_classifier_archive(spec))}
+
+
+@pytest.mark.parametrize("network", ["pnet", "rnet", "onet", "classifier"])
+def test_every_tap_equals_contiguous_replay(fixture_networks, network):
+    """One forward tapping every layer against the bound steps applied one at
+    a time to contiguous copies: catches an in-place write to a kept output
+    and any operator whose bits follow its input's memory layout."""
+    net = fixture_networks[network]
+    frame = frame_to_tensor(fixtures.synthetic_frame(2, 160, 120))
+    if net.input_shape is None:
+        x = frame
+    else:
+        # Three crops, one hanging past the frame edge; channels-last memory.
+        boxes = np.array([[10.0, 12.0, 58.0, 60.0], [100.0, 40.0, 130.0, 75.0],
+                          [140.0, 90.0, 190.0, 140.0]])
+        x = crop_resize_batch(frame, boxes, net.input_shape[-1])
+    snapshot = np.array(x)
+    names = tuple(layer.name for layer in net.layers)
+    final, taps = net.forward(x, taps=names)
+
+    replay, current = {}, x
+    for name, feeds_from, _, step in net._steps:
+        source = replay[feeds_from] if feeds_from else current
+        current = replay[name] = step(np.ascontiguousarray(source))
+    for name in names:
+        assert taps[name].tobytes() == replay[name].tobytes(), name
+    assert final.tobytes() == current.tobytes()
+    # Untapped, PReLUs run in place: the same final bytes, input untouched.
+    assert net.forward(x).tobytes() == current.tobytes()
+    assert np.array(x).tobytes() == snapshot.tobytes()

@@ -6,6 +6,11 @@ from cascadet import tensor as T
 from cascadet.weights import WeightArchive
 
 
+def channels_last(x):
+    """The same NCHW values, held in (N, H, W, C) memory order."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
 def rand_f32(rng, *shape, lo=-1.0, hi=1.0):
     return rng.uniform(lo, hi, size=shape).astype(np.float32)
 
@@ -211,6 +216,14 @@ class TestActivations:
         out = T.prelu(x, np.array([0.25], np.float32))
         assert out[0, 0, 0, 0] == -1.0
 
+    def test_prelu_into_its_own_input(self):
+        rng = np.random.default_rng(16)
+        x = channels_last(rand_f32(rng, 2, 3, 4, 5))
+        alpha = rand_f32(rng, 3)
+        want = T.prelu(x, alpha)
+        assert T.prelu(x, alpha, out=x) is x
+        assert x.tobytes() == want.tobytes()
+
 
 class TestPooling:
     def test_max_pool_two_by_two(self):
@@ -265,6 +278,12 @@ class TestDense:
             want = oracles.naive_dense(x, w, b)
             np.testing.assert_allclose(got, want, atol=1e-5)
 
+    def test_column_major_rows_give_same_bytes(self):
+        rng = np.random.default_rng(19)
+        x, w, b = rand_f32(rng, 17, 64), rand_f32(rng, 10, 64), rand_f32(rng, 10)
+        want = T.dense(x, w, b)
+        assert T.dense(np.asfortranarray(x), w, b).tobytes() == want.tobytes()
+
 
 class TestSoftmax:
     def test_symmetric_pair(self):
@@ -306,6 +325,8 @@ class TestPurity:
         snapshot_x, snapshot_w = x.copy(), w.copy()
         T.conv2d(x, w, stride=2, padding=1)
         T.relu6(x)
+        T.prelu(x, w[0, :, 0, 0])
+        T.max_pool2d(x, 2, 2)
         T.softmax(x.reshape(-1))
         T.global_avg_pool(x)
         np.testing.assert_array_equal(x, snapshot_x)
@@ -319,3 +340,37 @@ class TestPurity:
         first = T.conv2d(x, w, b, stride=2, padding=1)
         second = T.conv2d(x, w, b, stride=2, padding=1)
         assert first.tobytes() == second.tobytes()
+
+
+# Operators whose input layout could change their result; each takes an
+# NCHW activation and a generator for its parameters.
+LAYOUT_CASES = {
+    "conv-1x1": lambda x, rng: T.conv2d(
+        x, rand_f32(rng, 7, x.shape[1], 1, 1), rand_f32(rng, 7)),
+    "conv-1x1-padded": lambda x, rng: T.conv2d(
+        x, rand_f32(rng, 7, x.shape[1], 1, 1), padding=1),
+    "conv-3x3": lambda x, rng: T.conv2d(
+        x, rand_f32(rng, 7, x.shape[1], 3, 3), rand_f32(rng, 7)),
+    "conv-3x3-padded-s2": lambda x, rng: T.conv2d(
+        x, rand_f32(rng, 7, x.shape[1], 3, 3), stride=2, padding=1),
+    "depthwise": lambda x, rng: T.depthwise_conv2d(
+        x, rand_f32(rng, x.shape[1], 1, 3, 3)),
+    "depthwise-s2": lambda x, rng: T.depthwise_conv2d(
+        x, rand_f32(rng, x.shape[1], 1, 3, 3), stride=2, padding=1),
+    "max-pool": lambda x, rng: T.max_pool2d(x, 3, 2),
+    "global-avg-pool": lambda x, rng: T.global_avg_pool(x),
+    "dense": lambda x, rng: T.dense(
+        x, rand_f32(rng, 5, x[0].size), rand_f32(rng, 5)),
+}
+
+
+@pytest.mark.parametrize("shape", [(4, 32, 3, 3), (1, 16, 6, 6), (3, 24, 5, 7),
+                                   (5, 48, 11, 11), (2, 96, 12, 12)])
+@pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+def test_channels_last_view_gives_contiguous_bytes(case, shape):
+    op = LAYOUT_CASES[case]
+    x = rand_f32(np.random.default_rng(30), *shape, lo=-4.0, hi=4.0)
+    want = op(x, np.random.default_rng(31))
+    got = op(channels_last(x), np.random.default_rng(31))
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()

@@ -105,6 +105,11 @@ def _cmd_detect(args) -> int:
 def _cmd_eval(args) -> int:
     from . import evaluate
 
+    for flag, path in (("--log", args.log), ("--truth", args.truth)):
+        if args.csv and os.path.realpath(args.csv) == os.path.realpath(path):
+            print(f"error: --csv {args.csv} would overwrite the {flag} input",
+                  file=sys.stderr)
+            return EXIT_USAGE
     detections = evaluate.load_detection_log(args.log)
     truths = evaluate.load_ground_truth(args.truth)
     report = evaluate.evaluate(detections, truths, iou_threshold=args.iou)

@@ -338,15 +338,14 @@ def crop_resize_batch(frame: Tensor, boxes: np.ndarray,
     x0, y0 = lo.astype(np.int64).transpose(1, 0, 2)
     fx, fy = (src - lo).astype(np.float32).transpose(1, 0, 2)
 
-    # Each gathered pixel is then C adjacent values.
-    image = np.ascontiguousarray(frame[0].transpose(1, 2, 0))  # (H, W, C)
+    # (H+2, W+2, C): each gathered pixel is C adjacent values, and the zero
+    # border is every sample outside the frame.
+    image = np.pad(frame[0].transpose(1, 2, 0), ((1, 1), (1, 1), (0, 0)))
 
     def gather(yy: np.ndarray, xx: np.ndarray) -> Tensor:
         """Pixels at (yy[n, i], xx[n, j]) -> (N, E, E, C), zero outside."""
-        valid = ((yy >= 0) & (yy < h))[:, :, None] & ((xx >= 0) & (xx < w))[:, None, :]
-        vals = image[np.clip(yy, 0, h - 1)[:, :, None],
-                     np.clip(xx, 0, w - 1)[:, None, :]]
-        return vals * valid[..., None]
+        return image[np.clip(yy, -1, h)[:, :, None] + 1,
+                     np.clip(xx, -1, w)[:, None, :] + 1]
 
     wx0, wx1 = (1 - fx)[:, None, :, None], fx[:, None, :, None]
     top = gather(y0, x0) * wx0 + gather(y0, x0 + 1) * wx1
@@ -355,29 +354,22 @@ def crop_resize_batch(frame: Tensor, boxes: np.ndarray,
     return out.astype(np.float32, copy=False).transpose(0, 3, 1, 2)
 
 
-def _head_names(network: Network) -> tuple[str, ...]:
-    """The regression head, then the landmark head if the network has one."""
-    prefix = network.layers[0].name.split(".", 1)[0]
-    names = {layer.name for layer in network.layers}
-    return tuple(n for n in (f"{prefix}.reg", f"{prefix}.landmarks") if n in names)
-
-
 def refine_stage(frame: Tensor, boxes: np.ndarray, network: Network,
-                 input_extent: int, threshold: float
+                 threshold: float, heads: tuple[str, ...]
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Re-score boxes on square crops; keep, calibrate and annotate.
 
-    Each box is square-padded, cropped at ``input_extent`` and scored;
-    survivors (score >= threshold) get their box recalibrated by the head's
-    offsets. Returns ``(boxes, scores, landmarks)``: landmarks are None
-    unless the network has a landmark head, else (N, 5, 2) frame points
-    mapped from crop-normalized coordinates by the pre-calibration square.
+    Each box is square-padded, cropped at the network's declared input
+    extent and scored; survivors (score >= threshold) get their box
+    recalibrated by the offsets of ``heads[0]``, the regression head.
+    Returns ``(boxes, scores, landmarks)``: landmarks are None unless
+    ``heads[1]`` names a landmark head, else (N, 5, 2) frame points mapped
+    from crop-normalized coordinates by the pre-calibration square.
     Raises ValueError on any non-finite score.
     """
-    heads = _head_names(network)
     squares = square_pad(boxes)
-    probs, tapped = network.forward(crop_resize_batch(frame, squares, input_extent),
-                                    taps=heads)
+    crops = crop_resize_batch(frame, squares, network.input_shape[-1])
+    probs, tapped = network.forward(crops, taps=heads)
     scores = probs[:, 1].astype(np.float64)
     if not np.isfinite(scores).all():
         raise ValueError("face scores must be finite")
@@ -433,14 +425,15 @@ def detect_faces(frame: Tensor, networks: CascadeNetworks,
     counts["stage1"] = len(boxes)
     t = tick("stage1", t)
 
-    boxes, scores, _ = refine_stage(frame, boxes, networks.rnet, RNET_EXTENT,
-                                    config.threshold_rnet)
+    boxes, scores, _ = refine_stage(frame, boxes, networks.rnet,
+                                    config.threshold_rnet, ("rnet.reg",))
     boxes = boxes[nms(boxes, scores, config.nms_stage2, "union")]
     counts["stage2"] = len(boxes)
     t = tick("stage2", t)
 
-    boxes, scores, landmarks = refine_stage(frame, boxes, networks.onet,
-                                            ONET_EXTENT, config.threshold_onet)
+    boxes, scores, landmarks = refine_stage(
+        frame, boxes, networks.onet, config.threshold_onet,
+        ("onet.reg", "onet.landmarks"))
     keep = nms(boxes, scores, config.nms_stage3, "min")
     boxes, scores, landmarks = boxes[keep], scores[keep], landmarks[keep]
     counts["stage3"] = len(boxes)

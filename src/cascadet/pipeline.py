@@ -200,9 +200,9 @@ def process_frame(frame: Frame, networks: CascadeNetworks, classifier: Network,
                   timings: dict | None = None) -> list[Detection]:
     """Detect and classify every face in one frame.
 
-    Boxes are clamped to the frame, rounded to integer pixels, and ordered
-    by descending face score then detection index; boxes that collapse
-    under rounding are dropped.
+    Boxes are rounded half up to integer pixels, clamped to the frame, and
+    ordered by descending face score then detection index; boxes that
+    collapse under rounding are dropped.
     """
     tensor = frame_to_tensor(frame.pixels)
     faces = detect_faces(tensor, networks, cascade_config, timings=timings)
@@ -212,27 +212,15 @@ def process_frame(frame: Frame, networks: CascadeNetworks, classifier: Network,
     if timings is not None:
         timings["classifier"] = (timings.get("classifier", 0.0)
                                  + time.perf_counter() - start)
-    detections = []
-    for face, prediction in pairs:
-        box = _round_box(face.box, frame.width, frame.height)
-        if box is None:
-            continue
-        detections.append(Detection(
-            frame_index=frame.index, x1=box[0], y1=box[1], x2=box[2], y2=box[3],
-            label=prediction.label, confidence=prediction.confidence,
-            face_score=face.score))
-    return detections
-
-
-def _round_box(box: BoundingBox, width: int,
-               height: int) -> tuple[int, int, int, int] | None:
-    x1 = max(0, min(width, math.floor(box.x1 + 0.5)))
-    y1 = max(0, min(height, math.floor(box.y1 + 0.5)))
-    x2 = max(0, min(width, math.floor(box.x2 + 0.5)))
-    y2 = max(0, min(height, math.floor(box.y2 + 0.5)))
-    if x2 <= x1 or y2 <= y1:
-        return None
-    return x1, y1, x2, y2
+    boxes = np.array([[f.box.x1, f.box.y1, f.box.x2, f.box.y2]
+                      for f, _ in pairs]).reshape(-1, 4)
+    rounded = np.clip(np.floor(boxes + 0.5), 0, [frame.width, frame.height] * 2)
+    kept = (rounded[:, 2:] > rounded[:, :2]).all(axis=1)
+    return [Detection(frame_index=frame.index, x1=x1, y1=y1, x2=x2, y2=y2,
+                      label=prediction.label, confidence=prediction.confidence,
+                      face_score=face.score)
+            for (x1, y1, x2, y2), (face, prediction), ok
+            in zip(rounded.astype(int).tolist(), pairs, kept) if ok]
 
 
 def annotate(frame: Frame, detections: list[Detection]) -> Frame:
@@ -316,14 +304,19 @@ def parse_config(path: str | Path, env: dict | None = None) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     values: dict[str, str] = {}
+    set_on: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in set_on:
+            raise ConfigError(f"{path}:{lineno}: key {key} already set on "
+                              f"line {set_on[key]}")
+        set_on[key] = lineno
+        values[key] = value
 
     required = ("manifest", "output_dir", "cascade_weights", "classifier_weights")
     known = set(required) | set(_CASCADE_KEYS) | set(_BACKBONE_KEYS)

@@ -96,6 +96,26 @@ class TestEval:
         assert rc == cli.EXIT_OK
         assert csv_path.read_text().startswith("approach,")
 
+    @pytest.mark.parametrize("via_symlink", [False, True],
+                             ids=["same-path", "symlink"])
+    @pytest.mark.parametrize("flag", ["--log", "--truth"])
+    def test_csv_naming_an_input_is_usage_error(self, tmp_path, capsys, flag,
+                                                via_symlink):
+        log, truth = self.write_logs(tmp_path)
+        target = log if flag == "--log" else truth
+        before = target.read_bytes()
+        csv_path = target
+        if via_symlink:
+            csv_path = tmp_path / "report.csv"
+            csv_path.symlink_to(target)
+        rc = cli.main(["eval", "--log", str(log), "--truth", str(truth),
+                       "--csv", str(csv_path)])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_USAGE
+        assert f"--csv {csv_path} would overwrite the {flag} input" in captured.err
+        assert captured.out == ""
+        assert target.read_bytes() == before
+
     @pytest.mark.parametrize("record", [
         '[1, 2]',
         '{"frame": null, "x1": 10, "y1": 10, "x2": 30, "y2": 30, '

@@ -85,6 +85,19 @@ class TestResampling:
         out = D.crop_resize_batch(frame, boxes((20, 20, 30, 30)), 4)
         np.testing.assert_array_equal(out, np.zeros((1, 3, 4, 4), np.float32))
 
+    def test_off_edge_boxes_match_explicitly_padded_frame(self):
+        rng = np.random.default_rng(11)
+        frame = rng.uniform(-1, 1, (1, 3, 30, 40)).astype(np.float32)
+        padded = np.pad(frame, ((0, 0), (0, 0), (8, 8), (8, 8)))
+        # Off the left, top, right and bottom edges. 20-pixel sides at E=8
+        # keep every sample position exact under the 8-pixel shift.
+        edge_boxes = boxes((-6, 5, 14, 25), (10, -7, 30, 13),
+                           (28, 4, 48, 24), (12, 18, 32, 38))
+        crops = D.crop_resize_batch(frame, edge_boxes, 8)
+        assert all((crop == 0).any() and (crop != 0).any() for crop in crops)
+        np.testing.assert_array_equal(
+            crops, D.crop_resize_batch(padded, edge_boxes + 8, 8))
+
     def test_downscale_preserves_constant(self):
         frame = np.full((1, 3, 16, 16), 0.625, np.float32)
         out = D.crop_resize_batch(frame, boxes((0, 0, 16, 16)), 8)
@@ -294,20 +307,31 @@ def crafted_onet(prob_bias=(-5.0, 5.0), landmark_bias=0.5):
         "onet.prob_fc.bias": np.array(prob_bias, np.float32),
         "onet.landmarks.bias": np.full(10, landmark_bias, np.float32),
     }
-    return Network(layers, zero_archive_for(layers, overrides))
+    return Network(layers, zero_archive_for(layers, overrides),
+                   input_shape=(3, D.ONET_EXTENT, D.ONET_EXTENT))
+
+
+def crafted_rnet(overrides=None):
+    layers = D.build_rnet_layers()
+    return Network(layers, zero_archive_for(layers, overrides),
+                   input_shape=(3, D.RNET_EXTENT, D.RNET_EXTENT))
+
+
+RNET_HEADS = ("rnet.reg",)
+ONET_HEADS = ("onet.reg", "onet.landmarks")
 
 
 class TestRefineStage:
     def test_empty_input(self, cascade):
         frame = np.zeros((1, 3, 64, 64), np.float32)
         refined, scores, landmarks = D.refine_stage(frame, boxes(), cascade.rnet,
-                                                    24, 0.5)
+                                                    0.5, RNET_HEADS)
         assert (refined.shape, scores.shape, landmarks) == ((0, 4), (0,), None)
 
     def test_empty_input_with_landmarks(self, cascade):
         frame = np.zeros((1, 3, 64, 64), np.float32)
         refined, scores, landmarks = D.refine_stage(frame, boxes(), cascade.onet,
-                                                    48, 0.5)
+                                                    0.5, ONET_HEADS)
         assert (refined.shape, scores.shape, landmarks.shape) == (
             (0, 4), (0,), (0, 5, 2))
 
@@ -321,30 +345,27 @@ class TestRefineStage:
         assert tapped[f"{stage}.reg"].shape == (0, 4)
 
     def test_all_rejected_when_scores_low(self):
-        layers = D.build_rnet_layers()
-        rnet = Network(layers, zero_archive_for(layers))  # every score 0.5
+        rnet = crafted_rnet()  # every score 0.5
         frame = np.zeros((1, 3, 64, 64), np.float32)
-        refined, _, _ = D.refine_stage(frame, boxes((10, 10, 30, 30)), rnet, 24,
-                                       threshold=0.7)
+        refined, _, _ = D.refine_stage(frame, boxes((10, 10, 30, 30)), rnet,
+                                       threshold=0.7, heads=RNET_HEADS)
         assert len(refined) == 0
 
     def test_landmark_coordinate_mapping(self):
         onet = crafted_onet()
         frame = np.zeros((1, 3, 64, 64), np.float32)
         refined, _, landmarks = D.refine_stage(frame, boxes((10, 10, 30, 30)),
-                                               onet, 48, threshold=0.5)
+                                               onet, 0.5, ONET_HEADS)
         assert len(refined) == 1
         assert landmarks.shape == (1, 5, 2)
         for x, y in landmarks[0].tolist():
             assert (x, y) == (20.0, 20.0)
 
     def test_rnet_output_carries_no_landmarks(self):
-        layers = D.build_rnet_layers()
-        overrides = {"rnet.prob_fc.bias": np.array([-5.0, 5.0], np.float32)}
-        rnet = Network(layers, zero_archive_for(layers, overrides))
+        rnet = crafted_rnet({"rnet.prob_fc.bias": [-5.0, 5.0]})
         frame = np.zeros((1, 3, 64, 64), np.float32)
         refined, _, landmarks = D.refine_stage(frame, boxes((0, 0, 48, 48)),
-                                               rnet, 24, threshold=0.5)
+                                               rnet, 0.5, RNET_HEADS)
         assert len(refined) == 1
         assert landmarks is None
 

@@ -10,7 +10,8 @@ from cascadet import detector as D
 from cascadet import fixtures
 from cascadet import pipeline as P
 from cascadet import weights as W
-from cascadet.classifier import BackboneSpec, MaskLabel, build_classifier
+from cascadet.classifier import (BackboneSpec, MaskLabel, MaskPrediction,
+                                 build_classifier, classify_all)
 
 from generate_golden import compute_golden
 
@@ -203,6 +204,54 @@ class TestProcessFrame:
                                D.CascadeConfig(), spec)
         assert dets == []
 
+    def test_boxes_rounded_half_up_clamped_and_collapsed_dropped(self,
+                                                                 monkeypatch):
+        rows = [((10.5, -0.5, 20.4, 12.5), 0.6),   # -> (11, 0, 20, 13)
+                ((30.6, 10.0, 31.4, 20.0), 0.9),   # both x round to 31
+                ((-7.2, 5.0, 55.0, 31.6), 0.8)]    # past every edge
+        faces = [D.FaceCandidate(D.BoundingBox(*box), score)
+                 for box, score in rows]
+        prediction = MaskPrediction(MaskLabel.MASK, 0.75, (0.75, 0.25))
+        monkeypatch.setattr(P, "detect_faces", lambda *args, **kw: faces)
+        monkeypatch.setattr(P, "classify_all", lambda clf, tensor, found, **kw:
+                            [(face, prediction) for face in found])
+        frame = P.Frame(index=5, width=40, height=30,
+                        pixels=np.zeros((30, 40, 3), np.uint8))
+        dets = P.process_frame(frame, None, None, D.CascadeConfig(),
+                               BackboneSpec())
+        assert [(d.x1, d.y1, d.x2, d.y2) for d in dets] == [
+            (11, 0, 20, 13), (0, 5, 40, 30)]
+        assert [d.face_score for d in dets] == [0.6, 0.8]
+        assert [json.loads(d.to_json())["x2"] for d in dets] == [20, 40]
+        assert all(type(v) is int for d in dets for v in (d.x1, d.y1, d.x2, d.y2))
+
+
+class MinimalNetwork:
+    """Only what ``perfbench``'s traced pass hands the detector and
+    classifier in place of a ``Network``: ``forward``, ``layers`` and
+    ``input_shape``."""
+
+    def __init__(self, network):
+        self._forward = network.forward
+        self.layers = network.layers
+        self.input_shape = network.input_shape
+
+    def forward(self, x, taps=()):
+        return self._forward(x, taps=taps)
+
+
+def test_networks_used_only_through_forward_layers_input_shape(stack):
+    networks, classifier, _ = stack
+    tensor = D.frame_to_tensor(fixtures.synthetic_frame(2, 320, 180))
+    config = D.CascadeConfig()
+    faces = D.detect_faces(tensor, networks, config)
+    minimal = D.CascadeNetworks(MinimalNetwork(networks.pnet),
+                                MinimalNetwork(networks.rnet),
+                                MinimalNetwork(networks.onet))
+    assert faces and D.detect_faces(tensor, minimal, config) == faces
+    assert (classify_all(MinimalNetwork(classifier), tensor, faces)
+            == classify_all(classifier, tensor, faces))
+
 
 def write_run_setup(tmp_path, frame_seeds, width=320, height=240,
                     extra_config=""):
@@ -366,7 +415,7 @@ class TestParseConfig:
         assert config.backbone.input_extent == 64
 
     def test_environment_overrides(self, tmp_path):
-        config_path = write_run_setup(tmp_path, [])
+        config_path = write_run_setup(tmp_path, [], extra_config="workers=2\n")
         config = P.parse_config(config_path,
                                 env={"CASCADET_WORKERS": "8",
                                      "CASCADET_PYRAMID_FACTOR": "0.5"})
@@ -412,6 +461,13 @@ class TestParseConfig:
     def test_bad_value_rejected(self, tmp_path, setting):
         config_path = write_run_setup(tmp_path, [], extra_config=setting + "\n")
         with pytest.raises(P.ConfigError, match=setting.partition("=")[0]):
+            P.parse_config(config_path)
+
+    def test_key_given_twice_rejected(self, tmp_path):
+        config_path = write_run_setup(tmp_path, [],
+                                      extra_config="workers=1\nworkers=4\n")
+        with pytest.raises(P.ConfigError, match=r":6: key workers already set "
+                                                r"on line 5"):
             P.parse_config(config_path)
 
     def test_malformed_line_rejected(self, tmp_path):

@@ -46,7 +46,6 @@ class MaskLabel(enum.Enum):
 class MaskPrediction:
     label: MaskLabel
     confidence: float
-    probabilities: tuple[float, float]  # [Mask, NoMask]
 
 
 @dataclass(frozen=True)
@@ -114,26 +113,6 @@ def build_classifier(spec: BackboneSpec, weights) -> Network:
                    input_shape=(3, spec.input_extent, spec.input_extent))
 
 
-def classify_face(classifier: Network, face_crop: Tensor) -> MaskPrediction:
-    """Label one prepared crop; an exact probability tie resolves to NoMask.
-
-    Raises ValueError unless the classifier emits two finite probabilities.
-    """
-    probs = classifier.forward(face_crop)
-    probs = np.asarray(probs).reshape(-1)
-    if probs.shape != (2,):
-        raise ValueError(f"classifier emitted shape {probs.shape}, expected 2")
-    if not np.isfinite(probs).all():
-        raise ValueError(f"classifier probabilities must be finite, got {probs}")
-    p_mask, p_nomask = float(probs[0]), float(probs[1])
-    if p_mask > p_nomask:
-        label, confidence = MaskLabel.MASK, p_mask
-    else:
-        label, confidence = MaskLabel.NO_MASK, p_nomask
-    return MaskPrediction(label=label, confidence=confidence,
-                          probabilities=(p_mask, p_nomask))
-
-
 def classify_all(classifier: Network, frame: Tensor,
                  faces: list[detector.FaceCandidate], *,
                  input_extent: int | None = None,
@@ -142,7 +121,10 @@ def classify_all(classifier: Network, frame: Tensor,
 
     Crops are square-padded and resampled from the normalized frame tensor,
     matching the preprocessing the detector stages use. The crop extent
-    defaults to the classifier's declared input shape.
+    defaults to the classifier's declared input shape. The label is the
+    likelier class, NoMask on an exact tie, and the confidence its
+    probability. Raises ValueError when no extent is given or declared, or
+    unless each forward emits two finite probabilities.
     """
     if input_extent is None:
         if classifier.input_shape is None:
@@ -153,6 +135,15 @@ def classify_all(classifier: Network, frame: Tensor,
                      dtype=np.float64).reshape(-1, 4)
     crops = detector.crop_resize_batch(frame, detector.square_pad(boxes),
                                        input_extent)
-    # One forward per face: a row's dense output depends on the batch size.
-    return [(face, classify_face(classifier, crop[None]))
-            for face, crop in zip(faces, crops)]
+    pairs = []
+    for face, crop in zip(faces, crops):
+        # One forward per face: a row's dense output depends on the batch size.
+        probs = np.asarray(classifier.forward(crop[None])).reshape(-1)
+        if probs.shape != (2,):
+            raise ValueError(f"classifier emitted shape {probs.shape}, expected 2")
+        if not np.isfinite(probs).all():
+            raise ValueError(f"classifier probabilities must be finite, got {probs}")
+        p_mask, p_nomask = float(probs[0]), float(probs[1])
+        label = MaskLabel.MASK if p_mask > p_nomask else MaskLabel.NO_MASK
+        pairs.append((face, MaskPrediction(label, max(p_mask, p_nomask))))
+    return pairs

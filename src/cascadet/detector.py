@@ -59,12 +59,6 @@ class FaceCandidate:
 
 
 @dataclass(frozen=True)
-class PyramidLevel:
-    scale: float
-    image: Tensor
-
-
-@dataclass(frozen=True)
 class CascadeConfig:
     """Tunables the cascade depends on; defaults follow common practice."""
     min_face_size: int = 20
@@ -124,9 +118,10 @@ def bilinear_resize(image: Tensor, out_h: int, out_w: int) -> Tensor:
     return np.ascontiguousarray(out, dtype=np.float32)
 
 
-def build_image_pyramid(frame: Tensor, config: CascadeConfig) -> list[PyramidLevel]:
-    """Geometric pyramid with scales (12/min_face) * factor^k, all levels
-    keeping min(H, W) * scale >= 12. Scaled extents are rounded up."""
+def build_image_pyramid(frame: Tensor, config: CascadeConfig
+                        ) -> list[tuple[float, Tensor]]:
+    """Geometric pyramid of ``(scale, image)`` levels, scales (12/min_face)
+    * factor^k, all keeping min(H, W) * scale >= 12. Extents round up."""
     _, _, h, w = frame.shape
     if min(h, w) < config.min_face_size:
         log.warning("frame %dx%d smaller than min face size %d; empty pyramid",
@@ -137,7 +132,7 @@ def build_image_pyramid(frame: Tensor, config: CascadeConfig) -> list[PyramidLev
     while min(h, w) * scale >= PNET_EXTENT:
         sh = int(np.ceil(h * scale))
         sw = int(np.ceil(w * scale))
-        levels.append(PyramidLevel(scale, bilinear_resize(frame, sh, sw)))
+        levels.append((scale, bilinear_resize(frame, sh, sw)))
         scale *= config.pyramid_factor
     return levels
 
@@ -228,22 +223,23 @@ class CascadeNetworks:
                                 input_shape=(3, ONET_EXTENT, ONET_EXTENT)))
 
 
-def generate_proposals(level: PyramidLevel, pnet: Network, threshold: float
+def generate_proposals(image: Tensor, scale: float, pnet: Network,
+                       threshold: float
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Candidates from one pyramid level, in row-major grid order.
 
     Grid cell (r, c) corresponds to the 12x12 window at (2c, 2r) in scaled
-    coordinates; boxes are mapped back to frame pixels by dividing by the
-    level scale. Returns ``(boxes, scores, offsets)``, the offsets (N, 4).
+    coordinates; boxes are mapped back to frame pixels by dividing by
+    ``scale``. Returns ``(boxes, scores, offsets)``, the offsets (N, 4).
     Raises ValueError if any grid cell's face score is non-finite.
     """
-    prob_map, taps = pnet.forward(level.image, taps=("pnet.reg",))
+    prob_map, taps = pnet.forward(image, taps=("pnet.reg",))
     face_prob = prob_map[0, 1]
     if not np.isfinite(face_prob).all():
         raise ValueError("face scores must be finite")
     rows, cols = np.nonzero(face_prob >= threshold)
     x, y = PNET_STRIDE * cols, PNET_STRIDE * rows
-    inv = 1.0 / level.scale
+    inv = 1.0 / scale
     boxes = np.stack([x, y, x + PNET_EXTENT, y + PNET_EXTENT], axis=1) * inv
     offsets = taps["pnet.reg"][0][:, rows, cols].T.astype(np.float64)
     return boxes, face_prob[rows, cols].astype(np.float64), offsets
@@ -412,8 +408,8 @@ def detect_faces(frame: Tensor, networks: CascadeNetworks,
 
     counts = {"levels": len(pyramid), "proposals": 0}
     survivors = [(np.zeros((0, 4)), np.zeros(0), np.zeros((0, 4)))]
-    for level in pyramid:
-        boxes, scores, offsets = generate_proposals(level, networks.pnet,
+    for scale, image in pyramid:
+        boxes, scores, offsets = generate_proposals(image, scale, networks.pnet,
                                                     config.threshold_pnet)
         counts["proposals"] += len(scores)
         keep = nms(boxes, scores, config.nms_pyramid, "union")

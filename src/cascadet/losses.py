@@ -15,8 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import Tensor
-
 PROB_CLAMP = 1e-7
 DEFAULT_TASK_WEIGHTS = {"det": 1.0, "box": 0.5, "landmark": 0.5}
 
@@ -27,7 +25,6 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainingSample:
-    input: Tensor | None
     tasks: frozenset
     y_det: int | None = None
     y_box: np.ndarray | None = None

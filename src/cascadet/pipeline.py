@@ -5,8 +5,8 @@ video; extraction from a video file is a one-liner with any external tool
 (e.g. ``ffmpeg -i clip.mp4 frames/%04d.ppm``). Frames are processed by a
 bounded worker pool over immutable shared networks; each frame's outputs are
 written in frame-index order as soon as that frame finishes, so results are
-byte-identical regardless of worker count and memory does not grow with the
-manifest.
+byte-identical regardless of worker count. At most ``2 * workers`` frames
+are submitted and not yet written, so memory does not grow with the manifest.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import json
 import logging
 import math
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -23,8 +24,8 @@ import numpy as np
 
 from . import font
 from .classifier import BackboneSpec, MaskLabel, build_classifier, classify_all
-from .detector import (BoundingBox, CascadeConfig, CascadeNetworks,
-                       detect_faces, frame_to_tensor)
+from .detector import (CascadeConfig, CascadeNetworks, detect_faces,
+                       frame_to_tensor)
 from .tensor import Network
 from .weights import load as load_archive
 
@@ -84,7 +85,9 @@ class Detection:
     face_score: float
 
     def __post_init__(self):
-        BoundingBox(self.x1, self.y1, self.x2, self.y2)  # rejects a degenerate box
+        if not (self.x2 > self.x1 and self.y2 > self.y1):
+            raise ValueError(
+                f"degenerate box ({self.x1}, {self.y1}, {self.x2}, {self.y2})")
 
     def to_json(self) -> str:
         return json.dumps({
@@ -197,15 +200,18 @@ def _load_frame(index: int, lineno: int, path: Path, entry: str) -> Frame:
 
 def process_frame(frame: Frame, networks: CascadeNetworks, classifier: Network,
                   cascade_config: CascadeConfig, backbone_spec: BackboneSpec,
-                  timings: dict | None = None) -> list[Detection]:
+                  timings: dict | None = None,
+                  trace: dict | None = None) -> list[Detection]:
     """Detect and classify every face in one frame.
 
     Boxes are rounded half up to integer pixels, clamped to the frame, and
     ordered by descending face score then detection index; boxes that
-    collapse under rounding are dropped.
+    collapse under rounding are dropped. ``timings`` and ``trace`` are
+    filled in as :func:`detect_faces` does, plus ``classifier`` seconds.
     """
     tensor = frame_to_tensor(frame.pixels)
-    faces = detect_faces(tensor, networks, cascade_config, timings=timings)
+    faces = detect_faces(tensor, networks, cascade_config, timings=timings,
+                         trace=trace)
     start = time.perf_counter()
     pairs = classify_all(classifier, tensor, faces,
                          input_extent=backbone_spec.input_extent)
@@ -445,9 +451,16 @@ def run(config: RunConfig) -> RunSummary:
         except Exception as exc:  # frame-level isolation
             return exc
 
+    window = 2 * config.workers
     with ThreadPoolExecutor(max_workers=config.workers) as pool, \
             open(config.output_dir / "detections.jsonl", "w") as log_file:
-        for index, outcome in enumerate(pool.map(job, range(len(entries)))):
+        pending: deque = deque()
+        for index in range(len(entries)):
+            # Only frames index..index + window - 1 are in flight, so a slow
+            # frame cannot leave the rest of the manifest finished behind it.
+            while len(pending) < window and index + len(pending) < len(entries):
+                pending.append(pool.submit(job, index + len(pending)))
+            outcome = pending.popleft().result()
             entry = entries[index][2]
             if isinstance(outcome, Exception):
                 log.warning("frame %d (%s): %s", index, entry, outcome)

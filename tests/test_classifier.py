@@ -97,21 +97,33 @@ class TestBuild:
         assert stem.out_channels == 16
 
 
+WHOLE_FRAME = D.FaceCandidate(box=D.BoundingBox(0, 0, 32, 32), score=1.0)
+
+
+def classify(clf, frame, **kw):
+    """The prediction for one box covering the whole 32x32 frame; its
+    32x32 crop samples every pixel at its centre, so it is the frame."""
+    [(face, prediction)] = C.classify_all(clf, frame, [WHOLE_FRAME], **kw)
+    assert face is WHOLE_FRAME
+    return prediction
+
+
 class TestClassifyFace:
+    """One face's prediction, made through ``classify_all``."""
+
     def test_zeroed_head_ties_to_nomask(self):
         clf = zeroed(SMALL_SPEC)
         x = np.zeros((1, 3, 32, 32), np.float32)
-        pred = C.classify_face(clf, x)
+        pred = classify(clf, x)
         assert pred.label is C.MaskLabel.NO_MASK
         assert pred.confidence == 0.5
-        assert pred.probabilities == (0.5, 0.5)
 
     def test_crafted_logits_give_mask_two_thirds(self):
         archive = fixtures.zeroed_classifier_archive(SMALL_SPEC)
         archive.get("head.fc2.bias")[...] = np.array([np.log(2.0), 0.0],
                                                      np.float32)
         clf = C.build_classifier(SMALL_SPEC, archive)
-        pred = C.classify_face(clf, np.zeros((1, 3, 32, 32), np.float32))
+        pred = classify(clf, np.zeros((1, 3, 32, 32), np.float32))
         assert pred.label is C.MaskLabel.MASK
         assert pred.confidence == pytest.approx(2 / 3, abs=1e-6)
 
@@ -120,12 +132,12 @@ class TestClassifyFace:
         archive.get("head.fc2.bias")[...] = np.nan
         clf = C.build_classifier(SMALL_SPEC, archive)
         with pytest.raises(ValueError, match="finite"):
-            C.classify_face(clf, np.zeros((1, 3, 32, 32), np.float32))
+            classify(clf, np.zeros((1, 3, 32, 32), np.float32))
 
     def test_logit_scaling_never_changes_label(self, small_classifier):
         rng = np.random.default_rng(3)
         x = rng.uniform(-1, 1, (1, 3, 32, 32)).astype(np.float32)
-        base = C.classify_face(small_classifier, x)
+        base = classify(small_classifier, x)
         archive = fixtures.fixture_classifier_archive(SMALL_SPEC)
         for scale in (0.5, 2.0, 7.5):
             scaled = fixtures.fixture_classifier_archive(SMALL_SPEC)
@@ -133,27 +145,28 @@ class TestClassifyFace:
                 archive.get("head.fc2.weight") * np.float32(scale))
             scaled.get("head.fc2.bias")[...] = (
                 archive.get("head.fc2.bias") * np.float32(scale))
-            pred = C.classify_face(C.build_classifier(SMALL_SPEC, scaled), x)
+            pred = classify(C.build_classifier(SMALL_SPEC, scaled), x)
             assert pred.label is base.label
 
     def test_probabilities_sum_to_one(self, small_classifier):
         rng = np.random.default_rng(4)
         for _ in range(10):
             x = rng.uniform(-1, 1, (1, 3, 32, 32)).astype(np.float32)
-            pred = C.classify_face(small_classifier, x)
-            assert sum(pred.probabilities) == pytest.approx(1.0, abs=1e-6)
-            assert pred.confidence == max(pred.probabilities)
+            pred = classify(small_classifier, x)
+            probs = small_classifier.forward(x)[0].tolist()
+            assert sum(probs) == pytest.approx(1.0, abs=1e-6)
+            assert pred.confidence == max(probs)
 
     def test_wrong_input_shape_rejected(self, small_classifier):
         with pytest.raises(ValueError):
-            C.classify_face(small_classifier,
-                            np.zeros((1, 3, 11, 11), np.float32))
+            classify(small_classifier, np.zeros((1, 3, 32, 32), np.float32),
+                     input_extent=11)
 
     def test_pure_function_of_crop(self, small_classifier):
         rng = np.random.default_rng(5)
         x = rng.uniform(-1, 1, (1, 3, 32, 32)).astype(np.float32)
-        a = C.classify_face(small_classifier, x)
-        b = C.classify_face(small_classifier, x)
+        a = classify(small_classifier, x)
+        b = classify(small_classifier, x)
         assert a == b
 
 

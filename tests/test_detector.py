@@ -32,7 +32,7 @@ class TestPyramid:
     def test_documented_scale_sequence(self):
         frame = np.zeros((1, 3, 100, 100), np.float32)
         levels = D.build_image_pyramid(frame, D.CascadeConfig())
-        got = [level.scale for level in levels]
+        got = [scale for scale, _ in levels]
         want = [0.6, 0.4254, 0.30161, 0.21384, 0.15161]
         assert len(got) == 5
         np.testing.assert_allclose(got, want, atol=1e-4)
@@ -42,8 +42,9 @@ class TestPyramid:
         config = D.CascadeConfig(min_face_size=12)
         levels = D.build_image_pyramid(frame, config)
         assert len(levels) == 1
-        assert levels[0].scale == 1.0
-        assert levels[0].image.shape == (1, 3, 12, 12)
+        scale, image = levels[0]
+        assert scale == 1.0
+        assert image.shape == (1, 3, 12, 12)
 
     def test_too_small_frame_gives_empty_pyramid(self, caplog):
         frame = np.zeros((1, 3, 10, 10), np.float32)
@@ -56,10 +57,10 @@ class TestPyramid:
         frame = np.zeros((1, 3, 240, 320), np.float32)
         config = D.CascadeConfig()
         levels = D.build_image_pyramid(frame, config)
-        scales = [level.scale for level in levels]
+        scales = [scale for scale, _ in levels]
         assert all(a > b for a, b in zip(scales, scales[1:]))
-        for level in levels:
-            assert min(level.image.shape[2:]) >= 12
+        for _, image in levels:
+            assert min(image.shape[2:]) >= 12
         # No valid scale omitted: one more factor step must fall below the floor.
         assert 240 * scales[-1] * config.pyramid_factor < 12
 
@@ -67,8 +68,8 @@ class TestPyramid:
         frame = np.zeros((1, 3, 180, 300), np.float32)
         config = D.CascadeConfig(min_face_size=24, pyramid_factor=0.8)
         levels = D.build_image_pyramid(frame, config)
-        for k, level in enumerate(levels):
-            assert level.scale == pytest.approx(
+        for k, (scale, _) in enumerate(levels):
+            assert scale == pytest.approx(
                 (12 / 24) * 0.8 ** k, rel=1e-12)
 
 
@@ -271,15 +272,16 @@ class TestProposals:
     def test_unreachable_threshold_gives_empty(self):
         archive = zero_archive_for(D.build_pnet_layers())
         pnet = Network(D.build_pnet_layers(), archive)
-        level = D.PyramidLevel(1.0, np.zeros((1, 3, 20, 20), np.float32))
-        props, scores, offsets = D.generate_proposals(level, pnet, threshold=1.0)
+        image = np.zeros((1, 3, 20, 20), np.float32)
+        props, scores, offsets = D.generate_proposals(image, 1.0, pnet,
+                                                      threshold=1.0)
         assert (props.shape, scores.shape, offsets.shape) == ((0, 4), (0,), (0, 4))
 
     def test_grid_cell_coordinate_mapping(self, cascade):
         rng = np.random.default_rng(8)
         image = rng.uniform(-1, 1, (1, 3, 16, 16)).astype(np.float32)
-        level = D.PyramidLevel(0.5, image)
-        props, _, _ = D.generate_proposals(level, cascade.pnet, threshold=0.0)
+        props, _, _ = D.generate_proposals(image, 0.5, cascade.pnet,
+                                           threshold=0.0)
         assert len(props) == 9   # 3x3 grid from a 16x16 level
         assert props[0].tolist() == [0.0, 0.0, 24.0, 24.0]
         # Row-major enumeration: second cell is (r=0, c=1) -> x1 = 2/0.5.
@@ -288,8 +290,8 @@ class TestProposals:
     def test_fully_convolutional_equals_sliding_window(self, cascade):
         rng = np.random.default_rng(9)
         image = rng.uniform(-1, 1, (1, 3, 24, 24)).astype(np.float32)
-        level = D.PyramidLevel(1.0, image)
-        _, scores, _ = D.generate_proposals(level, cascade.pnet, threshold=0.0)
+        _, scores, _ = D.generate_proposals(image, 1.0, cascade.pnet,
+                                            threshold=0.0)
         assert len(scores) == 49  # 7x7 cells over a 24x24 image
         k = 0
         for r in range(7):

@@ -99,7 +99,7 @@ class TestLossDet:
 class TestMultitaskLoss:
     def sample(self, tasks):
         return L.TrainingSample(
-            input=None, tasks=frozenset(tasks), y_det=1,
+            tasks=frozenset(tasks), y_det=1,
             y_box=np.array([0.1, 0.2, -0.1, 0.0]),
             y_landmark=np.zeros(10))
 
@@ -125,11 +125,11 @@ class TestMultitaskLoss:
 
     def test_unknown_task_rejected(self):
         with pytest.raises(ValueError):
-            L.TrainingSample(input=None, tasks=frozenset({"pose"}))
+            L.TrainingSample(tasks=frozenset({"pose"}))
 
     def test_bad_label_rejected(self):
         with pytest.raises(ValueError):
-            L.TrainingSample(input=None, tasks=frozenset({"det"}), y_det=3)
+            L.TrainingSample(tasks=frozenset({"det"}), y_det=3)
 
 
 class TestHeadGradients:

@@ -1,4 +1,5 @@
 import json
+import threading
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -191,6 +192,17 @@ class TestProcessFrame:
         written = json.dumps(fresh_golden, indent=2) + "\n"
         assert written.encode() == GOLDEN_PATH.read_bytes()
 
+    def test_trace_counts_match_golden(self, golden, stack):
+        networks, classifier, spec = stack
+        seed, width, height = (golden["frame"][key]
+                               for key in ("seed", "width", "height"))
+        frame = P.Frame(index=0, width=width, height=height,
+                        pixels=fixtures.synthetic_frame(seed, width, height))
+        trace = {}
+        P.process_frame(frame, networks, classifier, D.CascadeConfig(), spec,
+                        trace=trace)
+        assert trace == golden["trace"]
+
     def test_boxes_inside_frame(self, golden):
         for det in golden["detections"]:
             assert 0 <= det["x1"] < det["x2"] <= golden["frame"]["width"]
@@ -211,7 +223,7 @@ class TestProcessFrame:
                 ((-7.2, 5.0, 55.0, 31.6), 0.8)]    # past every edge
         faces = [D.FaceCandidate(D.BoundingBox(*box), score)
                  for box, score in rows]
-        prediction = MaskPrediction(MaskLabel.MASK, 0.75, (0.75, 0.25))
+        prediction = MaskPrediction(MaskLabel.MASK, 0.75)
         monkeypatch.setattr(P, "detect_faces", lambda *args, **kw: faces)
         monkeypatch.setattr(P, "classify_all", lambda clf, tensor, found, **kw:
                             [(face, prediction) for face in found])
@@ -382,6 +394,46 @@ class TestRun:
             finally:
                 tracemalloc.stop()
         assert peaks[60] - peaks[10] < 2 * 2**20, peaks
+
+    def test_slow_frame_bounds_frames_in_flight(self, tmp_path, monkeypatch):
+        """While frame 0 is slow, at most 2 * workers frames have finished
+        when it is written; the rest are written after it, in frame order,
+        and a failing frame is skipped without stopping its neighbours."""
+        workers, count = 2, 12
+        config = P.parse_config(write_run_setup(
+            tmp_path, [0] * count, width=32, height=24,
+            extra_config=f"workers={workers}\n"))
+        lock = threading.Lock()
+        finished = []
+        others_done = threading.Event()
+
+        def slow_first_frame(frame, *args, **kwargs):
+            if frame.index == 0:
+                # Returns at once if every other frame could finish first.
+                others_done.wait(timeout=1.0)
+            with lock:
+                finished.append(frame.index)
+                if len(finished) == count - 1 and 0 not in finished:
+                    others_done.set()
+            if frame.index == 5:
+                raise ValueError("planted failure")
+            return []
+
+        written = []
+        write = P.write_ppm
+
+        def record_write(path, pixels):
+            with lock:
+                written.append((Path(path).name, len(finished)))
+            write(path, pixels)
+
+        monkeypatch.setattr(P, "process_frame", slow_first_frame)
+        monkeypatch.setattr(P, "write_ppm", record_write)
+        summary = P.run(config)
+        assert (summary.frames, summary.failed_frames) == (count, 1)
+        assert [name for name, _ in written] == [
+            f"frame{i:03d}.ppm" for i in range(count) if i != 5]
+        assert written[0][1] <= 2 * workers, written
 
 
 class TestRunFailureIsolation:

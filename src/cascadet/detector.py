@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (Network, Tensor, conv_layer, dense_layer, prelu_layer,
-                     LayerSpec, parameter_shapes)
+                     LayerSpec, parameter_shapes, _row_blocks)
 
 log = logging.getLogger(__name__)
 
@@ -321,7 +321,9 @@ def crop_resize_batch(frame: Tensor, boxes: np.ndarray,
 
     Returns a (len(boxes), C, E, E) batch, a view of channels-last memory.
     Sample points outside the frame contribute zero, so boxes hanging past
-    the edges come back zero-padded.
+    the edges come back zero-padded. The crops are filled a block of boxes
+    at a time (see :func:`tensor._row_blocks`); each crop's bits depend
+    only on its own box, not on the block size or the rest of the batch.
     """
     if out_extent < 1:
         raise ValueError(f"out_extent must be positive, got {out_extent}")
@@ -334,20 +336,26 @@ def crop_resize_batch(frame: Tensor, boxes: np.ndarray,
     x0, y0 = lo.astype(np.int64).transpose(1, 0, 2)
     fx, fy = (src - lo).astype(np.float32).transpose(1, 0, 2)
 
-    # (H+2, W+2, C): each gathered pixel is C adjacent values, and the zero
-    # border is every sample outside the frame.
-    image = np.pad(frame[0].transpose(1, 2, 0), ((1, 1), (1, 1), (0, 0)))
-
-    def gather(yy: np.ndarray, xx: np.ndarray) -> Tensor:
-        """Pixels at (yy[n, i], xx[n, j]) -> (N, E, E, C), zero outside."""
-        return image[np.clip(yy, -1, h)[:, :, None] + 1,
-                     np.clip(xx, -1, w)[:, None, :] + 1]
-
+    # Pixel (y, x) is row (y + 1) * (W + 2) + x + 1 of the zero-bordered
+    # (H+2)*(W+2) x C table; every sample outside the frame clips onto the
+    # border. Each gathered pixel is then one take of C adjacent values.
+    table = np.pad(frame[0].transpose(1, 2, 0),
+                   ((1, 1), (1, 1), (0, 0))).reshape(-1, c)
+    row0, row1 = ((np.clip(y, -1, h) + 1) * (w + 2) for y in (y0, y0 + 1))
+    col0, col1 = (np.clip(x, -1, w) + 1 for x in (x0, x0 + 1))
     wx0, wx1 = (1 - fx)[:, None, :, None], fx[:, None, :, None]
-    top = gather(y0, x0) * wx0 + gather(y0, x0 + 1) * wx1
-    bottom = gather(y0 + 1, x0) * wx0 + gather(y0 + 1, x0 + 1) * wx1
-    out = top * (1 - fy)[:, :, None, None] + bottom * fy[:, :, None, None]
-    return out.astype(np.float32, copy=False).transpose(0, 3, 1, 2)
+    wy0, wy1 = (1 - fy)[:, :, None, None], fy[:, :, None, None]
+
+    def gather(b: slice, row: np.ndarray, col: np.ndarray) -> Tensor:
+        """Pixels at (row[n, i], col[n, j]) for boxes ``b`` -> (B, E, E, C)."""
+        return table.take(row[b, :, None] + col[b, None, :], axis=0)
+
+    out = np.empty((len(boxes), e, e, c), np.float32)
+    for b in _row_blocks(out):
+        top = gather(b, row0, col0) * wx0[b] + gather(b, row0, col1) * wx1[b]
+        bottom = gather(b, row1, col0) * wx0[b] + gather(b, row1, col1) * wx1[b]
+        np.add(top * wy0[b], bottom * wy1[b], out=out[b])
+    return out.transpose(0, 3, 1, 2)
 
 
 def refine_stage(frame: Tensor, boxes: np.ndarray, network: Network,

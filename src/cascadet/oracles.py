@@ -121,6 +121,35 @@ def naive_global_avg_pool(x):
     return out
 
 
+def naive_crop_resize(frame, box, extent):
+    """Bilinear extent x extent crop of the (x1, y1, x2, y2) ``box`` from an
+    (N, C, H, W) frame's first image, one sample at a time: sample (i, j)
+    sits at the centre of cell (i, j) of the box's extent x extent grid, and
+    a pixel outside the frame reads as zero. Returns (C, extent, extent)."""
+    image = np.asarray(frame, dtype=np.float64)[0]
+    c, h, w = image.shape
+    x1, y1, x2, y2 = (float(v) for v in box)
+
+    def pixel(ci, y, x):
+        return image[ci, y, x] if 0 <= y < h and 0 <= x < w else 0.0
+
+    out = np.zeros((c, extent, extent))
+    for i in range(extent):
+        sy = y1 + (i + 0.5) * (y2 - y1) / extent - 0.5
+        ty = int(np.floor(sy))
+        fy = sy - ty
+        for j in range(extent):
+            sx = x1 + (j + 0.5) * (x2 - x1) / extent - 0.5
+            tx = int(np.floor(sx))
+            fx = sx - tx
+            for ci in range(c):
+                top = (1 - fx) * pixel(ci, ty, tx) + fx * pixel(ci, ty, tx + 1)
+                bottom = ((1 - fx) * pixel(ci, ty + 1, tx)
+                          + fx * pixel(ci, ty + 1, tx + 1))
+                out[ci, i, j] = (1 - fy) * top + fy * bottom
+    return out
+
+
 def brute_force_nms(boxes, scores, threshold, mode="union"):
     """Indices kept by checking every box against every kept box, in
     score-then-index order. ``boxes`` rows are (x1, y1, x2, y2)."""

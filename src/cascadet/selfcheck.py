@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import detector, losses, tensor, weights
-from .oracles import brute_force_nms, central_difference, naive_conv2d
+from .oracles import (brute_force_nms, central_difference, naive_conv2d,
+                      naive_crop_resize)
 
 
 def _check_conv(rng) -> bool:
@@ -23,6 +24,20 @@ def _check_conv(rng) -> bool:
         want = naive_conv2d(x, w, b, stride=1, padding=1)
         if np.abs(got - want).max() > 1e-5:
             return False
+    return True
+
+
+def _check_crop(rng) -> bool:
+    frame = rng.uniform(-1, 1, size=(1, 3, 9, 11)).astype(np.float32)
+    for _ in range(10):
+        # Corners up to 6 pixels past the frame, sides 1-12 pixels.
+        corner = rng.uniform(-6, 12, size=(8, 2))
+        boxes = np.hstack([corner, corner + rng.uniform(1, 12, size=(8, 2))])
+        extent = int(rng.integers(1, 9))
+        got = detector.crop_resize_batch(frame, boxes, extent)
+        for box, crop in zip(boxes, got):
+            if np.abs(crop - naive_crop_resize(frame, box, extent)).max() > 1e-6:
+                return False
     return True
 
 
@@ -96,6 +111,7 @@ def run_selfcheck() -> bool:
             ("greedy NMS vs brute force", _check_nms(rng)),
             ("analytic vs finite-difference gradients", _check_gradients(rng)),
             ("weight archive round-trip and corruption", _check_archive(Path(tmp))),
+            ("crop sampler vs scalar loop", _check_crop(rng)),
         ]
     ok = True
     for name, passed in checks:

@@ -8,6 +8,13 @@ a transpose copy. The result's bits never depend on the input's memory
 order; an operator whose arithmetic would (the matrix products, the
 depthwise einsum, the spatial mean) first makes its input contiguous.
 
+The element-wise operators (:func:`prelu`, :func:`max_pool2d`) and the
+detector's crop sampler fill one output a row block at a time: slices of
+the batch axis of a fixed byte size (``_BLOCK_BYTES``), small enough that
+each block's temporaries stay in the L2 cache. Their arithmetic is per
+element, so no output bit depends on the block size. The matrix products
+run on the whole batch: their bits depend on its row count.
+
 Operators are pure functions: inputs are never modified, except that
 :func:`prelu` writes to ``out`` when given one, and repeated calls on
 identical inputs return bit-identical results. :class:`Network` passes
@@ -38,6 +45,18 @@ class NetworkError(ValueError):
 
 def _as_f32(x) -> Tensor:
     return np.asarray(x, dtype=np.float32)
+
+
+# Bytes per row block: small enough that a block's temporaries stay in L2.
+_BLOCK_BYTES = 1 << 18
+
+
+def _row_blocks(x: Tensor) -> list[slice]:
+    """Slices of ``x``'s batch axis, each about ``_BLOCK_BYTES`` and at
+    least one row; none for an empty batch."""
+    row_bytes = x.itemsize * math.prod(x.shape[1:])
+    step = max(1, _BLOCK_BYTES // max(1, row_bytes))
+    return [slice(i, i + step) for i in range(0, len(x), step)]
 
 
 def _out_extent(extent: int, kernel: int, stride: int, padding: int) -> int:
@@ -152,13 +171,17 @@ def prelu(x: Tensor, alpha: Tensor, out: Tensor | None = None) -> Tensor:
     """
     x = _as_f32(x)
     alpha = alpha.reshape((1, x.shape[1]) + (1,) * (x.ndim - 2))
+    if out is None:
+        out = np.empty_like(x)
     # max(x, 0) + alpha * min(x, 0): same values as the piecewise form,
-    # without materializing a boolean mask. ``neg`` is read from ``x``
-    # before ``out`` can overwrite it.
-    neg = np.minimum(x, 0.0)
-    neg *= alpha
-    out = np.maximum(x, 0.0, out=out)
-    out += neg
+    # without materializing a boolean mask. ``neg`` is read from the block
+    # of ``x`` before the same block of ``out`` can overwrite it.
+    for rows in _row_blocks(x):
+        block, dst = x[rows], out[rows]
+        neg = np.minimum(block, 0.0)
+        neg *= alpha
+        np.maximum(block, 0.0, out=dst)
+        dst += neg
     return out
 
 
@@ -167,19 +190,20 @@ def max_pool2d(x: Tensor, kernel: int, stride: int) -> Tensor:
     x = _as_f32(x)
     if x.ndim != 4:
         raise ValueError(f"max_pool2d: input must be rank 4, got {x.ndim}")
-    h, w = x.shape[2:]
+    n, c, h, w = x.shape
     out_h, out_w = _check_conv_geometry("max_pool2d", h, w, kernel, kernel,
                                         stride, 0)
     # Fold the k*k window offsets with elementwise maxima over strided
     # slices into one buffer in the input's memory order; far faster than
-    # reducing a 6-D window view.
-    out = None
-    for ky in range(kernel):
-        for kx in range(kernel):
-            patch = x[:, :, ky:ky + stride * out_h:stride,
-                      kx:kx + stride * out_w:stride]
-            out = (patch.copy(order="K") if out is None
-                   else np.maximum(out, patch, out=out))
+    # reducing a 6-D window view. max(-inf, v) is v bit for bit, NaN too.
+    out = np.empty_like(x, shape=(n, c, out_h, out_w))
+    for rows in _row_blocks(x):
+        block, dst = x[rows], out[rows]
+        dst.fill(-np.inf)
+        for ky in range(kernel):
+            for kx in range(kernel):
+                np.maximum(dst, block[:, :, ky:ky + stride * out_h:stride,
+                                      kx:kx + stride * out_w:stride], out=dst)
     return out
 
 

@@ -183,6 +183,7 @@ class TestSelfcheck:
         out = capsys.readouterr().out
         assert rc == cli.EXIT_OK
         assert "[PASS]" in out
+        assert "[PASS] crop sampler vs scalar loop" in out
         assert "[FAIL]" not in out
 
     def test_selfcheck_fails_on_wrong_gradient(self, capsys, monkeypatch):

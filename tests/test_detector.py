@@ -5,6 +5,7 @@ import pytest
 
 from cascadet import detector as D
 from cascadet import fixtures, oracles
+from cascadet import tensor as T
 from cascadet.tensor import Network, parameter_shapes
 from cascadet.weights import WeightArchive
 
@@ -110,13 +111,40 @@ class TestResampling:
     def test_batch_rows_equal_single_box_crops(self):
         rng = np.random.default_rng(10)
         frame = rng.uniform(-1, 1, (1, 3, 40, 50)).astype(np.float32)
-        xy = rng.uniform(-10, 45, (12, 2))
-        batch_boxes = np.hstack([xy, xy + rng.uniform(1, 30, (12, 2))])
-        batch = D.crop_resize_batch(frame, batch_boxes, 24)
-        assert batch.shape == (12, 3, 24, 24)
-        for i in range(12):
-            alone = D.crop_resize_batch(frame, batch_boxes[i:i + 1], 24)
-            assert batch[i:i + 1].tobytes() == alone.tobytes()
+        channels_last = np.ascontiguousarray(
+            frame.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        # Three row blocks of 24x24 crops and part of a fourth.
+        per_block = T._BLOCK_BYTES // (3 * 24 * 24 * 4)
+        n = 3 * per_block + per_block // 2
+        xy = rng.uniform(-10, 45, (n, 2))
+        batch_boxes = np.hstack([xy, xy + rng.uniform(1, 30, (n, 2))])
+        for image in (frame, channels_last):
+            batch = D.crop_resize_batch(image, batch_boxes, 24)
+            assert batch.shape == (n, 3, 24, 24)
+            assert len(T._row_blocks(batch)) == 4
+            for i in range(n):
+                alone = D.crop_resize_batch(image, batch_boxes[i:i + 1], 24)
+                assert batch[i:i + 1].tobytes() == alone.tobytes()
+        empty = D.crop_resize_batch(frame, np.zeros((0, 4)), 24)
+        assert empty.shape == (0, 3, 24, 24)
+
+    def test_matches_scalar_loop_oracle(self):
+        rng = np.random.default_rng(12)
+        frame = rng.uniform(-1, 1, (1, 3, 9, 11)).astype(np.float32)
+        # Inside, off each edge and corner, larger than the frame, and
+        # wholly outside it on each side.
+        crop_boxes = boxes((1.3, 2.1, 7.9, 6.4), (-4.5, 1, 3.5, 8),
+                           (2, -3.2, 9, 4), (7.5, 3, 14, 9.5),
+                           (3, 6.5, 8, 12.25), (-2, -2, 4, 4),
+                           (8, 6, 15, 13), (-5, -4, 16, 14),
+                           (-9, 0, -1, 8), (12, 1, 20, 9),
+                           (0, -9, 8, -1), (1, 10, 9, 18))
+        for extent in (1, 5, 12):
+            got = D.crop_resize_batch(frame, crop_boxes, extent)
+            for box, crop in zip(crop_boxes, got):
+                want = oracles.naive_crop_resize(frame, box, extent)
+                np.testing.assert_allclose(crop, want, rtol=0, atol=1e-6)
+        assert (D.crop_resize_batch(frame, crop_boxes[-4:], 12) == 0).all()
 
     def test_frame_to_tensor_normalization(self):
         pixels = np.zeros((2, 2, 3), np.uint8)

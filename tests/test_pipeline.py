@@ -10,6 +10,7 @@ import pytest
 from cascadet import detector as D
 from cascadet import fixtures
 from cascadet import pipeline as P
+from cascadet import tensor as T
 from cascadet import weights as W
 from cascadet.classifier import (BackboneSpec, MaskLabel, MaskPrediction,
                                  build_classifier, classify_all)
@@ -202,6 +203,41 @@ class TestProcessFrame:
         P.process_frame(frame, networks, classifier, D.CascadeConfig(), spec,
                         trace=trace)
         assert trace == golden["trace"]
+
+    def test_block_size_never_changes_bits(self, golden, stack, monkeypatch):
+        """With one row per block, the crops, the rnet forward on every
+        stage-1 crop, the onet forward and the classifier give the bytes
+        they give at the default block size on the golden frame."""
+        networks, classifier, spec = stack
+        seed, width, height = (golden["frame"][key]
+                               for key in ("seed", "width", "height"))
+        frame = D.frame_to_tensor(fixtures.synthetic_frame(seed, width, height))
+        crop = D.crop_resize_batch
+        squares = []
+        monkeypatch.setattr(D, "crop_resize_batch", lambda image, boxes, e:
+                            squares.append(boxes) or crop(image, boxes, e))
+        faces = D.detect_faces(frame, networks, D.CascadeConfig())
+        monkeypatch.undo()
+        stage1, stage2 = squares
+        assert len(stage1) == golden["trace"]["stage1"]
+
+        def outputs():
+            rnet_crops = D.crop_resize_batch(frame, stage1, 24)
+            onet_crops = D.crop_resize_batch(frame, stage2, 48)
+            rnet = networks.rnet.forward(rnet_crops, taps=("rnet.reg",))
+            onet = networks.onet.forward(
+                onet_crops, taps=("onet.reg", "onet.landmarks"))
+            arrays = [rnet_crops, onet_crops, rnet[0], *rnet[1].values(),
+                      onet[0], *onet[1].values()]
+            return ([array.tobytes() for array in arrays],
+                    classify_all(classifier, frame, faces))
+
+        default = outputs()
+        assert len(T._row_blocks(np.empty((len(stage1), 24, 24, 3),
+                                          np.float32))) < len(stage1)
+        monkeypatch.setattr(T, "_BLOCK_BYTES", 1)
+        assert len(T._row_blocks(np.empty((len(stage1), 3)))) == len(stage1)
+        assert outputs() == default
 
     def test_boxes_inside_frame(self, golden):
         for det in golden["detections"]:

@@ -15,6 +15,16 @@ def rand_f32(rng, *shape, lo=-1.0, hi=1.0):
     return rng.uniform(lo, hi, size=shape).astype(np.float32)
 
 
+def spanning_blocks(rng, *row_shape):
+    """A float32 batch of ``row_shape`` rows that fills three of the
+    element-wise operators' row blocks and part of a fourth."""
+    per_block = T._BLOCK_BYTES // (4 * int(np.prod(row_shape)))
+    x = rand_f32(rng, 3 * per_block + per_block // 2, *row_shape)
+    blocks = T._row_blocks(x)
+    assert len(blocks) == 4 and len(x[blocks[-1]]) < per_block
+    return x
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
@@ -218,11 +228,18 @@ class TestActivations:
 
     def test_prelu_into_its_own_input(self):
         rng = np.random.default_rng(16)
-        x = channels_last(rand_f32(rng, 2, 3, 4, 5))
-        alpha = rand_f32(rng, 3)
-        want = T.prelu(x, alpha)
-        assert T.prelu(x, alpha, out=x) is x
-        assert x.tobytes() == want.tobytes()
+        alpha = rand_f32(rng, 8)
+        for layout in (np.ascontiguousarray, channels_last):
+            for x in (layout(rand_f32(rng, 2, 8, 4, 5)),
+                      layout(spanning_blocks(rng, 8, 16, 16))):
+                rows = np.concatenate([T.prelu(x[i:i + 1], alpha)
+                                       for i in range(len(x))])
+                want = T.prelu(x, alpha)
+                assert want.tobytes() == rows.tobytes()
+                assert T.prelu(x, alpha, out=x) is x
+                assert x.tobytes() == want.tobytes()
+        empty = T.prelu(np.zeros((0, 8, 4, 5), np.float32), alpha)
+        assert empty.shape == (0, 8, 4, 5)
 
 
 class TestPooling:
@@ -234,11 +251,22 @@ class TestPooling:
 
     def test_max_pool_matches_oracle(self):
         rng = np.random.default_rng(16)
-        for kernel, stride in ((2, 2), (3, 2), (2, 1)):
+        for kernel, stride in ((2, 2), (3, 2), (2, 1), (1, 1)):
             x = rand_f32(rng, 1, 3, 7, 8)
             got = T.max_pool2d(x, kernel, stride)
             want = oracles.naive_max_pool2d(x, kernel, stride)
             np.testing.assert_allclose(got, want, atol=0)
+        # Batches of several blocks equal row-at-a-time pooling byte for
+        # byte and keep the input's memory order.
+        for layout in (np.ascontiguousarray, channels_last):
+            x = layout(spanning_blocks(rng, 8, 16, 16))
+            got = T.max_pool2d(x, 3, 2)
+            rows = np.concatenate([T.max_pool2d(x[i:i + 1], 3, 2)
+                                   for i in range(len(x))])
+            assert got.tobytes() == rows.tobytes()
+            assert layout(got).strides == got.strides
+        assert T.max_pool2d(np.zeros((0, 8, 7, 7), np.float32),
+                            3, 2).shape == (0, 8, 3, 3)
 
     def test_global_avg_pool_constant(self):
         c = np.array([1.5, -2.0, 0.25], np.float32)

@@ -131,8 +131,7 @@ def classify_all(classifier: Network, frame: Tensor,
             raise ValueError("classifier declares no input shape; "
                              "pass input_extent explicitly")
         input_extent = classifier.input_shape[-1]
-    boxes = np.array([[f.box.x1, f.box.y1, f.box.x2, f.box.y2] for f in faces],
-                     dtype=np.float64).reshape(-1, 4)
+    boxes = np.array([f.box for f in faces], np.float64).reshape(-1, 4)
     crops = detector.crop_resize_batch(frame, detector.square_pad(boxes),
                                        input_extent)
     pairs = []

@@ -16,9 +16,9 @@ Pixel tensors entering the cascade are normalized as (v - 127.5) / 128;
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,20 +33,12 @@ RNET_EXTENT = 24
 ONET_EXTENT = 48
 
 
-@dataclass(frozen=True)
-class BoundingBox:
-    """Axis-aligned box in original-frame pixels, origin top-left."""
+class BoundingBox(NamedTuple):
+    """Frame-pixel box (origin top-left) as :func:`detect_faces` returns it."""
     x1: float
     y1: float
     x2: float
     y2: float
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.x1, self.y1, self.x2, self.y2))):
-            raise ValueError("bounding box coordinates must be finite")
-        if self.x2 <= self.x1 or self.y2 <= self.y1:
-            raise ValueError(
-                f"degenerate box ({self.x1}, {self.y1}, {self.x2}, {self.y2})")
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .classifier import MaskLabel
-from .detector import BoundingBox, iou
-from .pipeline import Detection, check_json_types
+from .detector import iou
+from .pipeline import Detection, check_box, check_json_types
 
 DEFAULT_IOU_THRESHOLD = 0.5
 UNDEFINED = "undefined"
@@ -26,17 +26,21 @@ UNDEFINED = "undefined"
 @dataclass(frozen=True)
 class GroundTruthEntry:
     frame_index: int
-    box: BoundingBox
+    x1: float
+    y1: float
+    x2: float
+    y2: float
     label: MaskLabel
+
+    def __post_init__(self):
+        check_box(self.x1, self.y1, self.x2, self.y2)
 
     @classmethod
     def from_json(cls, line: str) -> GroundTruthEntry:
         obj = json.loads(line)
         check_json_types(obj, ("frame",), ("x1", "y1", "x2", "y2"))
-        return cls(frame_index=obj["frame"],
-                   box=BoundingBox(float(obj["x1"]), float(obj["y1"]),
-                                   float(obj["x2"]), float(obj["y2"])),
-                   label=MaskLabel(obj["label"]))
+        return cls(frame_index=obj["frame"], x1=obj["x1"], y1=obj["y1"],
+                   x2=obj["x2"], y2=obj["y2"], label=MaskLabel(obj["label"]))
 
 
 @dataclass(frozen=True)
@@ -98,8 +102,10 @@ _MASK_CELL = {(MaskLabel.MASK, MaskLabel.MASK): "tp",
               (MaskLabel.NO_MASK, MaskLabel.MASK): "fn"}
 
 
-def _boxes(rows: list[tuple[float, float, float, float]]) -> np.ndarray:
-    return np.array(rows, dtype=np.float64).reshape(-1, 4)
+def _boxes(records: list) -> np.ndarray:
+    """(N, 4) corners of detections or ground-truth entries."""
+    return np.array([(r.x1, r.y1, r.x2, r.y2) for r in records],
+                    np.float64).reshape(-1, 4)
 
 
 def match_detections(detections: list[Detection],
@@ -125,11 +131,8 @@ def match_detections(detections: list[Detection],
     for dets, gts in by_frame.values():
         dets.sort(key=lambda d: (-d.face_score, d.x1, d.y1, d.x2, d.y2,
                                  d.label.value, d.confidence))
-        gts.sort(key=lambda g: (g.box.x1, g.box.y1, g.box.x2, g.box.y2,
-                                g.label.value))
-        overlaps = iou(_boxes([(d.x1, d.y1, d.x2, d.y2) for d in dets]),
-                       _boxes([(g.box.x1, g.box.y1, g.box.x2, g.box.y2)
-                               for g in gts]))
+        gts.sort(key=lambda g: (g.x1, g.y1, g.x2, g.y2, g.label.value))
+        overlaps = iou(_boxes(dets), _boxes(gts))
         overlaps = np.where(overlaps >= iou_threshold, overlaps, 0.0)
         matched = 0
         for det, row in zip(dets, overlaps):

@@ -73,6 +73,19 @@ def check_json_types(obj: dict, integers: tuple[str, ...],
             raise TypeError(f"{key} must be a number, got {obj[key]!r}")
 
 
+def check_box(x1, y1, x2, y2) -> None:
+    """Raise ValueError unless every corner is finite, x2 > x1 and y2 > y1."""
+    try:
+        finite = (math.isfinite(x1) and math.isfinite(y1)
+                  and math.isfinite(x2) and math.isfinite(y2))
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
+        raise ValueError("bounding box coordinates must be finite")
+    if not (float(x2) > float(x1) and float(y2) > float(y1)):
+        raise ValueError(f"degenerate box ({x1}, {y1}, {x2}, {y2})")
+
+
 @dataclass(frozen=True)
 class Detection:
     frame_index: int
@@ -85,9 +98,7 @@ class Detection:
     face_score: float
 
     def __post_init__(self):
-        if not (self.x2 > self.x1 and self.y2 > self.y1):
-            raise ValueError(
-                f"degenerate box ({self.x1}, {self.y1}, {self.x2}, {self.y2})")
+        check_box(self.x1, self.y1, self.x2, self.y2)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -100,9 +111,8 @@ class Detection:
 
     @classmethod
     def from_json(cls, line: str) -> Detection:
-        """Inverse of :meth:`to_json`. Raises KeyError, TypeError or
-        ValueError on a malformed or mistyped record, a non-finite score or
-        a degenerate box."""
+        """Inverse of :meth:`to_json`. Raises KeyError, TypeError or ValueError
+        on a malformed or mistyped record, a non-finite score or a bad box."""
         obj = json.loads(line)
         check_json_types(obj, ("frame", "x1", "y1", "x2", "y2"),
                          ("confidence", "face_score"))
@@ -204,10 +214,10 @@ def process_frame(frame: Frame, networks: CascadeNetworks, classifier: Network,
                   trace: dict | None = None) -> list[Detection]:
     """Detect and classify every face in one frame.
 
-    Boxes are rounded half up to integer pixels, clamped to the frame, and
-    ordered by descending face score then detection index; boxes that
-    collapse under rounding are dropped. ``timings`` and ``trace`` are
-    filled in as :func:`detect_faces` does, plus ``classifier`` seconds.
+    Boxes, clamped to the frame by :func:`detect_faces`, are rounded half up
+    to integer pixels and ordered by descending face score then detection
+    index; boxes that collapse under rounding are dropped. ``timings`` and
+    ``trace`` are filled as by :func:`detect_faces`, plus classifier seconds.
     """
     tensor = frame_to_tensor(frame.pixels)
     faces = detect_faces(tensor, networks, cascade_config, timings=timings,
@@ -218,9 +228,8 @@ def process_frame(frame: Frame, networks: CascadeNetworks, classifier: Network,
     if timings is not None:
         timings["classifier"] = (timings.get("classifier", 0.0)
                                  + time.perf_counter() - start)
-    boxes = np.array([[f.box.x1, f.box.y1, f.box.x2, f.box.y2]
-                      for f, _ in pairs]).reshape(-1, 4)
-    rounded = np.clip(np.floor(boxes + 0.5), 0, [frame.width, frame.height] * 2)
+    boxes = np.array([f.box for f, _ in pairs], np.float64).reshape(-1, 4)
+    rounded = np.floor(boxes + 0.5)
     kept = (rounded[:, 2:] > rounded[:, :2]).all(axis=1)
     return [Detection(frame_index=frame.index, x1=x1, y1=y1, x2=x2, y2=y2,
                       label=prediction.label, confidence=prediction.confidence,
@@ -440,16 +449,12 @@ def run(config: RunConfig) -> RunSummary:
     summary = RunSummary(frames=len(entries))
 
     def job(index: int):
-        lineno, path, entry = entries[index]
-        try:
-            frame = _load_frame(index, lineno, path, entry)
-            timings: dict = {}
-            detections = process_frame(frame, networks, clf, config.cascade,
-                                       config.backbone, timings=timings)
-            annotated = annotate(frame, detections) if config.annotate else None
-            return detections, timings, annotated
-        except Exception as exc:  # frame-level isolation
-            return exc
+        frame = _load_frame(index, *entries[index])
+        timings: dict = {}
+        detections = process_frame(frame, networks, clf, config.cascade,
+                                   config.backbone, timings=timings)
+        annotated = annotate(frame, detections) if config.annotate else None
+        return detections, timings, annotated
 
     window = 2 * config.workers
     with ThreadPoolExecutor(max_workers=config.workers) as pool, \
@@ -460,13 +465,13 @@ def run(config: RunConfig) -> RunSummary:
             # frame cannot leave the rest of the manifest finished behind it.
             while len(pending) < window and index + len(pending) < len(entries):
                 pending.append(pool.submit(job, index + len(pending)))
-            outcome = pending.popleft().result()
             entry = entries[index][2]
-            if isinstance(outcome, Exception):
-                log.warning("frame %d (%s): %s", index, entry, outcome)
+            try:
+                detections, timings, annotated = pending.popleft().result()
+            except Exception as exc:  # frame-level isolation
+                log.warning("frame %d (%s): %s", index, entry, exc)
                 summary.failed_frames += 1
                 continue
-            detections, timings, annotated = outcome
             for det in detections:
                 log_file.write(det.to_json() + "\n")
             summary.detections += len(detections)

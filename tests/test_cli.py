@@ -50,6 +50,16 @@ class TestDetect:
         assert "min_face_size" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("setting", [
+        "threshold_onet=1.5", "classifier_extent=16", "annotate=maybe"])
+    def test_bad_setting_is_usage_error(self, tmp_path, capsys, setting):
+        config_path = write_run_setup(tmp_path, [0], width=160, height=120,
+                                      extra_config=setting + "\n")
+        rc = cli.main(["detect", "--config", str(config_path)])
+        assert rc == cli.EXIT_USAGE
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_corrupt_archive_is_data_error(self, tmp_path, capsys):
         config_path = write_run_setup(tmp_path, [0], width=160, height=120)
         blob = bytearray((tmp_path / "cascade.cwts").read_bytes())
@@ -124,7 +134,15 @@ class TestEval:
         '"label": "Mask", "confidence": 0.9, "face_score": NaN}',
         '{"frame": 0, "x1": 30, "y1": 10, "x2": 30, "y2": 30, '
         '"label": "Mask", "confidence": 0.9, "face_score": 0.9}',
-    ], ids=["non-object", "null-frame", "nan-score", "degenerate-box"])
+        # An integer corner too large for a float.
+        '{"frame": 0, "x1": 10, "y1": 10, "x2": 1' + "0" * 400 + ', "y2": 30, '
+        '"label": "Mask", "confidence": 0.9, "face_score": 0.9}',
+        # Corners 2**60 and 2**60 + 1: one float, so zero width.
+        '{"frame": 0, "x1": 1152921504606846976, "y1": 10, '
+        '"x2": 1152921504606846977, "y2": 30, '
+        '"label": "Mask", "confidence": 0.9, "face_score": 0.9}',
+    ], ids=["non-object", "null-frame", "nan-score", "degenerate-box",
+            "huge-corner", "zero-width-as-float"])
     def test_bad_log_record_is_data_error_naming_line(self, tmp_path, capsys,
                                                       record):
         log, truth = self.write_logs(tmp_path)
@@ -132,6 +150,26 @@ class TestEval:
         rc = cli.main(["eval", "--log", str(log), "--truth", str(truth)])
         assert rc == cli.EXIT_DATA
         assert f"{log}:3: bad detection record" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corners, reason", [
+        ('"x1": NaN, "y1": 10, "x2": 30, "y2": 30', "must be finite"),
+        ('"x1": 10, "y1": 10, "x2": 30, "y2": Infinity', "must be finite"),
+        ('"x1": 10, "y1": 10, "x2": 1' + "0" * 400 + ', "y2": 30',
+         "must be finite"),
+        ('"x1": 30, "y1": 10, "x2": 20, "y2": 30', "degenerate box"),
+        ('"x1": 10, "y1": 30, "x2": 30, "y2": 30', "degenerate box"),
+    ], ids=["nan-corner", "infinite-corner", "huge-corner", "x2-below-x1",
+            "zero-height"])
+    def test_bad_truth_box_is_data_error_naming_line(self, tmp_path, capsys,
+                                                     corners, reason):
+        log, truth = self.write_logs(tmp_path)
+        truth.write_text(truth.read_text()
+                         + '{"frame": 0, ' + corners + ', "label": "Mask"}\n')
+        rc = cli.main(["eval", "--log", str(log), "--truth", str(truth)])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{truth}:3: bad ground-truth record" in err
+        assert reason in err
 
     @pytest.mark.parametrize("iou", ["nan", "1.5", "-0.1", "half"])
     def test_iou_outside_unit_interval_is_usage_error(self, tmp_path, capsys,

@@ -5,7 +5,6 @@ import pytest
 
 from cascadet import evaluate as E
 from cascadet.classifier import MaskLabel
-from cascadet.detector import BoundingBox
 from cascadet.pipeline import Detection
 
 
@@ -15,8 +14,8 @@ def det(frame, x1, y1, x2, y2, label=MaskLabel.MASK, conf=0.9, score=0.9):
 
 
 def truth(frame, x1, y1, x2, y2, label=MaskLabel.MASK):
-    return E.GroundTruthEntry(frame_index=frame,
-                              box=BoundingBox(x1, y1, x2, y2), label=label)
+    return E.GroundTruthEntry(frame_index=frame, x1=x1, y1=y1, x2=x2, y2=y2,
+                              label=label)
 
 
 def scalar_iou(a, b):
@@ -34,7 +33,7 @@ def scalar_iou(a, b):
 def reference_matcher(detections, truths, threshold):
     """Independent re-implementation of the greedy matching protocol."""
     def truth_key(t):
-        return (t.box.x1, t.box.y1, t.box.x2, t.box.y2, t.label.value)
+        return (t.x1, t.y1, t.x2, t.y2, t.label.value)
 
     frames = sorted({d.frame_index for d in detections}
                     | {t.frame_index for t in truths})
@@ -238,6 +237,16 @@ class TestJsonlIO:
         log = tmp_path / "det.jsonl"
         log.write_text("".join(d.to_json() + "\n" for d in dets))
         assert E.load_detection_log(log) == dets
+
+    def test_blank_lines_skipped_but_counted(self, tmp_path):
+        dets = [det(0, 1, 2, 30, 40), det(1, 5, 6, 70, 80)]
+        log = tmp_path / "det.jsonl"
+        log.write_text("\n" + dets[0].to_json() + "\n  \n\t\n"
+                       + dets[1].to_json() + "\n\n")
+        assert E.load_detection_log(log) == dets
+        log.write_text(log.read_text() + "{}\n")
+        with pytest.raises(ValueError, match="det.jsonl:7: bad detection"):
+            E.load_detection_log(log)
 
     def test_ground_truth_parsing(self, tmp_path):
         path = tmp_path / "truth.jsonl"

@@ -49,6 +49,15 @@ class TestPpm:
         with pytest.raises(P.FrameReadError, match="truncated"):
             P.parse_ppm(b"P6\n2 2\n255\n" + bytes(5))
 
+    @pytest.mark.parametrize("data, message", [
+        (b"P6\n2 1", "truncated PPM header"),
+        (b"P6\ntwo 1\n255\n" + bytes(6), "malformed PPM header"),
+        (b"P6\n0 1\n255\n", "bad dimensions 0x1"),
+    ], ids=["truncated-header", "non-integer-size", "zero-width"])
+    def test_malformed_header_rejected(self, data, message):
+        with pytest.raises(P.FrameReadError, match=message):
+            P.parse_ppm(data)
+
     def test_write_read_round_trip(self, tmp_path):
         frame = make_frame()
         path = tmp_path / "f.ppm"
@@ -94,6 +103,10 @@ class TestReadFrames:
         manifest.write_text("bad.ppm\n")
         with pytest.raises(P.FrameReadError, match="line 1"):
             load_manifest(manifest)
+
+    def test_unreadable_manifest_rejected(self, tmp_path):
+        with pytest.raises(P.FrameReadError, match="cannot read manifest"):
+            P.list_manifest(tmp_path)  # a directory, not a file
 
 
 class TestAnnotate:
@@ -252,11 +265,11 @@ class TestProcessFrame:
                                D.CascadeConfig(), spec)
         assert dets == []
 
-    def test_boxes_rounded_half_up_clamped_and_collapsed_dropped(self,
-                                                                 monkeypatch):
-        rows = [((10.5, -0.5, 20.4, 12.5), 0.6),   # -> (11, 0, 20, 13)
+    def test_boxes_rounded_half_up_and_collapsed_dropped(self, monkeypatch):
+        # Rows as detect_faces returns them: clamped to the 40x30 frame.
+        rows = [((10.5, 0.0, 20.4, 12.5), 0.6),    # -> (11, 0, 20, 13)
                 ((30.6, 10.0, 31.4, 20.0), 0.9),   # both x round to 31
-                ((-7.2, 5.0, 55.0, 31.6), 0.8)]    # past every edge
+                ((0.0, 5.0, 40.0, 29.6), 0.8)]     # -> left, right, bottom edge
         faces = [D.FaceCandidate(D.BoundingBox(*box), score)
                  for box, score in rows]
         prediction = MaskPrediction(MaskLabel.MASK, 0.75)

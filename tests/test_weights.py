@@ -79,6 +79,15 @@ class TestValidation:
         with pytest.raises(W.ArchiveError):
             W.load(path)
 
+    def test_file_shorter_than_magic(self, tmp_path, capsys):
+        config_path = write_run_setup(tmp_path, [0], width=160, height=120)
+        path = tmp_path / "cascade.cwts"
+        path.write_bytes(W.MAGIC[:3])
+        with pytest.raises(W.TruncatedArchiveError, match="only 3 bytes"):
+            W.load(path)
+        assert cli.main(["detect", "--config", str(config_path)]) == cli.EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "a.cwts"
         W.save(sample_archive(), path)
@@ -124,8 +133,10 @@ class TestValidation:
         [(b"__meta__", 1, (2,), b"\xff\xfe")],
         [(b"a", 1, (1,), b"\0" * 4), (b"a", 1, (1,), b"\1" * 4)],
         [(b"__meta__", 1, (4,), b"a=1\n"), (b"__meta__", 1, (4,), b"b=2\n")],
+        [(b"a", 1, (4,), b"\0" * 4)],
+        [(b"a", 1, (1,), b"\0" * 8)],
     ], ids=["meta-rank-0", "non-ascii-name", "non-utf8-meta", "duplicate-tensor",
-            "duplicate-meta"])
+            "duplicate-meta", "entry-past-end", "trailing-bytes"])
     def test_malformed_entry_is_data_error(self, tmp_path, capsys, entries):
         # An archive of (name, rank, extents, payload) entries with a correct
         # checksum, used as the cascade weights of an otherwise valid run.

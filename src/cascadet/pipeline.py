@@ -17,7 +17,7 @@ import math
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -73,17 +73,20 @@ def check_json_types(obj: dict, integers: tuple[str, ...],
             raise TypeError(f"{key} must be a number, got {obj[key]!r}")
 
 
+# Integers up to 2**53 are exact as floats, and an area of corners within
+# this range stays below 2**108, so IoU arithmetic cannot overflow.
+CORNER_LIMIT = 2 ** 53
+
+
 def check_box(x1, y1, x2, y2) -> None:
-    """Raise ValueError unless every corner is finite, x2 > x1 and y2 > y1."""
-    try:
-        finite = (math.isfinite(x1) and math.isfinite(y1)
-                  and math.isfinite(x2) and math.isfinite(y2))
-    except OverflowError:  # an integer too large for a float
-        finite = False
-    if not finite:
-        raise ValueError("bounding box coordinates must be finite")
-    if not (float(x2) > float(x1) and float(y2) > float(y1)):
-        raise ValueError(f"degenerate box ({x1}, {y1}, {x2}, {y2})")
+    """Raise ValueError unless -2**53 <= x1 < x2 <= 2**53 and likewise for y
+    (NaN, infinities and larger integers are out of range)."""
+    if not (-CORNER_LIMIT <= x1 < x2 <= CORNER_LIMIT
+            and -CORNER_LIMIT <= y1 < y2 <= CORNER_LIMIT):
+        if all(-CORNER_LIMIT <= c <= CORNER_LIMIT for c in (x1, y1, x2, y2)):
+            raise ValueError(f"degenerate box ({x1}, {y1}, {x2}, {y2})")
+        raise ValueError("bounding box coordinates must be finite and within "
+                         "[-2**53, 2**53]")
 
 
 @dataclass(frozen=True)
@@ -291,15 +294,9 @@ class RunConfig:
     workers: int = 1
     annotate: bool = True
 
-
-# Every CascadeConfig field is a config key of the same name, parsed as the
-# type of its default.
-_CASCADE_KEYS = {f.name: type(f.default) for f in fields(CascadeConfig)}
-_BACKBONE_KEYS = {
-    "classifier_extent": ("input_extent", int),
-    "width_multiplier": ("width_multiplier", float),
-    "head_hidden": ("head_hidden", int),
-}
+    def __post_init__(self):
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
 
 
 def _parse_bool(value: str) -> bool:
@@ -308,7 +305,23 @@ def _parse_bool(value: str) -> bool:
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {value!r}")
+    raise ValueError(f"expected a boolean, got {value!r}")
+
+
+# Config key -> (section, field, parser). The section is the RunConfig field
+# ("run" for RunConfig itself) whose dataclass receives the parsed value; a
+# Path value is resolved against the config file's directory.
+CONFIG_KEYS = {
+    **{key: ("run", key, Path) for key in (
+        "manifest", "output_dir", "cascade_weights", "classifier_weights")},
+    **{f.name: ("cascade", f.name, type(f.default))
+       for f in fields(CascadeConfig)},
+    "classifier_extent": ("backbone", "input_extent", int),
+    "width_multiplier": ("backbone", "width_multiplier", float),
+    "head_hidden": ("backbone", "head_hidden", int),
+    "workers": ("run", "workers", int),
+    "annotate": ("run", "annotate", _parse_bool),
+}
 
 
 def parse_config(path: str | Path, env: dict | None = None) -> RunConfig:
@@ -318,7 +331,7 @@ def parse_config(path: str | Path, env: dict | None = None) -> RunConfig:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    values: dict[str, str] = {}
+    values: dict[str, tuple[str, str]] = {}  # key -> (value, where it was set)
     set_on: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -327,56 +340,38 @@ def parse_config(path: str | Path, env: dict | None = None) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = (part.strip() for part in line.partition("="))
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key}")
         if key in set_on:
             raise ConfigError(f"{path}:{lineno}: key {key} already set on "
                               f"line {set_on[key]}")
         set_on[key] = lineno
-        values[key] = value
-
-    required = ("manifest", "output_dir", "cascade_weights", "classifier_weights")
-    known = set(required) | set(_CASCADE_KEYS) | set(_BACKBONE_KEYS)
-    known |= {"workers", "annotate"}
+        values[key] = value, f"{path}:{lineno}"
     for variable, value in (env or {}).items():
         if not variable.startswith("CASCADET_"):
             continue
         key = variable[len("CASCADET_"):].lower()
-        if key not in known:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown environment override {variable}")
-        values[key] = value
+        values[key] = value, f"environment override {variable}"
 
-    missing = [key for key in required if key not in values]
+    missing = [f.name for f in fields(RunConfig) if f.name not in values
+               and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ConfigError(f"{path}: missing required keys: {', '.join(missing)}")
-    unknown = set(values) - known
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys: {', '.join(sorted(unknown))}")
-
-    base = path.parent
-
-    def as_path(value: str) -> Path:
-        p = Path(value)
-        return p if p.is_absolute() else base / p
-
+    sections: dict[str, dict] = {"run": {}, "cascade": {}, "backbone": {}}
+    for key, (value, where) in values.items():
+        section, name, parse = CONFIG_KEYS[key]
+        try:
+            parsed = parse(value)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {key}: {exc}") from None
+        sections[section][name] = path.parent / parsed if parse is Path else parsed
     try:
-        workers = int(values.get("workers", "1"))
-        if workers < 1:
-            raise ValueError(f"workers must be at least 1, got {workers}")
-        cascade_kwargs = {key: conv(values[key])
-                          for key, conv in _CASCADE_KEYS.items() if key in values}
-        backbone_kwargs = {dest: conv(values[key])
-                           for key, (dest, conv) in _BACKBONE_KEYS.items()
-                           if key in values}
-        return RunConfig(
-            manifest=as_path(values["manifest"]),
-            output_dir=as_path(values["output_dir"]),
-            cascade_weights=as_path(values["cascade_weights"]),
-            classifier_weights=as_path(values["classifier_weights"]),
-            cascade=CascadeConfig(**cascade_kwargs),
-            backbone=BackboneSpec(**backbone_kwargs),
-            workers=workers,
-            annotate=_parse_bool(values.get("annotate", "true")),
-        )
-    except (ValueError, TypeError) as exc:
+        return RunConfig(cascade=CascadeConfig(**sections["cascade"]),
+                         backbone=BackboneSpec(**sections["backbone"]),
+                         **sections["run"])
+    except ValueError as exc:
         raise ConfigError(f"{path}: {exc}")
 
 

@@ -38,23 +38,7 @@ _U64 = (1 << 64) - 1
 
 
 class ArchiveError(Exception):
-    """Base class for weight-archive failures."""
-
-
-class BadMagicError(ArchiveError):
-    pass
-
-
-class UnsupportedVersionError(ArchiveError):
-    pass
-
-
-class ChecksumError(ArchiveError):
-    pass
-
-
-class TruncatedArchiveError(ArchiveError):
-    pass
+    """A weight archive cannot be saved or loaded; the message says why."""
 
 
 def _check_name(name: str):
@@ -151,19 +135,19 @@ def load(path: str | Path) -> WeightArchive:
     """
     data = Path(path).read_bytes()
     if len(data) < len(MAGIC):
-        raise TruncatedArchiveError(f"file is only {len(data)} bytes")
+        raise ArchiveError(f"file is only {len(data)} bytes")
     if data[:len(MAGIC)] != MAGIC:
-        raise BadMagicError(f"bad magic {data[:len(MAGIC)]!r}")
+        raise ArchiveError(f"bad magic {data[:len(MAGIC)]!r}")
     if len(data) < 12:
-        raise TruncatedArchiveError(f"file is only {len(data)} bytes")
+        raise ArchiveError(f"file is only {len(data)} bytes")
     version = struct.unpack_from("<I", data, 4)[0]
     if version != VERSION:
-        raise UnsupportedVersionError(f"unsupported version {version}")
+        raise ArchiveError(f"unsupported version {version}")
     body = memoryview(data)[:-4]
     stored = struct.unpack_from("<I", data, len(body))[0]
     actual = zlib.crc32(body)
     if stored != actual:
-        raise ChecksumError(
+        raise ArchiveError(
             f"checksum mismatch: stored {stored:#010x}, computed {actual:#010x}")
 
     pos = 8
@@ -171,7 +155,7 @@ def load(path: str | Path) -> WeightArchive:
     def take(n: int) -> memoryview:
         nonlocal pos
         if pos + n > len(body):
-            raise TruncatedArchiveError(
+            raise ArchiveError(
                 f"archive ends at byte {len(body)}, needed {pos + n}")
         pos += n
         return body[pos - n:pos]
@@ -204,7 +188,7 @@ def load(path: str | Path) -> WeightArchive:
         payload = take(4 * math.prod(extents))
         tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(extents).copy()
     if pos != len(body):
-        raise TruncatedArchiveError(
+        raise ArchiveError(
             f"{len(body) - pos} trailing bytes after last entry")
     return WeightArchive(tensors, metadata)
 

@@ -198,3 +198,13 @@ class TestClassifyAll:
         result = C.classify_all(small_classifier, frame, faces,
                                 input_extent=32)
         assert [r[0] for r in result] == faces
+
+    def test_undeclared_extent_needs_input_extent(self):
+        clf = Network(C.classifier_layers(SMALL_SPEC),
+                      fixtures.zeroed_classifier_archive(SMALL_SPEC))
+        assert clf.input_shape is None
+        frame = np.zeros((1, 3, 32, 32), np.float32)
+        with pytest.raises(ValueError, match="declares no input shape"):
+            C.classify_all(clf, frame, [WHOLE_FRAME])
+        [(_, pred)] = C.classify_all(clf, frame, [WHOLE_FRAME], input_extent=32)
+        assert pred.confidence == 0.5

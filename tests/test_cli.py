@@ -141,8 +141,12 @@ class TestEval:
         '{"frame": 0, "x1": 1152921504606846976, "y1": 10, '
         '"x2": 1152921504606846977, "y2": 30, '
         '"label": "Mask", "confidence": 0.9, "face_score": 0.9}',
+        # Corners -10**307 and 10**307: each fits a float, the area does not.
+        '{"frame": 0, "x1": -1' + "0" * 307 + ', "y1": -1' + "0" * 307
+        + ', "x2": 1' + "0" * 307 + ', "y2": 1' + "0" * 307 + ', '
+        '"label": "Mask", "confidence": 0.9, "face_score": 0.9}',
     ], ids=["non-object", "null-frame", "nan-score", "degenerate-box",
-            "huge-corner", "zero-width-as-float"])
+            "huge-corner", "zero-width-as-float", "overflowing-area"])
     def test_bad_log_record_is_data_error_naming_line(self, tmp_path, capsys,
                                                       record):
         log, truth = self.write_logs(tmp_path)
@@ -158,8 +162,10 @@ class TestEval:
          "must be finite"),
         ('"x1": 30, "y1": 10, "x2": 20, "y2": 30', "degenerate box"),
         ('"x1": 10, "y1": 30, "x2": 30, "y2": 30', "degenerate box"),
+        ('"x1": -1e307, "y1": -1e307, "x2": 1e307, "y2": 1e307',
+         "must be finite"),
     ], ids=["nan-corner", "infinite-corner", "huge-corner", "x2-below-x1",
-            "zero-height"])
+            "zero-height", "overflowing-area"])
     def test_bad_truth_box_is_data_error_naming_line(self, tmp_path, capsys,
                                                      corners, reason):
         log, truth = self.write_logs(tmp_path)

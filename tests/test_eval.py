@@ -1,10 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from cascadet import evaluate as E
 from cascadet.classifier import MaskLabel
+from cascadet.detector import iou
 from cascadet.pipeline import Detection
 
 
@@ -168,6 +170,27 @@ class TestMatchDetections:
     def test_degenerate_detection_box_raises(self):
         with pytest.raises(ValueError, match="degenerate"):
             E.match_detections([det(0, 10, 10, 10, 20)], [])
+
+    def test_corner_range_keeps_iou_finite(self):
+        # Every box check_box accepts has an IoU without overflow or warning;
+        # a box whose corners fit a float but whose area does not is refused.
+        limit = 2 ** 53
+        records = [(-limit, -limit, limit, limit), (-limit, 0, 1, limit),
+                   (limit - 1, limit - 1, limit, limit), (0, 0, 1, 1)]
+        dets = [det(0, *r) for r in records]
+        truths = [truth(0, *map(float, r)) for r in records]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            boxes = np.array(records, np.float64)
+            overlaps = iou(boxes, boxes)
+            face, _ = E.match_detections(dets, truths)
+        assert ((overlaps >= 0) & (overlaps <= 1)).all()
+        assert overlaps.diagonal().tolist() == [1.0] * len(records)
+        assert (face.tp, face.fp, face.fn) == (4, 0, 0)
+        for corners in [(-1e307, -1e307, 1e307, 1e307),
+                        (0, 0, limit + 1, 1), (-limit - 1, 0, 0, 1)]:
+            with pytest.raises(ValueError, match="must be finite"):
+                truth(0, *corners)
 
 
 class TestComputeMetrics:

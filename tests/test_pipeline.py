@@ -564,6 +564,26 @@ class TestParseConfig:
         with pytest.raises(P.ConfigError, match=setting.partition("=")[0]):
             P.parse_config(config_path)
 
+    @pytest.mark.parametrize("setting, env, where", [
+        ("workers=zero", {}, r"run\.cfg:5: workers: "),
+        ("annotate=maybe", {}, r"run\.cfg:5: annotate: "),
+        ("min_face_size=1.5", {}, r"run\.cfg:5: min_face_size: "),
+        ("", {"CASCADET_WORKERS": "zero"},
+         "environment override CASCADET_WORKERS: workers: "),
+    ], ids=["workers=zero", "annotate=maybe", "min_face_size=1.5",
+            "CASCADET_WORKERS=zero"])
+    def test_parse_error_names_key_and_source(self, tmp_path, setting, env,
+                                              where):
+        config_path = write_run_setup(tmp_path, [], extra_config=setting + "\n")
+        with pytest.raises(P.ConfigError, match=where):
+            P.parse_config(config_path, env=env)
+
+    def test_workers_checked_in_code(self, tmp_path):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            P.RunConfig(manifest=tmp_path / "frames.txt", output_dir=tmp_path,
+                        cascade_weights=tmp_path / "c.cwts",
+                        classifier_weights=tmp_path / "k.cwts", workers=0)
+
     def test_key_given_twice_rejected(self, tmp_path):
         config_path = write_run_setup(tmp_path, [],
                                       extra_config="workers=1\nworkers=4\n")

@@ -69,7 +69,7 @@ class TestValidation:
         blob = bytearray(path.read_bytes())
         blob[-1] ^= 0xFF
         path.write_bytes(bytes(blob))
-        with pytest.raises(W.ChecksumError):
+        with pytest.raises(W.ArchiveError, match="checksum mismatch"):
             W.load(path)
 
     def test_truncated_file(self, tmp_path):
@@ -83,7 +83,7 @@ class TestValidation:
         config_path = write_run_setup(tmp_path, [0], width=160, height=120)
         path = tmp_path / "cascade.cwts"
         path.write_bytes(W.MAGIC[:3])
-        with pytest.raises(W.TruncatedArchiveError, match="only 3 bytes"):
+        with pytest.raises(W.ArchiveError, match="file is only 3 bytes"):
             W.load(path)
         assert cli.main(["detect", "--config", str(config_path)]) == cli.EXIT_DATA
         assert "data error" in capsys.readouterr().err
@@ -94,7 +94,7 @@ class TestValidation:
         blob = bytearray(path.read_bytes())
         blob[0] ^= 0x01
         path.write_bytes(bytes(blob))
-        with pytest.raises(W.BadMagicError):
+        with pytest.raises(W.ArchiveError, match="bad magic"):
             W.load(path)
 
     def test_unsupported_version(self, tmp_path):
@@ -105,7 +105,7 @@ class TestValidation:
         struct.pack_into("<I", blob, 4, 99)
         body = bytes(blob[:-4])
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
-        with pytest.raises(W.UnsupportedVersionError):
+        with pytest.raises(W.ArchiveError, match="unsupported version 99"):
             W.load(path)
 
     def test_single_bit_flips_all_detected(self, tmp_path):
@@ -124,7 +124,7 @@ class TestValidation:
                 blob2 = bytearray(original)
                 blob2[bit // 8] ^= 1 << (bit % 8)
                 path.write_bytes(bytes(blob2))
-                with pytest.raises(W.ChecksumError):
+                with pytest.raises(W.ArchiveError, match="checksum mismatch"):
                     W.load(path)
 
     @pytest.mark.parametrize("entries", [

@@ -16,6 +16,7 @@ Pixel tensors entering the cascade are normalized as (v - 127.5) / 128;
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -23,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .tensor import (Network, Tensor, conv_layer, dense_layer, prelu_layer,
-                     LayerSpec, parameter_shapes, _row_blocks)
+                     LayerSpec, parameter_shapes)
 
 log = logging.getLogger(__name__)
 
@@ -307,6 +308,18 @@ def square_pad(boxes: np.ndarray) -> np.ndarray:
     return np.hstack([center - half, center + half])
 
 
+# Bytes per block of crops: small enough that a block's temporaries stay in L2.
+_BLOCK_BYTES = 1 << 18
+
+
+def _row_blocks(x: Tensor) -> list[slice]:
+    """Slices of ``x``'s batch axis, each about ``_BLOCK_BYTES`` and at
+    least one row; none for an empty batch."""
+    row_bytes = x.itemsize * math.prod(x.shape[1:])
+    step = max(1, _BLOCK_BYTES // max(1, row_bytes))
+    return [slice(i, i + step) for i in range(0, len(x), step)]
+
+
 def crop_resize_batch(frame: Tensor, boxes: np.ndarray,
                       out_extent: int) -> Tensor:
     """Bilinearly sample each box region of the frame into an E x E crop.
@@ -314,7 +327,7 @@ def crop_resize_batch(frame: Tensor, boxes: np.ndarray,
     Returns a (len(boxes), C, E, E) batch, a view of channels-last memory.
     Sample points outside the frame contribute zero, so boxes hanging past
     the edges come back zero-padded. The crops are filled a block of boxes
-    at a time (see :func:`tensor._row_blocks`); each crop's bits depend
+    at a time (see :func:`_row_blocks`); each crop's bits depend
     only on its own box, not on the block size or the rest of the batch.
     """
     if out_extent < 1:

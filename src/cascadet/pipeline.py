@@ -17,7 +17,7 @@ import math
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -359,20 +359,21 @@ def parse_config(path: str | Path, env: dict | None = None) -> RunConfig:
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ConfigError(f"{path}: missing required keys: {', '.join(missing)}")
-    sections: dict[str, dict] = {"run": {}, "cascade": {}, "backbone": {}}
+    # Each value is checked by its section's dataclass as it is read; the
+    # placeholder paths of "run" are all replaced, none being missing.
+    sections = {"run": RunConfig(*[path.parent] * 4),
+                "cascade": CascadeConfig(), "backbone": BackboneSpec()}
     for key, (value, where) in values.items():
         section, name, parse = CONFIG_KEYS[key]
         try:
             parsed = parse(value)
+            if parse is Path:
+                parsed = path.parent / parsed
+            sections[section] = replace(sections[section], **{name: parsed})
         except ValueError as exc:
             raise ConfigError(f"{where}: {key}: {exc}") from None
-        sections[section][name] = path.parent / parsed if parse is Path else parsed
-    try:
-        return RunConfig(cascade=CascadeConfig(**sections["cascade"]),
-                         backbone=BackboneSpec(**sections["backbone"]),
-                         **sections["run"])
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}")
+    return replace(sections["run"], cascade=sections["cascade"],
+                   backbone=sections["backbone"])
 
 
 @dataclass

@@ -8,12 +8,15 @@ a transpose copy. The result's bits never depend on the input's memory
 order; an operator whose arithmetic would (the matrix products, the
 depthwise einsum, the spatial mean) first makes its input contiguous.
 
-The element-wise operators (:func:`prelu`, :func:`max_pool2d`) and the
-detector's crop sampler fill one output a row block at a time: slices of
-the batch axis of a fixed byte size (``_BLOCK_BYTES``), small enough that
-each block's temporaries stay in the L2 cache. Their arithmetic is per
-element, so no output bit depends on the block size. The matrix products
-run on the whole batch: their bits depend on its row count.
+A :class:`Network` runs its trunk, the layers before its first dense or
+global-avg-pool layer, on chunks of ``_CHUNK_ROWS`` batch rows, so each
+im2col matrix and element-wise temporary is a chunk's size, not the
+batch's. Its head runs once on the joined trunk output. A trunk
+convolution's product gives the same bits on a chunk of three or more rows
+as on the whole batch (on the BLAS build the golden trace pins), so
+chunking changes no output bit. A dense layer's product does not at any
+chunk size: its bits depend on the batch's row count, so the head sees the
+whole batch.
 
 Operators are pure functions: inputs are never modified, except that
 :func:`prelu` writes to ``out`` when given one, and repeated calls on
@@ -47,16 +50,8 @@ def _as_f32(x) -> Tensor:
     return np.asarray(x, dtype=np.float32)
 
 
-# Bytes per row block: small enough that a block's temporaries stay in L2.
-_BLOCK_BYTES = 1 << 18
-
-
-def _row_blocks(x: Tensor) -> list[slice]:
-    """Slices of ``x``'s batch axis, each about ``_BLOCK_BYTES`` and at
-    least one row; none for an empty batch."""
-    row_bytes = x.itemsize * math.prod(x.shape[1:])
-    step = max(1, _BLOCK_BYTES // max(1, row_bytes))
-    return [slice(i, i + step) for i in range(0, len(x), step)]
+# Rows per chunk of a network's trunk (see :meth:`Network.forward`).
+_CHUNK_ROWS = 32
 
 
 def _out_extent(extent: int, kernel: int, stride: int, padding: int) -> int:
@@ -174,14 +169,12 @@ def prelu(x: Tensor, alpha: Tensor, out: Tensor | None = None) -> Tensor:
     if out is None:
         out = np.empty_like(x)
     # max(x, 0) + alpha * min(x, 0): same values as the piecewise form,
-    # without materializing a boolean mask. ``neg`` is read from the block
-    # of ``x`` before the same block of ``out`` can overwrite it.
-    for rows in _row_blocks(x):
-        block, dst = x[rows], out[rows]
-        neg = np.minimum(block, 0.0)
-        neg *= alpha
-        np.maximum(block, 0.0, out=dst)
-        dst += neg
+    # without materializing a boolean mask. ``neg`` is read from ``x``
+    # before ``out`` can overwrite it.
+    neg = np.minimum(x, 0.0)
+    neg *= alpha
+    np.maximum(x, 0.0, out=out)
+    out += neg
     return out
 
 
@@ -196,14 +189,11 @@ def max_pool2d(x: Tensor, kernel: int, stride: int) -> Tensor:
     # Fold the k*k window offsets with elementwise maxima over strided
     # slices into one buffer in the input's memory order; far faster than
     # reducing a 6-D window view. max(-inf, v) is v bit for bit, NaN too.
-    out = np.empty_like(x, shape=(n, c, out_h, out_w))
-    for rows in _row_blocks(x):
-        block, dst = x[rows], out[rows]
-        dst.fill(-np.inf)
-        for ky in range(kernel):
-            for kx in range(kernel):
-                np.maximum(dst, block[:, :, ky:ky + stride * out_h:stride,
-                                      kx:kx + stride * out_w:stride], out=dst)
+    out = np.full_like(x, -np.inf, shape=(n, c, out_h, out_w))
+    for ky in range(kernel):
+        for kx in range(kernel):
+            np.maximum(out, x[:, :, ky:ky + stride * out_h:stride,
+                              kx:kx + stride * out_w:stride], out=out)
     return out
 
 
@@ -444,6 +434,10 @@ class Network:
             steps.append((layer.name, layer.feeds_from, layer.kind == "prelu",
                           _compile(layer, _bind(layer, archive))))
         self._steps = tuple(steps)
+        # The trunk ends at the first dense or global-avg-pool layer.
+        split = next((i for i, layer in enumerate(self.layers)
+                      if layer.kind in ("dense", "global-avg-pool")), len(steps))
+        self._trunk, self._head = self._steps[:split], self._steps[split:]
 
     def forward(self, x: Tensor, taps: tuple[str, ...] = ()):
         """Apply all layers; returns the final output.
@@ -457,17 +451,36 @@ class Network:
         if unknown:
             raise NetworkError(f"unknown tap layers: {sorted(unknown)}")
         keep = self._feeds.union(taps)
-        outputs: dict[str, Tensor] = {}
-        current = _as_f32(x)
-        if self.input_shape and tuple(current.shape[1:]) != self.input_shape:
+        x = _as_f32(x)
+        if self.input_shape and tuple(x.shape[1:]) != self.input_shape:
             raise ValueError(
-                f"input shape {tuple(current.shape[1:])} does not match the "
+                f"input shape {tuple(x.shape[1:])} does not match the "
                 f"network's declared {self.input_shape}")
+        # The trunk runs on chunks of _CHUNK_ROWS rows, the last taking the
+        # remainder; its outputs are joined for the head.
+        n = len(x)
+        starts = range(0, n - _CHUNK_ROWS + 1, _CHUNK_ROWS) or range(1)
+        parts = [self._run(self._trunk, x[start:stop], keep, {})
+                 for start, stop in zip(starts, [*starts[1:], n])]
+        if len(parts) == 1:
+            current, outputs = parts[0]
+        else:
+            current = np.concatenate([part[0] for part in parts])
+            outputs = {name: np.concatenate([part[1][name] for part in parts])
+                       for name in parts[0][1]}
+        current, outputs = self._run(self._head, current, keep, outputs)
+        if taps:
+            return current, {name: outputs[name] for name in taps}
+        return current
+
+    def _run(self, steps, current: Tensor, keep: frozenset, outputs: dict):
+        """Apply ``steps`` to ``current``; returns the result and
+        ``outputs`` with the output of each layer in ``keep`` added."""
         # Whether ``current`` is an intermediate no one else holds: not the
         # caller's input, a tap or a ``feeds_from`` source. No operator
         # returns a view of its input, so a PReLU may then overwrite it.
         owned = False
-        for name, feeds_from, in_place, step in self._steps:
+        for name, feeds_from, in_place, step in steps:
             try:
                 if feeds_from:
                     current = step(outputs[feeds_from])
@@ -478,11 +491,12 @@ class Network:
             except ValueError as exc:
                 raise ValueError(f"layer {name!r}: {exc}") from exc
             owned = name not in keep
+            if name in self._feeds:
+                # Held contiguous once, so no reader copies it again.
+                current = np.ascontiguousarray(current)
             if not owned:
                 outputs[name] = current
-        if taps:
-            return current, {name: outputs[name] for name in taps}
-        return current
+        return current, outputs
 
 
 def bn_layer(name: str, channels: int) -> LayerSpec:

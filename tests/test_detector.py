@@ -5,7 +5,6 @@ import pytest
 
 from cascadet import detector as D
 from cascadet import fixtures, oracles
-from cascadet import tensor as T
 from cascadet.tensor import Network, parameter_shapes
 from cascadet.weights import WeightArchive
 
@@ -114,14 +113,14 @@ class TestResampling:
         channels_last = np.ascontiguousarray(
             frame.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
         # Three row blocks of 24x24 crops and part of a fourth.
-        per_block = T._BLOCK_BYTES // (3 * 24 * 24 * 4)
+        per_block = D._BLOCK_BYTES // (3 * 24 * 24 * 4)
         n = 3 * per_block + per_block // 2
         xy = rng.uniform(-10, 45, (n, 2))
         batch_boxes = np.hstack([xy, xy + rng.uniform(1, 30, (n, 2))])
         for image in (frame, channels_last):
             batch = D.crop_resize_batch(image, batch_boxes, 24)
             assert batch.shape == (n, 3, 24, 24)
-            assert len(T._row_blocks(batch)) == 4
+            assert len(D._row_blocks(batch)) == 4
             for i in range(n):
                 alone = D.crop_resize_batch(image, batch_boxes[i:i + 1], 24)
                 assert batch[i:i + 1].tobytes() == alone.tobytes()

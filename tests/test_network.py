@@ -1,9 +1,11 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cascadet import detector as D
 from cascadet import fixtures
 from cascadet import tensor as T
 from cascadet.classifier import (BackboneSpec, build_classifier,
@@ -17,6 +19,8 @@ from cascadet.tensor import (LayerSpec, Network, NetworkError, bn_layer,
                              bottleneck_layer, conv_layer, dense_layer,
                              parameter_shapes, prelu_layer)
 from cascadet.weights import WeightArchive
+
+from generate_golden import GOLDEN_FRAME_SEED, GOLDEN_HEIGHT, GOLDEN_WIDTH
 
 STATS = ("gamma", "beta", "mean", "variance")
 
@@ -340,3 +344,109 @@ def test_every_tap_equals_contiguous_replay(fixture_networks, network):
     # Untapped, PReLUs run in place: the same final bytes, input untouched.
     assert net.forward(x).tobytes() == current.tobytes()
     assert np.array(x).tobytes() == snapshot.tobytes()
+
+
+R = T._CHUNK_ROWS
+
+
+@pytest.mark.parametrize("n", [0, 1, R - 1, R, R + 1, 2 * R - 1, 2 * R,
+                               2 * R + 1, 3 * R + 2])
+def test_trunk_runs_in_chunks_and_head_on_whole_batch(monkeypatch, n):
+    """Below 2R rows the trunk runs once; above, on R-row chunks whose last
+    takes the remainder. The dense head always sees the whole batch."""
+    rows = {"conv2d": [], "dense": []}
+
+    def recording(op):
+        run = getattr(T, op)
+
+        def record(x, *args, **kwargs):
+            rows[op].append(len(x))
+            return run(x, *args, **kwargs)
+        return record
+
+    for op in rows:
+        monkeypatch.setattr(T, op, recording(op))
+    layers = [conv_layer("c", 1, 2, 1), dense_layer("d", 2, 3)]
+    x = np.arange(n, dtype=np.float32).reshape(n, 1, 1, 1)
+    out = Network(layers, archive_for(layers, fill=1.0)).forward(x)
+    assert out.tolist() == [[2 * v + 3] * 3 for v in range(n)]
+    chunks = [n] if n < 2 * R else [R] * (n // R - 1) + [R + n % R]
+    assert rows == {"conv2d": chunks, "dense": [n]}
+
+
+@pytest.fixture(scope="module")
+def golden_crops(fixture_networks):
+    """The golden frame's stage-1 rnet crops and stage-2 onet crops."""
+    crops = {}
+    crop = D.crop_resize_batch
+
+    def record(image, boxes, extent):
+        crops["rnet" if extent == D.RNET_EXTENT else "onet"] = out = crop(
+            image, boxes, extent)
+        return out
+
+    networks = CascadeNetworks(*(fixture_networks[name]
+                                 for name in ("pnet", "rnet", "onet")))
+    frame = fixtures.synthetic_frame(GOLDEN_FRAME_SEED, GOLDEN_WIDTH,
+                                     GOLDEN_HEIGHT)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(D, "crop_resize_batch", record)
+        D.detect_faces(frame_to_tensor(frame), networks, D.CascadeConfig())
+    return crops
+
+
+@pytest.mark.parametrize("network", ["rnet", "onet"])
+@pytest.mark.parametrize("batch", [R - 1, R, R + 1, 2 * R - 1, 2 * R,
+                                   2 * R + 1, 3 * R + 2, "golden"])
+def test_chunked_trunk_equals_whole_batch(fixture_networks, golden_crops,
+                                          monkeypatch, network, batch):
+    """A forward whose trunk runs in chunks gives the bytes of a forward on
+    the whole batch at once: its output, its taps and its untapped output."""
+    net = fixture_networks[network]
+    if batch == "golden":
+        x = golden_crops[network]
+    else:
+        rng = np.random.default_rng(batch)
+        frame = frame_to_tensor(fixtures.synthetic_frame(batch, 160, 120))
+        corner = rng.uniform(-20, 150, (batch, 2))
+        x = crop_resize_batch(frame, np.hstack(
+            [corner, corner + rng.uniform(8, 60, (batch, 2))]),
+            net.input_shape[-1])
+    # Every layer from the first pool on: the first two hold 75 MB each on
+    # the golden rnet batch.
+    names = tuple(layer.name for layer in net.layers)[2:]
+
+    def forward_bytes():
+        final, taps = net.forward(x, taps=names)
+        return [final.tobytes(), net.forward(x).tobytes(),
+                *(taps[name].tobytes() for name in names)]
+
+    chunked = forward_bytes()
+    monkeypatch.setattr(T, "_CHUNK_ROWS", len(x) + 1)
+    assert forward_bytes() == chunked
+
+
+def test_feeds_from_source_held_contiguous(fixture_networks):
+    """pnet's two 1x1 heads read one C-contiguous copy of their source."""
+    frame = frame_to_tensor(fixtures.synthetic_frame(3, 64, 48))
+    _, taps = fixture_networks["pnet"].forward(frame, taps=("pnet.prelu3",))
+    assert taps["pnet.prelu3"].flags.c_contiguous
+
+
+@pytest.mark.parametrize("network, rows, limit_mib",
+                         [("rnet", 1400, 24), ("onet", 160, 40)])
+def test_forward_peak_memory_is_chunk_sized(fixture_networks, network, rows,
+                                            limit_mib):
+    """A refinement forward on a clip640-sized batch allocates a chunk's
+    im2col matrices, not the batch's (whole-batch peaks: rnet 142 MiB,
+    onet 95 MiB)."""
+    net = fixture_networks[network]
+    rng = np.random.default_rng(rows)
+    x = rng.uniform(-1, 1, (rows, *net.input_shape)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        net.forward(x, taps=(f"{network}.reg",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib * 2**20, peak / 2**20

@@ -10,7 +10,6 @@ import pytest
 from cascadet import detector as D
 from cascadet import fixtures
 from cascadet import pipeline as P
-from cascadet import tensor as T
 from cascadet import weights as W
 from cascadet.classifier import (BackboneSpec, MaskLabel, MaskPrediction,
                                  build_classifier, classify_all)
@@ -246,10 +245,10 @@ class TestProcessFrame:
                     classify_all(classifier, frame, faces))
 
         default = outputs()
-        assert len(T._row_blocks(np.empty((len(stage1), 24, 24, 3),
+        assert len(D._row_blocks(np.empty((len(stage1), 24, 24, 3),
                                           np.float32))) < len(stage1)
-        monkeypatch.setattr(T, "_BLOCK_BYTES", 1)
-        assert len(T._row_blocks(np.empty((len(stage1), 3)))) == len(stage1)
+        monkeypatch.setattr(D, "_BLOCK_BYTES", 1)
+        assert len(D._row_blocks(np.empty((len(stage1), 3)))) == len(stage1)
         assert outputs() == default
 
     def test_boxes_inside_frame(self, golden):
@@ -577,6 +576,19 @@ class TestParseConfig:
         config_path = write_run_setup(tmp_path, [], extra_config=setting + "\n")
         with pytest.raises(P.ConfigError, match=where):
             P.parse_config(config_path, env=env)
+
+    @pytest.mark.parametrize("setting", [
+        "classifier_extent=16", "threshold_pnet=1.5", "min_face_size=0",
+        "workers=0"])
+    def test_out_of_range_value_names_key_and_line(self, tmp_path, setting):
+        key, _, value = setting.partition("=")
+        variable = f"CASCADET_{key.upper()}"
+        config_path = write_run_setup(tmp_path, [], extra_config=setting + "\n")
+        with pytest.raises(P.ConfigError, match=rf"run\.cfg:5: {key}: "):
+            P.parse_config(config_path)
+        with pytest.raises(P.ConfigError,
+                           match=f"environment override {variable}: {key}: "):
+            P.parse_config(config_path, env={variable: value})
 
     def test_workers_checked_in_code(self, tmp_path):
         with pytest.raises(ValueError, match="workers must be at least 1"):

@@ -15,16 +15,6 @@ def rand_f32(rng, *shape, lo=-1.0, hi=1.0):
     return rng.uniform(lo, hi, size=shape).astype(np.float32)
 
 
-def spanning_blocks(rng, *row_shape):
-    """A float32 batch of ``row_shape`` rows that fills three of the
-    element-wise operators' row blocks and part of a fourth."""
-    per_block = T._BLOCK_BYTES // (4 * int(np.prod(row_shape)))
-    x = rand_f32(rng, 3 * per_block + per_block // 2, *row_shape)
-    blocks = T._row_blocks(x)
-    assert len(blocks) == 4 and len(x[blocks[-1]]) < per_block
-    return x
-
-
 class TestConv2d:
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
@@ -231,7 +221,7 @@ class TestActivations:
         alpha = rand_f32(rng, 8)
         for layout in (np.ascontiguousarray, channels_last):
             for x in (layout(rand_f32(rng, 2, 8, 4, 5)),
-                      layout(spanning_blocks(rng, 8, 16, 16))):
+                      layout(rand_f32(rng, 40, 8, 16, 16))):
                 rows = np.concatenate([T.prelu(x[i:i + 1], alpha)
                                        for i in range(len(x))])
                 want = T.prelu(x, alpha)
@@ -256,10 +246,10 @@ class TestPooling:
             got = T.max_pool2d(x, kernel, stride)
             want = oracles.naive_max_pool2d(x, kernel, stride)
             np.testing.assert_allclose(got, want, atol=0)
-        # Batches of several blocks equal row-at-a-time pooling byte for
-        # byte and keep the input's memory order.
+        # A batch equals row-at-a-time pooling byte for byte and keeps the
+        # input's memory order.
         for layout in (np.ascontiguousarray, channels_last):
-            x = layout(spanning_blocks(rng, 8, 16, 16))
+            x = layout(rand_f32(rng, 40, 8, 16, 16))
             got = T.max_pool2d(x, 3, 2)
             rows = np.concatenate([T.max_pool2d(x[i:i + 1], 3, 2)
                                    for i in range(len(x))])

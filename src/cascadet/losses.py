@@ -16,38 +16,10 @@ from pathlib import Path
 import numpy as np
 
 PROB_CLAMP = 1e-7
-DEFAULT_TASK_WEIGHTS = {"det": 1.0, "box": 0.5, "landmark": 0.5}
 
 
 class TrainingDiverged(RuntimeError):
     """Raised when the training loss becomes non-finite."""
-
-
-@dataclass(frozen=True)
-class TrainingSample:
-    tasks: frozenset
-    y_det: int | None = None
-    y_box: np.ndarray | None = None
-    y_landmark: np.ndarray | None = None
-
-    def __post_init__(self):
-        unknown = set(self.tasks) - {"det", "box", "landmark"}
-        if unknown:
-            raise ValueError(f"unknown tasks {sorted(unknown)}")
-        if "det" in self.tasks:
-            if self.y_det not in (0, 1):
-                raise ValueError(f"y_det must be 0 or 1, got {self.y_det}")
-        if "box" in self.tasks and self.y_box is None:
-            raise ValueError("box task requires y_box")
-        if "landmark" in self.tasks and self.y_landmark is None:
-            raise ValueError("landmark task requires y_landmark")
-
-
-@dataclass(frozen=True)
-class LossReport:
-    losses: dict          # task -> scalar loss
-    gradients: dict       # task -> gradient w.r.t. the network output
-    total: float
 
 
 def _squared_error(pred, target, size: int, what: str):
@@ -84,31 +56,6 @@ def loss_det(p: float, y: int) -> tuple[float, float]:
     loss = -(y * np.log(p) + (1 - y) * np.log(1.0 - p))
     grad = -(y / p - (1 - y) / (1.0 - p))
     return float(loss), float(grad)
-
-
-def multitask_loss(sample: TrainingSample, outputs: dict,
-                   weights: dict | None = None) -> LossReport:
-    """Weighted sum of the per-task losses named by the sample's task mask.
-
-    ``outputs`` maps task -> network output ("det": probability scalar,
-    "box": 4-vector, "landmark": 10-vector). Missing weights default to
-    det 1.0, box 0.5, landmark 0.5.
-    """
-    weights = {**DEFAULT_TASK_WEIGHTS, **(weights or {})}
-    losses: dict = {}
-    gradients: dict = {}
-    total = 0.0
-    if "det" in sample.tasks:
-        losses["det"], gradients["det"] = loss_det(outputs["det"], sample.y_det)
-        total += weights["det"] * losses["det"]
-    if "box" in sample.tasks:
-        losses["box"], gradients["box"] = loss_box(outputs["box"], sample.y_box)
-        total += weights["box"] * losses["box"]
-    if "landmark" in sample.tasks:
-        losses["landmark"], gradients["landmark"] = loss_landmark(
-            outputs["landmark"], sample.y_landmark)
-        total += weights["landmark"] * losses["landmark"]
-    return LossReport(losses=losses, gradients=gradients, total=total)
 
 
 @dataclass

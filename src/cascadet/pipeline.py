@@ -402,9 +402,13 @@ def _output_name(index: int, entry: str) -> str:
 
 def _refuse_clobbering(config: RunConfig,
                        entries: list[tuple[int, Path, str]]) -> None:
-    """Raise FrameReadError, naming the manifest line(s), if two frames would
-    share an annotated output or any output would overwrite an input."""
-    inputs = {path.resolve(): lineno for lineno, path, _ in entries}
+    """Raise FrameReadError if two frames would share an annotated output, or
+    if any output would overwrite a frame, the manifest or a weight archive."""
+    inputs = {path.resolve(): f"the frame of manifest line {lineno}"
+              for lineno, path, _ in entries}
+    inputs[config.manifest.resolve()] = "the manifest"
+    inputs[config.cascade_weights.resolve()] = "the cascade weights"
+    inputs[config.classifier_weights.resolve()] = "the classifier weights"
     writers = {"detections.jsonl": "the run log",
                "summary.json": "the run summary"}
     if config.annotate:
@@ -419,8 +423,7 @@ def _refuse_clobbering(config: RunConfig,
         target = (config.output_dir / name).resolve()
         if target in inputs:
             raise FrameReadError(
-                f"manifest line {inputs[target]}: output {target} would "
-                "overwrite this input")
+                f"output {target} would overwrite {inputs[target]}")
 
 
 def run(config: RunConfig) -> RunSummary:
@@ -428,8 +431,9 @@ def run(config: RunConfig) -> RunSummary:
     summary.json into the output directory.
 
     Raises FrameReadError, before writing anything, when two frames would
-    share an annotated output name or an output would overwrite a manifest
-    input; and after the run when more than half the frames fail.
+    share an annotated output name or an output would overwrite an input
+    (a frame, the manifest or a weight archive); and after the run when more
+    than half the frames fail.
     Frame-level failures are logged as warnings and skipped.
     """
     for path in (config.manifest, config.cascade_weights,

@@ -42,6 +42,17 @@ class TestDetect:
         assert rc == cli.EXIT_DATA
         assert "data error" in capsys.readouterr().err
 
+    def test_output_over_weights_is_data_error(self, tmp_path, capsys):
+        config_path = write_run_setup(tmp_path, [0], width=160, height=120)
+        (tmp_path / "out").mkdir()
+        (tmp_path / "cascade.cwts").rename(tmp_path / "out" / "detections.jsonl")
+        config_path.write_text(config_path.read_text().replace(
+            "cascade_weights=cascade.cwts", "cascade_weights=out/detections.jsonl"))
+        rc = cli.main(["detect", "--config", str(config_path)])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error: " in err and "the cascade weights" in err
+
     def test_out_of_range_setting_is_usage_error(self, tmp_path, capsys):
         config_path = write_run_setup(tmp_path, [0], width=160, height=120,
                                       extra_config="min_face_size=0\n")

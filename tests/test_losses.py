@@ -96,42 +96,6 @@ class TestLossDet:
             assert L.loss_det(p, 1)[0] >= 0
 
 
-class TestMultitaskLoss:
-    def sample(self, tasks):
-        return L.TrainingSample(
-            tasks=frozenset(tasks), y_det=1,
-            y_box=np.array([0.1, 0.2, -0.1, 0.0]),
-            y_landmark=np.zeros(10))
-
-    def test_det_only(self):
-        report = L.multitask_loss(self.sample({"det"}), {"det": 0.5})
-        assert report.total == pytest.approx(1.0 * np.log(2))
-        assert set(report.losses) == {"det"}
-
-    def test_all_zero_weights(self):
-        outputs = {"det": 0.5, "box": np.zeros(4), "landmark": np.ones(10)}
-        report = L.multitask_loss(
-            self.sample({"det", "box", "landmark"}), outputs,
-            weights={"det": 0.0, "box": 0.0, "landmark": 0.0})
-        assert report.total == 0.0
-
-    def test_det_and_box_hand_summed(self):
-        outputs = {"det": 0.7, "box": np.array([0.3, 0.2, -0.1, 0.4])}
-        report = L.multitask_loss(self.sample({"det", "box"}), outputs,
-                                  weights={"det": 1.0, "box": 0.5})
-        expected = (1.0 * L.loss_det(0.7, 1)[0]
-                    + 0.5 * L.loss_box(outputs["box"], [0.1, 0.2, -0.1, 0.0])[0])
-        assert report.total == pytest.approx(expected, abs=1e-9)
-
-    def test_unknown_task_rejected(self):
-        with pytest.raises(ValueError):
-            L.TrainingSample(tasks=frozenset({"pose"}))
-
-    def test_bad_label_rejected(self):
-        with pytest.raises(ValueError):
-            L.TrainingSample(tasks=frozenset({"det"}), y_det=3)
-
-
 class TestHeadGradients:
     def test_backprop_matches_finite_differences(self):
         rng = np.random.default_rng(5)

@@ -394,6 +394,33 @@ class TestRun:
         assert (tmp_path / "frames" / "frame000.ppm").read_bytes() == before
         assert not (tmp_path / "frames" / "detections.jsonl").exists()
 
+    @pytest.mark.parametrize("output", [
+        "detections.jsonl", "summary.json", "frame000.ppm"])
+    @pytest.mark.parametrize("field, label", [
+        ("manifest", "the manifest"),
+        ("cascade_weights", "the cascade weights"),
+        ("classifier_weights", "the classifier weights")])
+    def test_output_over_config_input_refused(self, tmp_path, field, label,
+                                              output):
+        """The manifest and both weight archives are inputs too: an output
+        that lands on one is refused before anything is written."""
+        config_path = write_run_setup(tmp_path, [0])
+        # An absolute frame path keeps the frame found from any manifest
+        # directory; the annotated output is still named frame000.ppm.
+        (tmp_path / "frames.txt").write_text(
+            f"{tmp_path / 'frames' / 'frame000.ppm'}\n")
+        config = P.parse_config(config_path)
+        (tmp_path / "out").mkdir()
+        target = tmp_path / "out" / output
+        getattr(config, field).rename(target)
+        setattr(config, field, target)
+        before = target.read_bytes()
+        with pytest.raises(P.FrameReadError,
+                           match=f"{output} would overwrite {label}"):
+            P.run(config)
+        assert target.read_bytes() == before
+        assert [p.name for p in (tmp_path / "out").iterdir()] == [output]
+
     def test_failed_frame_skipped(self, tmp_path, capsys):
         config_path = write_run_setup(tmp_path, [0, 1, 2])
         frames_dir = tmp_path / "frames"

@@ -114,7 +114,8 @@ def bilinear_resize(image: Tensor, out_h: int, out_w: int) -> Tensor:
 def build_image_pyramid(frame: Tensor, config: CascadeConfig
                         ) -> list[tuple[float, Tensor]]:
     """Geometric pyramid of ``(scale, image)`` levels, scales (12/min_face)
-    * factor^k, all keeping min(H, W) * scale >= 12. Extents round up."""
+    * factor^k. The first level exists whenever min(H, W) >= min_face; each
+    later one keeps min(H, W) * scale >= 12. Extents round up."""
     _, _, h, w = frame.shape
     if min(h, w) < config.min_face_size:
         log.warning("frame %dx%d smaller than min face size %d; empty pyramid",
@@ -122,7 +123,9 @@ def build_image_pyramid(frame: Tensor, config: CascadeConfig
         return []
     levels = []
     scale = PNET_EXTENT / config.min_face_size
-    while min(h, w) * scale >= PNET_EXTENT:
+    # The integer check above admits the first level: when min(H, W) equals
+    # min_face, the float product can round just below 12.
+    while not levels or min(h, w) * scale >= PNET_EXTENT:
         sh = int(np.ceil(h * scale))
         sw = int(np.ceil(w * scale))
         levels.append((scale, bilinear_resize(frame, sh, sw)))

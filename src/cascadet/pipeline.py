@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import re
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -129,26 +130,22 @@ class Detection:
         return det
 
 
+# One PPM header token after any whitespace and '#' comments (a comment
+# runs to the end of its line); a '#' inside a token is part of it.
+_PPM_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
+
+
 def parse_ppm(data: bytes, origin: str = "<bytes>") -> np.ndarray:
     """Binary PPM (P6, maxval 255) -> (H, W, 3) uint8 pixels."""
     pos = 0
 
     def next_token() -> bytes:
         nonlocal pos
-        while pos < len(data):
-            if data[pos:pos + 1].isspace():
-                pos += 1
-            elif data[pos:pos + 1] == b"#":
-                while pos < len(data) and data[pos:pos + 1] != b"\n":
-                    pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
+        match = _PPM_TOKEN.match(data, pos)
+        pos = match.end()
+        if not match[1]:
             raise FrameReadError(f"{origin}: truncated PPM header")
-        return data[start:pos]
+        return match[1]
 
     magic = next_token()
     if magic != b"P6":
@@ -194,10 +191,8 @@ def list_manifest(manifest_path: str | Path) -> list[tuple[int, Path, str]]:
         entry = raw.strip()
         if not entry or entry.startswith("#"):
             continue
-        path = Path(entry)
-        if not path.is_absolute():
-            path = manifest_path.parent / path
-        entries.append((lineno, path, entry))
+        # An absolute entry replaces the parent whole.
+        entries.append((lineno, manifest_path.parent / entry, entry))
     return entries
 
 

@@ -138,10 +138,21 @@ def depthwise_conv2d(x: Tensor, weight: Tensor, stride: int = 1,
     return np.ascontiguousarray(out, dtype=np.float32)
 
 
+def _check_channels(op: str, x: Tensor, params: str, count: int) -> None:
+    """Raise unless ``x`` has ``count`` channels on axis 1, one for each
+    value of the parameter ``params``."""
+    if x.ndim < 2:
+        raise ValueError(f"{op}: input must have a channel axis, got rank {x.ndim}")
+    if x.shape[1] != count:
+        raise ValueError(
+            f"{op}: input has {x.shape[1]} channels but {params} has {count}")
+
+
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, mean: Tensor,
                variance: Tensor, epsilon: float = 1e-5) -> Tensor:
     """Inference-mode batch normalization with stored per-channel statistics."""
     x = _as_f32(x)
+    _check_channels("batch_norm", x, "gamma", gamma.size)
     shape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
     scale = (gamma / np.sqrt(variance + np.float32(epsilon))).reshape(shape)
     shift = beta.reshape(shape) - mean.reshape(shape) * scale
@@ -165,6 +176,7 @@ def prelu(x: Tensor, alpha: Tensor, out: Tensor | None = None) -> Tensor:
     may be ``x`` itself.
     """
     x = _as_f32(x)
+    _check_channels("prelu", x, "alpha", alpha.size)
     alpha = alpha.reshape((1, x.shape[1]) + (1,) * (x.ndim - 2))
     if out is None:
         out = np.empty_like(x)
@@ -403,11 +415,13 @@ class Network:
 
     Construction fetches and checks every parameter (its shape, and a
     non-negative batch-norm variance), checks each layer's geometry, and
-    compiles each layer once into a callable with its parameters bound; any
-    mismatch raises NetworkError there, not on a forward call. Immutable
-    after construction and safe to share across threads. The forward pass
-    applies layers in order; each layer consumes the previous output unless
-    its spec names an earlier layer via ``feeds_from``.
+    compiles each layer once into a callable with its parameters bound; a
+    mismatch there raises NetworkError. Construction does not check that
+    one layer's output channels match the next layer's input: such a
+    mismatch raises a ValueError naming the layer on the first forward.
+    Immutable after construction and safe to share across threads. The
+    forward pass applies layers in order; each layer consumes the previous
+    output unless its spec names an earlier layer via ``feeds_from``.
 
     ``input_shape`` optionally declares the expected per-sample input shape
     (channels, height, width); when set, forward rejects anything else.
@@ -462,12 +476,9 @@ class Network:
         starts = range(0, n - _CHUNK_ROWS + 1, _CHUNK_ROWS) or range(1)
         parts = [self._run(self._trunk, x[start:stop], keep, {})
                  for start, stop in zip(starts, [*starts[1:], n])]
-        if len(parts) == 1:
-            current, outputs = parts[0]
-        else:
-            current = np.concatenate([part[0] for part in parts])
-            outputs = {name: np.concatenate([part[1][name] for part in parts])
-                       for name in parts[0][1]}
+        current = np.concatenate([part[0] for part in parts])
+        outputs = {name: np.concatenate([part[1][name] for part in parts])
+                   for name in parts[0][1]}
         current, outputs = self._run(self._head, current, keep, outputs)
         if taps:
             return current, {name: outputs[name] for name in taps}

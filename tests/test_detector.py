@@ -46,6 +46,20 @@ class TestPyramid:
         assert scale == 1.0
         assert image.shape == (1, 3, 12, 12)
 
+    def test_short_side_equal_to_min_face_gets_a_level(self):
+        """A frame whose short side equals min_face_size keeps its first
+        level even where ``side * (12 / side)`` rounds below 12 (47, 94,
+        147, ...); its short side is 13 where the product rounds above 12.
+        Zero channels keep 1989 pyramids cheap."""
+        for side in range(12, 2001):
+            frame = np.zeros((1, 0, side, side + 3), np.float32)
+            config = D.CascadeConfig(min_face_size=side)
+            levels = D.build_image_pyramid(frame, config)
+            assert levels, side
+            scale, image = levels[0]
+            assert scale == 12 / side
+            assert min(image.shape[2:]) in (12, 13), side
+
     def test_too_small_frame_gives_empty_pyramid(self, caplog):
         frame = np.zeros((1, 3, 10, 10), np.float32)
         with caplog.at_level(logging.WARNING):
@@ -106,6 +120,28 @@ class TestResampling:
         resized = D.bilinear_resize(frame, 8, 8)
         np.testing.assert_allclose(resized, np.full((1, 3, 8, 8), 0.625),
                                    atol=1e-6)
+
+    def test_bilinear_resize_matches_crop_oracle(self):
+        """Downscaling a square frame to E x E samples it as the whole-frame
+        crop does: cell centres, every sample inside the frame."""
+        rng = np.random.default_rng(13)
+        for side, extents in ((16, (12, 8, 5, 1)), (37, (24, 13, 12))):
+            frame = rng.uniform(-1, 1, (1, 3, side, side)).astype(np.float32)
+            for extent in extents:
+                want = oracles.naive_crop_resize(frame, (0, 0, side, side),
+                                                 extent)
+                got = D.bilinear_resize(frame, extent, extent)
+                np.testing.assert_allclose(got[0], want, rtol=0, atol=1e-6)
+
+    def test_bilinear_upscale_clamps_to_edge(self):
+        """Upscaled, the outer samples fall outside the pixel centres and
+        clamp to the edge: each corner output is its corner pixel exactly,
+        where a zero-bordered crop would blend it toward 0."""
+        rng = np.random.default_rng(14)
+        frame = rng.uniform(0.5, 1, (1, 3, 5, 7)).astype(np.float32)
+        out = D.bilinear_resize(frame, 12, 16)
+        corners = (slice(None), slice(None), [0, 0, -1, -1], [0, -1, 0, -1])
+        np.testing.assert_array_equal(out[corners], frame[corners])
 
     def test_batch_rows_equal_single_box_crops(self):
         rng = np.random.default_rng(10)

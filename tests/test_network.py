@@ -196,6 +196,24 @@ class TestNetwork:
         with pytest.raises(ValueError, match="badconv"):
             net.forward(np.zeros((1, 5, 8, 8), np.float32))
 
+    @pytest.mark.parametrize("second, message", [
+        (prelu_layer("act", 5), "layer 'act': prelu: input has 8 channels "
+                                "but alpha has 5"),
+        (bn_layer("norm", 5), "layer 'norm': batch_norm: input has 8 "
+                              "channels but gamma has 5"),
+        (conv_layer("c2", 4, 2, 1), "layer 'c2': conv2d: input has 8 "
+                                    "channels but weight expects 4"),
+    ], ids=["prelu", "batch-norm", "conv"])
+    def test_channel_mismatch_builds_and_fails_on_forward(self, second,
+                                                          message):
+        """Construction checks each layer's parameters, not that a layer's
+        input channels match the previous layer's output: that fails on the
+        first forward, naming the layer."""
+        layers = [conv_layer("c1", 3, 8, 3), second]
+        net = Network(layers, archive_for(layers))
+        with pytest.raises(ValueError, match=message):
+            net.forward(np.zeros((1, 3, 6, 6), np.float32))
+
     def test_forward_deterministic(self):
         rng = np.random.default_rng(3)
         layers = [conv_layer("c", 3, 6, 3, bias=False),

@@ -52,10 +52,25 @@ class TestPpm:
         (b"P6\n2 1", "truncated PPM header"),
         (b"P6\ntwo 1\n255\n" + bytes(6), "malformed PPM header"),
         (b"P6\n0 1\n255\n", "bad dimensions 0x1"),
-    ], ids=["truncated-header", "non-integer-size", "zero-width"])
+        (b"P6\n2 1\n# runs to the end", "truncated PPM header"),
+        (b"P6\n2#c 1\n255\n" + bytes(6), "malformed PPM header"),
+        (b"P6#c\n2 1\n255\n" + bytes(6), r"not a binary PPM \(magic b'P6#c'\)"),
+    ], ids=["truncated-header", "non-integer-size", "zero-width",
+            "comment-to-end", "hash-in-size", "hash-in-magic"])
     def test_malformed_header_rejected(self, data, message):
         with pytest.raises(P.FrameReadError, match=message):
             P.parse_ppm(data)
+
+    @pytest.mark.parametrize("data", [
+        b"P6\t2\r1\x0b255\x0c",
+        b"P6\r\n2 1\r\n255\r",
+        b"P6\n2 1\n# maxval follows\n255\n",
+        b"P6 2 1 #c\n255\n",
+    ], ids=["tab-cr-vt-ff", "crlf", "comment-before-maxval",
+            "comment-after-space"])
+    def test_header_separators_accepted(self, data):
+        pixels = P.parse_ppm(data + bytes(range(6)))
+        assert pixels.tobytes() == bytes(range(6))
 
     def test_write_read_round_trip(self, tmp_path):
         frame = make_frame()
@@ -76,6 +91,15 @@ class TestReadFrames:
         manifest = tmp_path / "frames.txt"
         manifest.write_text("")
         assert P.list_manifest(manifest) == []
+
+    def test_entries_resolve_against_manifest_directory(self, tmp_path):
+        elsewhere = tmp_path / "elsewhere" / "b.ppm"
+        manifest = tmp_path / "list" / "frames.txt"
+        manifest.parent.mkdir()
+        manifest.write_text(f"# frames\n\nsub/a.ppm\n  {elsewhere}  \n")
+        assert P.list_manifest(manifest) == [
+            (3, tmp_path / "list" / "sub" / "a.ppm", "sub/a.ppm"),
+            (4, elsewhere, str(elsewhere))]
 
     def test_indices_follow_manifest_order(self, tmp_path):
         names = []

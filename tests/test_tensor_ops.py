@@ -177,6 +177,14 @@ class TestBatchNorm:
         want = oracles.naive_batch_norm(x, gamma, beta, mean, variance, 1e-5)
         np.testing.assert_allclose(got, want, atol=1e-6)
 
+    def test_channel_mismatch_names_both_counts(self):
+        stats = [np.ones(5, np.float32)] * 4
+        for x in (np.zeros((2, 8, 3, 3), np.float32),
+                  np.zeros((2, 8), np.float32)):
+            with pytest.raises(ValueError, match="batch_norm: input has 8 "
+                                                 "channels but gamma has 5"):
+                T.batch_norm(x, *stats)
+
     def test_negative_variance_rejected(self):
         one = np.ones(1, np.float32)
         archive = WeightArchive({"bn.gamma": one, "bn.beta": one,
@@ -215,6 +223,17 @@ class TestActivations:
         x = np.full((1, 1, 1, 1), -4.0, np.float32)
         out = T.prelu(x, np.array([0.25], np.float32))
         assert out[0, 0, 0, 0] == -1.0
+
+    def test_prelu_channel_mismatch_names_both_counts(self):
+        alpha = np.full(5, 0.25, np.float32)
+        for x in (np.zeros((1, 8, 4, 4), np.float32),
+                  np.zeros((3, 8), np.float32)):
+            with pytest.raises(ValueError, match="prelu: input has 8 "
+                                                 "channels but alpha has 5"):
+                T.prelu(x, alpha)
+        with pytest.raises(ValueError, match="prelu: input must have a "
+                                             "channel axis, got rank 1"):
+            T.prelu(np.zeros(5, np.float32), alpha)
 
     def test_prelu_into_its_own_input(self):
         rng = np.random.default_rng(16)

@@ -16,7 +16,6 @@ Pixel tensors entering the cascade are normalized as (v - 127.5) / 128;
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -24,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .tensor import (Network, Tensor, conv_layer, dense_layer, prelu_layer,
-                     LayerSpec, parameter_shapes)
+                     LayerSpec, parameter_shapes, row_chunks)
 
 log = logging.getLogger(__name__)
 
@@ -79,12 +78,13 @@ class CascadeConfig:
 
 
 def frame_to_tensor(pixels: np.ndarray) -> Tensor:
-    """HxWx3 uint8 RGB -> normalized (1, 3, H, W) float32 tensor."""
+    """HxWx3 uint8 RGB -> normalized (1, 3, H, W) float32 tensor, a view of
+    channels-last memory."""
     arr = np.asarray(pixels)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValueError(f"expected HxWx3 pixels, got shape {arr.shape}")
     arr = (arr.astype(np.float32) - 127.5) / 128.0
-    return np.ascontiguousarray(arr.transpose(2, 0, 1)[None])
+    return arr.transpose(2, 0, 1)[None]
 
 
 def bilinear_resize(image: Tensor, out_h: int, out_w: int) -> Tensor:
@@ -123,13 +123,15 @@ def build_image_pyramid(frame: Tensor, config: CascadeConfig
         return []
     levels = []
     scale = PNET_EXTENT / config.min_face_size
-    # The integer check above admits the first level: when min(H, W) equals
-    # min_face, the float product can round just below 12.
+    # The first level is admitted and sized in integers: when min(H, W)
+    # equals min_face, the float product side * scale can round just below
+    # 12, or just above it, which would give a 13-pixel level.
+    extents = (-(-h * PNET_EXTENT // config.min_face_size),
+               -(-w * PNET_EXTENT // config.min_face_size))
     while not levels or min(h, w) * scale >= PNET_EXTENT:
-        sh = int(np.ceil(h * scale))
-        sw = int(np.ceil(w * scale))
-        levels.append((scale, bilinear_resize(frame, sh, sw)))
+        levels.append((scale, bilinear_resize(frame, *extents)))
         scale *= config.pyramid_factor
+        extents = (int(np.ceil(h * scale)), int(np.ceil(w * scale)))
     return levels
 
 
@@ -311,16 +313,11 @@ def square_pad(boxes: np.ndarray) -> np.ndarray:
     return np.hstack([center - half, center + half])
 
 
-# Bytes per block of crops: small enough that a block's temporaries stay in L2.
+# Bytes of crops per block. The bilinear temporaries are a block's size, not
+# the batch's: a 1,400-box 24x24 call peaks at 17 MiB, 9 MiB of it the
+# output, where one unblocked pass peaks at 52 MiB. The budget is in bytes,
+# not rows, because 32 rows of 96x96 crops hold as much as 512 of 24x24.
 _BLOCK_BYTES = 1 << 18
-
-
-def _row_blocks(x: Tensor) -> list[slice]:
-    """Slices of ``x``'s batch axis, each about ``_BLOCK_BYTES`` and at
-    least one row; none for an empty batch."""
-    row_bytes = x.itemsize * math.prod(x.shape[1:])
-    step = max(1, _BLOCK_BYTES // max(1, row_bytes))
-    return [slice(i, i + step) for i in range(0, len(x), step)]
 
 
 def crop_resize_batch(frame: Tensor, boxes: np.ndarray,
@@ -329,9 +326,9 @@ def crop_resize_batch(frame: Tensor, boxes: np.ndarray,
 
     Returns a (len(boxes), C, E, E) batch, a view of channels-last memory.
     Sample points outside the frame contribute zero, so boxes hanging past
-    the edges come back zero-padded. The crops are filled a block of boxes
-    at a time (see :func:`_row_blocks`); each crop's bits depend
-    only on its own box, not on the block size or the rest of the batch.
+    the edges come back zero-padded. The crops are filled ``_BLOCK_BYTES``
+    at a time; each crop's bits depend only on its own box, not on the
+    block size or the rest of the batch.
     """
     if out_extent < 1:
         raise ValueError(f"out_extent must be positive, got {out_extent}")
@@ -359,7 +356,8 @@ def crop_resize_batch(frame: Tensor, boxes: np.ndarray,
         return table.take(row[b, :, None] + col[b, None, :], axis=0)
 
     out = np.empty((len(boxes), e, e, c), np.float32)
-    for b in _row_blocks(out):
+    rows = max(1, _BLOCK_BYTES // (out.itemsize * e * e * c))
+    for b in row_chunks(len(out), rows):
         top = gather(b, row0, col0) * wx0[b] + gather(b, row0, col1) * wx1[b]
         bottom = gather(b, row1, col0) * wx0[b] + gather(b, row1, col1) * wx1[b]
         np.add(top * wy0[b], bottom * wy1[b], out=out[b])

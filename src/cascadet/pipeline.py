@@ -172,7 +172,7 @@ def parse_ppm(data: bytes, origin: str = "<bytes>") -> np.ndarray:
 def write_ppm(path: str | Path, pixels: np.ndarray) -> None:
     h, w = pixels.shape[:2]
     header = f"P6\n{w} {h}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + np.ascontiguousarray(pixels).tobytes())
+    Path(path).write_bytes(header + pixels.tobytes())
 
 
 def list_manifest(manifest_path: str | Path) -> list[tuple[int, Path, str]]:

@@ -4,19 +4,21 @@ Tensors are plain ``numpy.ndarray`` objects in float32 whose shapes are
 logical batch-channel-height-width (NCHW). Their memory order is not fixed:
 a returned array may be a strided view, and a convolution's output is held
 channels-last (channels fastest-varying) so the next layer reads it without
-a transpose copy. The result's bits never depend on the input's memory
-order; an operator whose arithmetic would (the matrix products, the
-depthwise einsum, the spatial mean) first makes its input contiguous.
+a transpose copy. One rule decides who copies for memory layout: only an
+operator whose arithmetic depends on its input's memory order (the matrix
+products, the depthwise einsum, the spatial mean) makes that input
+contiguous, and only its own input. No caller copies on an operator's
+behalf, so a result's bits never depend on the memory order it is given.
 
 A :class:`Network` runs its trunk, the layers before its first dense or
-global-avg-pool layer, on chunks of ``_CHUNK_ROWS`` batch rows, so each
-im2col matrix and element-wise temporary is a chunk's size, not the
-batch's. Its head runs once on the joined trunk output. A trunk
-convolution's product gives the same bits on a chunk of three or more rows
-as on the whole batch (on the BLAS build the golden trace pins), so
-chunking changes no output bit. A dense layer's product does not at any
-chunk size: its bits depend on the batch's row count, so the head sees the
-whole batch.
+global-avg-pool layer, on the batch slices :func:`row_chunks` gives for
+``_CHUNK_ROWS`` rows, so each im2col matrix and element-wise temporary is a
+chunk's size, not the batch's. Its head runs once on the joined trunk
+output. A trunk convolution's product gives the same bits on a chunk of
+five or more rows as on the whole batch (on the BLAS build the golden trace
+pins; rnet's last convolution differs at one to four rows), so chunking
+changes no output bit. A dense layer's product does not at any chunk size:
+its bits depend on the batch's row count, so the head sees the whole batch.
 
 Operators are pure functions: inputs are never modified, except that
 :func:`prelu` writes to ``out`` when given one, and repeated calls on
@@ -52,6 +54,14 @@ def _as_f32(x) -> Tensor:
 
 # Rows per chunk of a network's trunk (see :meth:`Network.forward`).
 _CHUNK_ROWS = 32
+
+
+def row_chunks(n: int, rows: int) -> list[slice]:
+    """Slices that split a batch of ``n`` rows into chunks of ``rows`` rows,
+    the last also taking the remainder. Below ``2 * rows`` rows, an empty
+    batch included, the one slice is the whole batch."""
+    starts = range(0, n - rows + 1, rows) or range(1)
+    return list(map(slice, starts, [*starts[1:], n]))
 
 
 def _out_extent(extent: int, kernel: int, stride: int, padding: int) -> int:
@@ -470,12 +480,9 @@ class Network:
             raise ValueError(
                 f"input shape {tuple(x.shape[1:])} does not match the "
                 f"network's declared {self.input_shape}")
-        # The trunk runs on chunks of _CHUNK_ROWS rows, the last taking the
-        # remainder; its outputs are joined for the head.
-        n = len(x)
-        starts = range(0, n - _CHUNK_ROWS + 1, _CHUNK_ROWS) or range(1)
-        parts = [self._run(self._trunk, x[start:stop], keep, {})
-                 for start, stop in zip(starts, [*starts[1:], n])]
+        # The trunk runs chunk by chunk; its outputs are joined for the head.
+        parts = [self._run(self._trunk, x[chunk], keep, {})
+                 for chunk in row_chunks(len(x), _CHUNK_ROWS)]
         current = np.concatenate([part[0] for part in parts])
         outputs = {name: np.concatenate([part[1][name] for part in parts])
                    for name in parts[0][1]}
@@ -502,9 +509,6 @@ class Network:
             except ValueError as exc:
                 raise ValueError(f"layer {name!r}: {exc}") from exc
             owned = name not in keep
-            if name in self._feeds:
-                # Held contiguous once, so no reader copies it again.
-                current = np.ascontiguousarray(current)
             if not owned:
                 outputs[name] = current
         return current, outputs

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,8 +50,10 @@ class TestPyramid:
     def test_short_side_equal_to_min_face_gets_a_level(self):
         """A frame whose short side equals min_face_size keeps its first
         level even where ``side * (12 / side)`` rounds below 12 (47, 94,
-        147, ...); its short side is 13 where the product rounds above 12.
-        Zero channels keep 1989 pyramids cheap."""
+        147, ...), and that level's short side is 12 even where the product
+        rounds above 12 (187, 273, 275, ...); the long side is the integer
+        ceiling of (side + 3) * 12 / side. Zero channels keep 1989 pyramids
+        cheap."""
         for side in range(12, 2001):
             frame = np.zeros((1, 0, side, side + 3), np.float32)
             config = D.CascadeConfig(min_face_size=side)
@@ -58,7 +61,7 @@ class TestPyramid:
             assert levels, side
             scale, image = levels[0]
             assert scale == 12 / side
-            assert min(image.shape[2:]) in (12, 13), side
+            assert image.shape[2:] == (12, -(-(side + 3) * 12 // side)), side
 
     def test_too_small_frame_gives_empty_pyramid(self, caplog):
         frame = np.zeros((1, 3, 10, 10), np.float32)
@@ -143,25 +146,47 @@ class TestResampling:
         corners = (slice(None), slice(None), [0, 0, -1, -1], [0, -1, 0, -1])
         np.testing.assert_array_equal(out[corners], frame[corners])
 
-    def test_batch_rows_equal_single_box_crops(self):
+    def test_batch_rows_equal_single_box_crops(self, monkeypatch):
         rng = np.random.default_rng(10)
         frame = rng.uniform(-1, 1, (1, 3, 40, 50)).astype(np.float32)
         channels_last = np.ascontiguousarray(
             frame.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
-        # Three row blocks of 24x24 crops and part of a fourth.
+        # Three blocks of 24x24 crops, the last with half a block more.
         per_block = D._BLOCK_BYTES // (3 * 24 * 24 * 4)
         n = 3 * per_block + per_block // 2
         xy = rng.uniform(-10, 45, (n, 2))
         batch_boxes = np.hstack([xy, xy + rng.uniform(1, 30, (n, 2))])
+        rows = []
+        chunks = D.row_chunks
+        monkeypatch.setattr(D, "row_chunks", lambda n, step:
+                            rows.append(step) or chunks(n, step))
+        assert len(chunks(n, per_block)) == 3
         for image in (frame, channels_last):
             batch = D.crop_resize_batch(image, batch_boxes, 24)
             assert batch.shape == (n, 3, 24, 24)
-            assert len(D._row_blocks(batch)) == 4
+            assert rows[-1] == per_block
             for i in range(n):
                 alone = D.crop_resize_batch(image, batch_boxes[i:i + 1], 24)
                 assert batch[i:i + 1].tobytes() == alone.tobytes()
         empty = D.crop_resize_batch(frame, np.zeros((0, 4)), 24)
         assert empty.shape == (0, 3, 24, 24)
+
+    def test_crop_peak_memory_is_block_sized(self):
+        """A stage-1-sized call of 1,400 24x24 crops allocates its output
+        and one block's temporaries, not the batch's (unblocked, it peaks
+        at 52 MiB)."""
+        rng = np.random.default_rng(1400)
+        frame = D.frame_to_tensor(fixtures.synthetic_frame(5, 640, 360))
+        side = rng.uniform(12, 200, (1400, 1))
+        corner = rng.uniform(-20, 620, (1400, 2))
+        crop_boxes = np.hstack([corner, corner + side])
+        tracemalloc.start()
+        try:
+            D.crop_resize_batch(frame, crop_boxes, 24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20, peak / 2**20
 
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(12)

@@ -413,23 +413,23 @@ def golden_crops(fixture_networks):
     return crops
 
 
-@pytest.mark.parametrize("network", ["rnet", "onet"])
-@pytest.mark.parametrize("batch", [R - 1, R, R + 1, 2 * R - 1, 2 * R,
-                                   2 * R + 1, 3 * R + 2, "golden"])
-def test_chunked_trunk_equals_whole_batch(fixture_networks, golden_crops,
-                                          monkeypatch, network, batch):
-    """A forward whose trunk runs in chunks gives the bytes of a forward on
-    the whole batch at once: its output, its taps and its untapped output."""
-    net = fixture_networks[network]
+def refinement_batch(net, golden_crops, network, batch):
+    """The golden frame's crops for ``network``, or ``batch`` seeded random
+    crops of a synthetic frame, some hanging past its edges."""
     if batch == "golden":
-        x = golden_crops[network]
-    else:
-        rng = np.random.default_rng(batch)
-        frame = frame_to_tensor(fixtures.synthetic_frame(batch, 160, 120))
-        corner = rng.uniform(-20, 150, (batch, 2))
-        x = crop_resize_batch(frame, np.hstack(
-            [corner, corner + rng.uniform(8, 60, (batch, 2))]),
-            net.input_shape[-1])
+        return golden_crops[network]
+    rng = np.random.default_rng(batch)
+    frame = frame_to_tensor(fixtures.synthetic_frame(batch, 160, 120))
+    corner = rng.uniform(-20, 150, (batch, 2))
+    return crop_resize_batch(frame, np.hstack(
+        [corner, corner + rng.uniform(8, 60, (batch, 2))]),
+        net.input_shape[-1])
+
+
+def assert_chunks_keep_bytes(net, x, monkeypatch):
+    """A forward whose trunk runs in chunks of the current ``_CHUNK_ROWS``
+    gives the bytes of a forward on the whole batch at once: its output,
+    its taps and its untapped output."""
     # Every layer from the first pool on: the first two hold 75 MB each on
     # the golden rnet batch.
     names = tuple(layer.name for layer in net.layers)[2:]
@@ -444,11 +444,39 @@ def test_chunked_trunk_equals_whole_batch(fixture_networks, golden_crops,
     assert forward_bytes() == chunked
 
 
-def test_feeds_from_source_held_contiguous(fixture_networks):
-    """pnet's two 1x1 heads read one C-contiguous copy of their source."""
-    frame = frame_to_tensor(fixtures.synthetic_frame(3, 64, 48))
-    _, taps = fixture_networks["pnet"].forward(frame, taps=("pnet.prelu3",))
-    assert taps["pnet.prelu3"].flags.c_contiguous
+@pytest.mark.parametrize("network", ["rnet", "onet"])
+@pytest.mark.parametrize("batch", [R - 1, R, R + 1, 2 * R - 1, 2 * R,
+                                   2 * R + 1, 3 * R + 2, "golden"])
+def test_chunked_trunk_equals_whole_batch(fixture_networks, golden_crops,
+                                          monkeypatch, network, batch):
+    net = fixture_networks[network]
+    assert_chunks_keep_bytes(
+        net, refinement_batch(net, golden_crops, network, batch), monkeypatch)
+
+
+@pytest.mark.parametrize("network", ["rnet", "onet"])
+@pytest.mark.parametrize("batch", [9, 3 * R + 2, "golden"])
+def test_five_row_chunks_equal_whole_batch(fixture_networks, golden_crops,
+                                           monkeypatch, network, batch):
+    """The bound the tensor module states: a trunk convolution's bits hold
+    on chunks of five rows (on the pinned BLAS build, rnet.conv3's bits
+    change at one to four)."""
+    net = fixture_networks[network]
+    x = refinement_batch(net, golden_crops, network, batch)
+    monkeypatch.setattr(T, "_CHUNK_ROWS", 5)
+    assert_chunks_keep_bytes(net, x, monkeypatch)
+
+
+@pytest.mark.parametrize("n", [0, 1, R - 1, R, R + 1, 2 * R - 1, 2 * R,
+                               2 * R + 1, 3 * R + 2])
+def test_row_chunks_cover_the_batch_in_order(n):
+    """R-row slices that tile the batch, the last taking the remainder; one
+    slice, empty for an empty batch, below 2R rows."""
+    chunks = T.row_chunks(n, R)
+    sizes = [n] if n < 2 * R else [R] * (n // R - 1) + [R + n % R]
+    assert [c.stop - c.start for c in chunks] == sizes
+    assert [c.start for c in chunks] == [0, *(c.stop for c in chunks[:-1])]
+    assert chunks[-1].stop == n and all(c.step is None for c in chunks)
 
 
 @pytest.mark.parametrize("network, rows, limit_mib",

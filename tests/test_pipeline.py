@@ -79,6 +79,18 @@ class TestPpm:
         np.testing.assert_array_equal(P.parse_ppm(path.read_bytes()),
                                       frame.pixels)
 
+    def test_strided_pixels_written_in_row_order(self, tmp_path):
+        """A channels-last view of planar memory writes the bytes of its
+        contiguous copy."""
+        pixels = make_frame().pixels
+        planar = np.ascontiguousarray(pixels.transpose(2, 0, 1))
+        view = planar.transpose(1, 2, 0)
+        assert not view.flags.c_contiguous
+        P.write_ppm(tmp_path / "view.ppm", view)
+        P.write_ppm(tmp_path / "copy.ppm", pixels)
+        assert ((tmp_path / "view.ppm").read_bytes()
+                == (tmp_path / "copy.ppm").read_bytes())
+
 
 def load_manifest(manifest):
     """Every manifest frame, loaded the way ``P.run`` loads each one."""
@@ -240,6 +252,23 @@ class TestProcessFrame:
                         trace=trace)
         assert trace == golden["trace"]
 
+    def test_frame_layout_never_changes_bits(self, golden, stack):
+        """The channels-last view ``frame_to_tensor`` returns and its
+        contiguous copy give the same faces and predictions."""
+        networks, classifier, _ = stack
+        seed, width, height = (golden["frame"][key]
+                               for key in ("seed", "width", "height"))
+        view = D.frame_to_tensor(fixtures.synthetic_frame(seed, width, height))
+        assert not view.flags.c_contiguous
+
+        def outputs(frame):
+            faces = D.detect_faces(frame, networks, D.CascadeConfig())
+            return faces, classify_all(classifier, frame, faces)
+
+        got = outputs(view)
+        assert len(got[0]) == golden["trace"]["final"]
+        assert outputs(np.ascontiguousarray(view)) == got
+
     def test_block_size_never_changes_bits(self, golden, stack, monkeypatch):
         """With one row per block, the crops, the rnet forward on every
         stage-1 crop, the onet forward and the classifier give the bytes
@@ -268,12 +297,17 @@ class TestProcessFrame:
             return ([array.tobytes() for array in arrays],
                     classify_all(classifier, frame, faces))
 
+        rows = []
+        chunks = D.row_chunks
+        monkeypatch.setattr(D, "row_chunks", lambda n, step:
+                            rows.append(step) or chunks(n, step))
         default = outputs()
-        assert len(D._row_blocks(np.empty((len(stage1), 24, 24, 3),
-                                          np.float32))) < len(stage1)
+        # The stage-1 crops span several blocks, then one block per crop.
+        assert 1 < rows[0] < len(stage1)
+        rows.clear()
         monkeypatch.setattr(D, "_BLOCK_BYTES", 1)
-        assert len(D._row_blocks(np.empty((len(stage1), 3)))) == len(stage1)
         assert outputs() == default
+        assert set(rows) == {1}
 
     def test_boxes_inside_frame(self, golden):
         for det in golden["detections"]:

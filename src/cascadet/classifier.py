@@ -58,9 +58,12 @@ class BackboneSpec:
         if self.input_extent < 32:
             raise ValueError(
                 f"input extent must be at least 32, got {self.input_extent}")
-        if not 0 < self.width_multiplier < np.inf:
-            raise ValueError("width_multiplier must be finite and positive, "
-                             f"got {self.width_multiplier}")
+        # LAST_CHANNELS is the widest layer; its scaled count must be finite.
+        if not 0 < self.width_multiplier * LAST_CHANNELS < np.inf:
+            raise ValueError(
+                "width_multiplier must be above 0 and below "
+                f"{np.finfo(np.float64).max / LAST_CHANNELS:.4g}, "
+                f"got {self.width_multiplier}")
         if self.head_hidden < 1:
             raise ValueError(
                 f"head_hidden must be at least 1, got {self.head_hidden}")

@@ -313,22 +313,15 @@ def square_pad(boxes: np.ndarray) -> np.ndarray:
     return np.hstack([center - half, center + half])
 
 
-# Bytes of crops per block. The bilinear temporaries are a block's size, not
-# the batch's: a 1,400-box 24x24 call peaks at 17 MiB, 9 MiB of it the
-# output, where one unblocked pass peaks at 52 MiB. The budget is in bytes,
-# not rows, because 32 rows of 96x96 crops hold as much as 512 of 24x24.
-_BLOCK_BYTES = 1 << 18
-
-
 def crop_resize_batch(frame: Tensor, boxes: np.ndarray,
                       out_extent: int) -> Tensor:
     """Bilinearly sample each box region of the frame into an E x E crop.
 
     Returns a (len(boxes), C, E, E) batch, a view of channels-last memory.
     Sample points outside the frame contribute zero, so boxes hanging past
-    the edges come back zero-padded. The crops are filled ``_BLOCK_BYTES``
-    at a time; each crop's bits depend only on its own box, not on the
-    block size or the rest of the batch.
+    the edges come back zero-padded. The crops are filled in
+    :func:`row_chunks` blocks; each crop's bits depend only on its own box,
+    not on the block size or the rest of the batch.
     """
     if out_extent < 1:
         raise ValueError(f"out_extent must be positive, got {out_extent}")
@@ -356,8 +349,7 @@ def crop_resize_batch(frame: Tensor, boxes: np.ndarray,
         return table.take(row[b, :, None] + col[b, None, :], axis=0)
 
     out = np.empty((len(boxes), e, e, c), np.float32)
-    rows = max(1, _BLOCK_BYTES // (out.itemsize * e * e * c))
-    for b in row_chunks(len(out), rows):
+    for b in row_chunks(len(out), out[:1].nbytes):
         top = gather(b, row0, col0) * wx0[b] + gather(b, row0, col1) * wx1[b]
         bottom = gather(b, row1, col0) * wx0[b] + gather(b, row1, col1) * wx1[b]
         np.add(top * wy0[b], bottom * wy1[b], out=out[b])

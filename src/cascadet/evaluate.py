@@ -232,7 +232,8 @@ def _read_jsonl(path: str | Path, kind: str, parse) -> list:
             continue
         try:
             records.append(parse(line))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError,
+                RecursionError) as exc:
             raise ValueError(f"{path}:{lineno}: bad {kind} record: {exc}")
     return records
 

@@ -10,15 +10,15 @@ products, the depthwise einsum, the spatial mean) makes that input
 contiguous, and only its own input. No caller copies on an operator's
 behalf, so a result's bits never depend on the memory order it is given.
 
+One byte budget splits every batch: :func:`row_chunks` gives slices of
+about ``_BLOCK_BYTES`` of input rows, never fewer than ``_MIN_CHUNK_ROWS``.
 A :class:`Network` runs its trunk, the layers before its first dense or
-global-avg-pool layer, on the batch slices :func:`row_chunks` gives for
-``_CHUNK_ROWS`` rows, so each im2col matrix and element-wise temporary is a
-chunk's size, not the batch's. Its head runs once on the joined trunk
-output. A trunk convolution's product gives the same bits on a chunk of
-five or more rows as on the whole batch (on the BLAS build the golden trace
-pins; rnet's last convolution differs at one to four rows), so chunking
-changes no output bit. A dense layer's product does not at any chunk size:
-its bits depend on the batch's row count, so the head sees the whole batch.
+global-avg-pool layer, and the crop sampler fills its crops on those slices,
+so each im2col matrix and temporary grows with a chunk's bytes, not the
+batch's. The floor is five rows because a trunk convolution gives the same
+bits on five or more rows as on the whole batch (on the pinned BLAS build;
+rnet's last convolution differs at one to four). A dense layer's bits depend
+on the batch's row count, so the head runs once, on the joined trunk output.
 
 Operators are pure functions: inputs are never modified, except that
 :func:`prelu` writes to ``out`` when given one, and repeated calls on
@@ -52,14 +52,16 @@ def _as_f32(x) -> Tensor:
     return np.asarray(x, dtype=np.float32)
 
 
-# Rows per chunk of a network's trunk (see :meth:`Network.forward`).
-_CHUNK_ROWS = 32
+# Bytes of input rows per chunk, and the fewest rows a chunk may hold.
+_BLOCK_BYTES = 1 << 18
+_MIN_CHUNK_ROWS = 5
 
 
-def row_chunks(n: int, rows: int) -> list[slice]:
-    """Slices that split a batch of ``n`` rows into chunks of ``rows`` rows,
-    the last also taking the remainder. Below ``2 * rows`` rows, an empty
-    batch included, the one slice is the whole batch."""
+def row_chunks(n: int, row_bytes: int) -> list[slice]:
+    """Slices that split ``n`` rows of ``row_bytes`` bytes (0 counts as 1)
+    into chunks of ``max(_MIN_CHUNK_ROWS, _BLOCK_BYTES // row_bytes)`` rows,
+    the last also taking the remainder; below twice that, one whole slice."""
+    rows = max(_MIN_CHUNK_ROWS, _BLOCK_BYTES // max(1, row_bytes))
     starts = range(0, n - rows + 1, rows) or range(1)
     return list(map(slice, starts, [*starts[1:], n]))
 
@@ -482,7 +484,7 @@ class Network:
                 f"network's declared {self.input_shape}")
         # The trunk runs chunk by chunk; its outputs are joined for the head.
         parts = [self._run(self._trunk, x[chunk], keep, {})
-                 for chunk in row_chunks(len(x), _CHUNK_ROWS)]
+                 for chunk in row_chunks(len(x), x[:1].nbytes)]
         current = np.concatenate([part[0] for part in parts])
         outputs = {name: np.concatenate([part[1][name] for part in parts])
                    for name in parts[0][1]}

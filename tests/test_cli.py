@@ -62,13 +62,16 @@ class TestDetect:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("setting", [
-        "threshold_onet=1.5", "classifier_extent=16", "annotate=maybe"])
+        "threshold_onet=1.5", "classifier_extent=16", "annotate=maybe",
+        # Finite, but the widest scaled channel count overflows.
+        "width_multiplier=1e308"])
     def test_bad_setting_is_usage_error(self, tmp_path, capsys, setting):
         config_path = write_run_setup(tmp_path, [0], width=160, height=120,
                                       extra_config=setting + "\n")
         rc = cli.main(["detect", "--config", str(config_path)])
         assert rc == cli.EXIT_USAGE
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and setting.partition("=")[0] in err
         assert not (tmp_path / "out").exists()
 
     def test_corrupt_archive_is_data_error(self, tmp_path, capsys):
@@ -187,6 +190,19 @@ class TestEval:
         err = capsys.readouterr().err
         assert f"{truth}:3: bad ground-truth record" in err
         assert reason in err
+
+    @pytest.mark.parametrize("flag, kind", [("--log", "detection"),
+                                            ("--truth", "ground-truth")])
+    def test_deeply_nested_record_is_data_error_naming_line(
+            self, tmp_path, capsys, flag, kind):
+        """A line too deeply nested for the JSON decoder is a bad record,
+        not a crash."""
+        log, truth = self.write_logs(tmp_path)
+        path = log if flag == "--log" else truth
+        path.write_text(path.read_text() + "[" * 100_000 + "\n")
+        rc = cli.main(["eval", "--log", str(log), "--truth", str(truth)])
+        assert rc == cli.EXIT_DATA
+        assert f"{path}:3: bad {kind} record" in capsys.readouterr().err
 
     @pytest.mark.parametrize("iou", ["nan", "1.5", "-0.1", "half"])
     def test_iou_outside_unit_interval_is_usage_error(self, tmp_path, capsys,

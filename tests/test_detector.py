@@ -6,6 +6,7 @@ import pytest
 
 from cascadet import detector as D
 from cascadet import fixtures, oracles
+from cascadet import tensor as T
 from cascadet.tensor import Network, parameter_shapes
 from cascadet.weights import WeightArchive
 
@@ -152,19 +153,20 @@ class TestResampling:
         channels_last = np.ascontiguousarray(
             frame.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
         # Three blocks of 24x24 crops, the last with half a block more.
-        per_block = D._BLOCK_BYTES // (3 * 24 * 24 * 4)
+        crop_bytes = 3 * 24 * 24 * 4
+        per_block = max(T._MIN_CHUNK_ROWS, T._BLOCK_BYTES // crop_bytes)
         n = 3 * per_block + per_block // 2
         xy = rng.uniform(-10, 45, (n, 2))
         batch_boxes = np.hstack([xy, xy + rng.uniform(1, 30, (n, 2))])
-        rows = []
+        row_bytes = []
         chunks = D.row_chunks
-        monkeypatch.setattr(D, "row_chunks", lambda n, step:
-                            rows.append(step) or chunks(n, step))
-        assert len(chunks(n, per_block)) == 3
+        monkeypatch.setattr(D, "row_chunks", lambda n, size:
+                            row_bytes.append(size) or chunks(n, size))
+        assert len(chunks(n, crop_bytes)) == 3
         for image in (frame, channels_last):
             batch = D.crop_resize_batch(image, batch_boxes, 24)
             assert batch.shape == (n, 3, 24, 24)
-            assert rows[-1] == per_block
+            assert row_bytes[-1] == crop_bytes
             for i in range(n):
                 alone = D.crop_resize_batch(image, batch_boxes[i:i + 1], 24)
                 assert batch[i:i + 1].tobytes() == alone.tobytes()

@@ -364,7 +364,16 @@ def test_every_tap_equals_contiguous_replay(fixture_networks, network):
     assert np.array(x).tobytes() == snapshot.tobytes()
 
 
-R = T._CHUNK_ROWS
+def rule_rows(row_bytes):
+    """Rows per chunk the byte rule gives rows of ``row_bytes`` bytes."""
+    return max(T._MIN_CHUNK_ROWS, T._BLOCK_BYTES // row_bytes)
+
+
+# An 8 KiB row (1 x 32 x 64 float32) and its chunk rows: 32 at the default
+# budget. The chunking tests split batches around multiples of R.
+ROW_SHAPE = (1, 32, 64)
+ROW_BYTES = 4 * 32 * 64
+R = rule_rows(ROW_BYTES)
 
 
 @pytest.mark.parametrize("n", [0, 1, R - 1, R, R + 1, 2 * R - 1, 2 * R,
@@ -384,10 +393,12 @@ def test_trunk_runs_in_chunks_and_head_on_whole_batch(monkeypatch, n):
 
     for op in rows:
         monkeypatch.setattr(T, op, recording(op))
-    layers = [conv_layer("c", 1, 2, 1), dense_layer("d", 2, 3)]
-    x = np.arange(n, dtype=np.float32).reshape(n, 1, 1, 1)
+    layers = [conv_layer("c", 1, 2, 1), dense_layer("d", 2 * ROW_BYTES // 4, 3)]
+    x = np.repeat(np.arange(n, dtype=np.float32), ROW_BYTES // 4).reshape(
+        n, *ROW_SHAPE)
     out = Network(layers, archive_for(layers, fill=1.0)).forward(x)
-    assert out.tolist() == [[2 * v + 3] * 3 for v in range(n)]
+    # The dense layer sums 2 x 2048 conv outputs of v + 1, exactly.
+    assert out.tolist() == [[4096 * (v + 1) + 1] * 3 for v in range(n)]
     chunks = [n] if n < 2 * R else [R] * (n // R - 1) + [R + n % R]
     assert rows == {"conv2d": chunks, "dense": [n]}
 
@@ -427,9 +438,9 @@ def refinement_batch(net, golden_crops, network, batch):
 
 
 def assert_chunks_keep_bytes(net, x, monkeypatch):
-    """A forward whose trunk runs in chunks of the current ``_CHUNK_ROWS``
-    gives the bytes of a forward on the whole batch at once: its output,
-    its taps and its untapped output."""
+    """A forward whose trunk runs in the chunks of the current
+    ``_BLOCK_BYTES`` gives the bytes of a forward on the whole batch at
+    once: its output, its taps and its untapped output."""
     # Every layer from the first pool on: the first two hold 75 MB each on
     # the golden rnet batch.
     names = tuple(layer.name for layer in net.layers)[2:]
@@ -440,7 +451,8 @@ def assert_chunks_keep_bytes(net, x, monkeypatch):
                 *(taps[name].tobytes() for name in names)]
 
     chunked = forward_bytes()
-    monkeypatch.setattr(T, "_CHUNK_ROWS", len(x) + 1)
+    monkeypatch.setattr(T, "_BLOCK_BYTES", x.nbytes + 1)
+    assert len(T.row_chunks(len(x), x[:1].nbytes)) == 1
     assert forward_bytes() == chunked
 
 
@@ -449,38 +461,58 @@ def assert_chunks_keep_bytes(net, x, monkeypatch):
                                    2 * R + 1, 3 * R + 2, "golden"])
 def test_chunked_trunk_equals_whole_batch(fixture_networks, golden_crops,
                                           monkeypatch, network, batch):
+    """At the default budget (rnet 37 rows, onet 9) and at a budget of R
+    crops, so that the batch straddles R-row chunk edges."""
     net = fixture_networks[network]
-    assert_chunks_keep_bytes(
-        net, refinement_batch(net, golden_crops, network, batch), monkeypatch)
+    x = refinement_batch(net, golden_crops, network, batch)
+    for budget in (T._BLOCK_BYTES, R * x[:1].nbytes):
+        monkeypatch.setattr(T, "_BLOCK_BYTES", budget)
+        assert_chunks_keep_bytes(net, x, monkeypatch)
 
 
 @pytest.mark.parametrize("network", ["rnet", "onet"])
 @pytest.mark.parametrize("batch", [9, 3 * R + 2, "golden"])
 def test_five_row_chunks_equal_whole_batch(fixture_networks, golden_crops,
                                            monkeypatch, network, batch):
-    """The bound the tensor module states: a trunk convolution's bits hold
-    on chunks of five rows (on the pinned BLAS build, rnet.conv3's bits
-    change at one to four)."""
+    """The floor the byte rule keeps, because a trunk convolution's bits
+    hold on chunks of five rows (on the pinned BLAS build, rnet.conv3's
+    bits change at one to four): a one-byte budget gives 5-row chunks."""
     net = fixture_networks[network]
     x = refinement_batch(net, golden_crops, network, batch)
-    monkeypatch.setattr(T, "_CHUNK_ROWS", 5)
+    monkeypatch.setattr(T, "_BLOCK_BYTES", 1)
+    chunks = T.row_chunks(len(x), x[:1].nbytes)
+    assert {c.stop - c.start for c in chunks[:-1]} <= {5}
     assert_chunks_keep_bytes(net, x, monkeypatch)
 
 
 @pytest.mark.parametrize("n", [0, 1, R - 1, R, R + 1, 2 * R - 1, 2 * R,
                                2 * R + 1, 3 * R + 2])
 def test_row_chunks_cover_the_batch_in_order(n):
-    """R-row slices that tile the batch, the last taking the remainder; one
-    slice, empty for an empty batch, below 2R rows."""
-    chunks = T.row_chunks(n, R)
+    """R-row slices of 8 KiB rows that tile the batch, the last taking the
+    remainder; one slice, empty for an empty batch, below 2R rows."""
+    chunks = T.row_chunks(n, ROW_BYTES)
     sizes = [n] if n < 2 * R else [R] * (n // R - 1) + [R + n % R]
     assert [c.stop - c.start for c in chunks] == sizes
     assert [c.start for c in chunks] == [0, *(c.stop for c in chunks[:-1])]
     assert chunks[-1].stop == n and all(c.step is None for c in chunks)
 
 
+@pytest.mark.parametrize("extent, rows", [(24, 37), (48, 9), (96, 5)])
+def test_byte_rule_sizes_chunks_by_row_bytes(extent, rows):
+    """The rule gives rnet, onet and classifier crops (3 x E x E float32)
+    37, 9 and 5 rows at the default budget; no chunk has fewer than five
+    rows unless the batch does, even for rows above the budget."""
+    crop_bytes = 3 * extent * extent * 4
+    assert T.row_chunks(3 * rows, crop_bytes)[0] == slice(0, rows)
+    for row_bytes in (crop_bytes, T._BLOCK_BYTES + 1, 1 << 30):
+        for n in range(3 * rows + 2):
+            sizes = [c.stop - c.start for c in T.row_chunks(n, row_bytes)]
+            assert sum(sizes) == n
+            assert min(sizes) >= min(n, T._MIN_CHUNK_ROWS)
+
+
 @pytest.mark.parametrize("network, rows, limit_mib",
-                         [("rnet", 1400, 24), ("onet", 160, 40)])
+                         [("rnet", 1400, 24), ("onet", 160, 16)])
 def test_forward_peak_memory_is_chunk_sized(fixture_networks, network, rows,
                                             limit_mib):
     """A refinement forward on a clip640-sized batch allocates a chunk's

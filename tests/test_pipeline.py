@@ -10,6 +10,7 @@ import pytest
 from cascadet import detector as D
 from cascadet import fixtures
 from cascadet import pipeline as P
+from cascadet import tensor as T
 from cascadet import weights as W
 from cascadet.classifier import (BackboneSpec, MaskLabel, MaskPrediction,
                                  build_classifier, classify_all)
@@ -270,9 +271,10 @@ class TestProcessFrame:
         assert outputs(np.ascontiguousarray(view)) == got
 
     def test_block_size_never_changes_bits(self, golden, stack, monkeypatch):
-        """With one row per block, the crops, the rnet forward on every
-        stage-1 crop, the onet forward and the classifier give the bytes
-        they give at the default block size on the golden frame."""
+        """With a one-byte budget, so five rows per crop block and trunk
+        chunk, the crops, the rnet forward on every stage-1 crop, the onet
+        forward and the classifier give the bytes they give at the default
+        budget on the golden frame."""
         networks, classifier, spec = stack
         seed, width, height = (golden["frame"][key]
                                for key in ("seed", "width", "height"))
@@ -297,17 +299,37 @@ class TestProcessFrame:
             return ([array.tobytes() for array in arrays],
                     classify_all(classifier, frame, faces))
 
-        rows = []
-        chunks = D.row_chunks
-        monkeypatch.setattr(D, "row_chunks", lambda n, step:
-                            rows.append(step) or chunks(n, step))
+        # Each call's batch rows, row bytes and chunk sizes, for the crop
+        # sampler and for every network trunk.
+        calls = []
+        chunks = T.row_chunks
+
+        def record(n, row_bytes):
+            slices = chunks(n, row_bytes)
+            calls.append((n, row_bytes, [b.stop - b.start for b in slices]))
+            return slices
+        for module in (D, T):
+            monkeypatch.setattr(module, "row_chunks", record)
         default = outputs()
-        # The stage-1 crops span several blocks, then one block per crop.
-        assert 1 < rows[0] < len(stage1)
-        rows.clear()
-        monkeypatch.setattr(D, "_BLOCK_BYTES", 1)
+        # The stage-1 crops span several 37-crop blocks; rnet's trunk runs
+        # them in 37-row chunks and onet's in 9-row ones.
+        rnet_bytes, onet_bytes, classifier_bytes = (3 * e * e * 4
+                                                    for e in (24, 48, 96))
+        assert calls[0][:2] == (len(stage1), rnet_bytes)
+        assert calls[0][2][0] == 37 < len(stage1)
+        assert (len(stage1), rnet_bytes, calls[0][2]) in calls[2:]
+        assert any(sizes[0] == 9 and len(sizes) > 1
+                   for _, row_bytes, sizes in calls if row_bytes == onet_bytes)
+        calls.clear()
+        monkeypatch.setattr(T, "_BLOCK_BYTES", 1)
         assert outputs() == default
-        assert set(rows) == {1}
+        # Every crop block and trunk chunk holds five rows, the last up to
+        # nine; the classifier's one-face forwards are one-row chunks.
+        assert {row_bytes for _, row_bytes, _ in calls} == {
+            rnet_bytes, onet_bytes, classifier_bytes}
+        for n, _, sizes in calls:
+            assert set(sizes[:-1]) <= {5}
+            assert sizes[-1] == n if n < 10 else 5 <= sizes[-1] <= 9
 
     def test_boxes_inside_frame(self, golden):
         for det in golden["detections"]:
@@ -664,7 +686,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("setting", [
         "classifier_extent=16", "threshold_pnet=1.5", "min_face_size=0",
-        "workers=0"])
+        "workers=0", "width_multiplier=1e308"])
     def test_out_of_range_value_names_key_and_line(self, tmp_path, setting):
         key, _, value = setting.partition("=")
         variable = f"CASCADET_{key.upper()}"

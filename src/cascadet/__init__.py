@@ -10,9 +10,10 @@ weights.
 import os
 
 # Pin BLAS to one thread before numpy loads anywhere in this package.
-# Frame-level parallelism is the supported parallel axis; single-threaded
-# GEMM keeps reductions in a fixed order so runs are bit-identical
-# regardless of worker count.
+# Parallelism comes from frame-level workers and, inside a frame, from
+# tensor.parallel_map's helper thread over independent units; single-threaded
+# GEMM keeps each unit's reductions in a fixed order, so runs are
+# bit-identical regardless of worker or core count.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
              "NUMEXPR_NUM_THREADS"):
     os.environ.setdefault(_var, "1")

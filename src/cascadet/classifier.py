@@ -15,7 +15,7 @@ import numpy as np
 
 from . import detector
 from .tensor import (LayerSpec, Network, Tensor, bn_layer, bottleneck_layer,
-                     conv_layer, dense_layer, parameter_shapes)
+                     conv_layer, dense_layer, parallel_map, parameter_shapes)
 
 # (expansion, output channels, repeats, first-block stride) per group; the
 # standard inverted-residual progression, 17 blocks total.
@@ -120,7 +120,8 @@ def classify_all(classifier: Network, frame: Tensor,
                  faces: list[detector.FaceCandidate], *,
                  input_extent: int | None = None,
                  ) -> list[tuple[detector.FaceCandidate, MaskPrediction]]:
-    """One prediction per detected face, input order preserved.
+    """One prediction per detected face, input order preserved; the
+    per-face forwards run side by side through :func:`parallel_map`.
 
     Crops are square-padded and resampled from the normalized frame tensor,
     matching the preprocessing the detector stages use. The crop extent
@@ -137,8 +138,8 @@ def classify_all(classifier: Network, frame: Tensor,
     boxes = np.array([f.box for f in faces], np.float64).reshape(-1, 4)
     crops = detector.crop_resize_batch(frame, detector.square_pad(boxes),
                                        input_extent)
-    pairs = []
-    for face, crop in zip(faces, crops):
+
+    def predict(crop: Tensor) -> MaskPrediction:
         # One forward per face: a row's dense output depends on the batch size.
         probs = np.asarray(classifier.forward(crop[None])).reshape(-1)
         if probs.shape != (2,):
@@ -147,5 +148,6 @@ def classify_all(classifier: Network, frame: Tensor,
             raise ValueError(f"classifier probabilities must be finite, got {probs}")
         p_mask, p_nomask = float(probs[0]), float(probs[1])
         label = MaskLabel.MASK if p_mask > p_nomask else MaskLabel.NO_MASK
-        pairs.append((face, MaskPrediction(label, max(p_mask, p_nomask))))
-    return pairs
+        return MaskPrediction(label, max(p_mask, p_nomask))
+
+    return list(zip(faces, parallel_map(predict, crops)))

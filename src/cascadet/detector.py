@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .tensor import (Network, Tensor, conv_layer, dense_layer, prelu_layer,
-                     LayerSpec, parameter_shapes, row_chunks)
+                     LayerSpec, parallel_map, parameter_shapes, row_chunks)
 
 log = logging.getLogger(__name__)
 
@@ -320,8 +320,9 @@ def crop_resize_batch(frame: Tensor, boxes: np.ndarray,
     Returns a (len(boxes), C, E, E) batch, a view of channels-last memory.
     Sample points outside the frame contribute zero, so boxes hanging past
     the edges come back zero-padded. The crops are filled in
-    :func:`row_chunks` blocks; each crop's bits depend only on its own box,
-    not on the block size or the rest of the batch.
+    :func:`row_chunks` blocks, side by side through :func:`parallel_map`;
+    each crop's bits depend only on its own box, not on the block size or
+    the rest of the batch.
     """
     if out_extent < 1:
         raise ValueError(f"out_extent must be positive, got {out_extent}")
@@ -348,11 +349,13 @@ def crop_resize_batch(frame: Tensor, boxes: np.ndarray,
         """Pixels at (row[n, i], col[n, j]) for boxes ``b`` -> (B, E, E, C)."""
         return table.take(row[b, :, None] + col[b, None, :], axis=0)
 
-    out = np.empty((len(boxes), e, e, c), np.float32)
-    for b in row_chunks(len(out), out[:1].nbytes):
+    def fill(b: slice) -> None:
         top = gather(b, row0, col0) * wx0[b] + gather(b, row0, col1) * wx1[b]
         bottom = gather(b, row1, col0) * wx0[b] + gather(b, row1, col1) * wx1[b]
         np.add(top * wy0[b], bottom * wy1[b], out=out[b])
+
+    out = np.empty((len(boxes), e, e, c), np.float32)
+    parallel_map(fill, row_chunks(len(out), out[:1].nbytes))
     return out.transpose(0, 3, 1, 2)
 
 
@@ -395,7 +398,8 @@ def detect_faces(frame: Tensor, networks: CascadeNetworks,
     Pipeline: pyramid -> proposals with per-level then cross-level NMS and
     calibration -> 24x24 refinement + NMS -> 48x48 refinement with landmarks
     + min-mode NMS -> clamp to frame. Faces come in descending score order,
-    ties by index, as the last NMS leaves them.
+    ties by index, as the last NMS leaves them. Pyramid levels, each with
+    its per-level NMS, run side by side through :func:`parallel_map`.
 
     When ``timings`` is given, per-stage wall-clock seconds are accumulated
     into it under keys pyramid/stage1/stage2/stage3. When ``trace`` is
@@ -412,14 +416,19 @@ def detect_faces(frame: Tensor, networks: CascadeNetworks,
     pyramid = build_image_pyramid(frame, config)
     t = tick("pyramid", t)
 
-    counts = {"levels": len(pyramid), "proposals": 0}
-    survivors = [(np.zeros((0, 4)), np.zeros(0), np.zeros((0, 4)))]
-    for scale, image in pyramid:
+    def propose(level: tuple[float, Tensor]):
+        """One level's proposal count and its per-level NMS survivors."""
+        scale, image = level
         boxes, scores, offsets = generate_proposals(image, scale, networks.pnet,
                                                     config.threshold_pnet)
-        counts["proposals"] += len(scores)
         keep = nms(boxes, scores, config.nms_pyramid, "union")
-        survivors.append((boxes[keep], scores[keep], offsets[keep]))
+        return len(scores), (boxes[keep], scores[keep], offsets[keep])
+
+    proposed = parallel_map(propose, pyramid)
+    counts = {"levels": len(pyramid),
+              "proposals": sum(count for count, _ in proposed)}
+    survivors = [(np.zeros((0, 4)), np.zeros(0), np.zeros((0, 4))),
+                 *(kept for _, kept in proposed)]
     boxes, scores, offsets = (np.concatenate(part) for part in zip(*survivors))
     keep = nms(boxes, scores, config.nms_stage1, "union")
     boxes, ok = calibrate(boxes[keep], offsets[keep])

@@ -6,9 +6,9 @@ a returned array may be a strided view, and a convolution's output is held
 channels-last (channels fastest-varying) so the next layer reads it without
 a transpose copy. One rule decides who copies for memory layout: only an
 operator whose arithmetic depends on its input's memory order (the matrix
-products, the depthwise einsum, the spatial mean) makes that input
-contiguous, and only its own input. No caller copies on an operator's
-behalf, so a result's bits never depend on the memory order it is given.
+products and the spatial mean) makes that input contiguous, and only its own
+input. No caller copies on an operator's behalf, so a result's bits never
+depend on the memory order it is given.
 
 One byte budget splits every batch: :func:`row_chunks` gives slices of
 about ``_BLOCK_BYTES`` of input rows, never fewer than ``_MIN_CHUNK_ROWS``.
@@ -20,6 +20,16 @@ bits on five or more rows as on the whole batch (on the pinned BLAS build;
 rnet's last convolution differs at one to four). A dense layer's bits depend
 on the batch's row count, so the head runs once, on the joined trunk output.
 
+One helper pool runs a frame's independent units side by side:
+:func:`parallel_map` maps a function over its items on the calling thread
+and on one helper thread when this process may run on two or more cores.
+Its units are a trunk's chunks, the detector's pyramid levels and crop
+blocks, and the classifier's per-face forwards. The pool has no setting:
+its size follows the CPU affinity, and it starts on first use, so a
+one-core process never starts a thread. Each unit does the same arithmetic
+on the same rows as it would alone, with single-threaded BLAS, and results
+are joined in input order, so outputs are byte-identical at any core count.
+
 Operators are pure functions: inputs are never modified, except that
 :func:`prelu` writes to ``out`` when given one, and repeated calls on
 identical inputs return bit-identical results. :class:`Network` passes
@@ -29,15 +39,19 @@ reduction order fixed across runs and caller thread counts.
 
 Operators check the activation they are given (rank, channels, geometry)
 but trust their float32 parameter tensors: a :class:`Network` checks those
-once, when it binds them.
+once, when it binds them; it also works out each batch norm's per-channel
+scale and shift then, not on every call.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -64,6 +78,114 @@ def row_chunks(n: int, row_bytes: int) -> list[slice]:
     rows = max(_MIN_CHUNK_ROWS, _BLOCK_BYTES // max(1, row_bytes))
     starts = range(0, n - rows + 1, rows) or range(1)
     return list(map(slice, starts, [*starts[1:], n]))
+
+
+class _Job:
+    """One :func:`parallel_map` call: items are claimed in input order by
+    the caller and by any helper that joins before the caller closes it."""
+
+    def __init__(self, fn: Callable, items: list):
+        self.fn, self.items = fn, items
+        self.results: list = [None] * len(items)
+        self.errors: dict[int, BaseException] = {}
+        self.claimed = 0
+        self.helpers = 0  # helpers inside work()
+        self.closed = False
+        self.cond = threading.Condition()
+
+    def work(self) -> None:
+        """Run unclaimed items until none is left or one has failed."""
+        while True:
+            with self.cond:
+                if self.errors or self.claimed == len(self.items):
+                    return
+                i = self.claimed
+                self.claimed += 1
+            try:
+                self.results[i] = self.fn(self.items[i])
+            except BaseException as exc:  # re-raised by the caller
+                with self.cond:
+                    self.errors[i] = exc
+
+    def help(self) -> None:
+        """A helper's share: none once the caller has closed the job."""
+        with self.cond:
+            if self.closed:
+                return
+            self.helpers += 1
+        try:
+            self.work()
+        finally:
+            with self.cond:
+                self.helpers -= 1
+                self.cond.notify_all()
+
+
+# The most helpers: each unit in flight holds its own chunk's temporaries,
+# and a forward's memory bounds hold for two units at once (with three
+# helpers, onet's 160-crop forward peaks at 21 MiB, not 11-13 MiB).
+_MAX_HELPERS = 1
+
+
+class _Pool:
+    """Daemon helpers that take jobs from one queue, started on first use."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self.size: int | None = None
+
+    def start(self) -> int:
+        """Start the helpers if not yet started; returns their count: one
+        per core this process may run on, less the caller's, at most
+        ``_MAX_HELPERS``."""
+        with self.lock:
+            if self.size is None:
+                try:
+                    cores = len(os.sched_getaffinity(0))
+                except AttributeError:  # no affinity call on this platform
+                    cores = os.cpu_count() or 1
+                self.size = min(_MAX_HELPERS, cores - 1)
+                for _ in range(self.size):
+                    threading.Thread(target=self.serve, daemon=True,
+                                     name="cascadet-helper").start()
+            return self.size
+
+    def serve(self) -> None:
+        while True:
+            self.jobs.get().help()
+
+
+_pool = _Pool()
+# A forked child has none of the parent's threads: it starts its own.
+os.register_at_fork(after_in_child=_pool.__init__)
+
+
+def parallel_map(fn: Callable, items: Iterable) -> list:
+    """``[fn(item) for item in items]``, with helper threads taking items too.
+
+    The calling thread claims items in input order alongside the helpers and
+    never waits for a helper that has not started on this call, so a call
+    made from inside ``fn``, or from any number of threads, cannot deadlock.
+    On failure no further item is started, and once the started ones end,
+    the exception of the earliest failed item is raised as it was raised:
+    the one a plain loop would raise. Each ``fn(item)`` must be independent
+    of the others; results keep the input order.
+    """
+    items = list(items)
+    helpers = min(len(items) - 1, _pool.start()) if len(items) > 1 else 0
+    if helpers < 1:
+        return [fn(item) for item in items]
+    job = _Job(fn, items)
+    for _ in range(helpers):
+        _pool.jobs.put(job)
+    job.work()
+    with job.cond:
+        job.closed = True
+        job.cond.wait_for(lambda: job.helpers == 0)
+    if job.errors:
+        raise job.errors[min(job.errors)]
+    return job.results
 
 
 def _out_extent(extent: int, kernel: int, stride: int, padding: int) -> int:
@@ -143,11 +265,23 @@ def depthwise_conv2d(x: Tensor, weight: Tensor, stride: int = 1,
     if c != wc:
         raise ValueError(
             f"depthwise_conv2d: input has {c} channels but weight has {wc}")
-    _check_conv_geometry("depthwise_conv2d", h, w, kh, kw, stride, padding)
-    # The einsum's bits depend on the input's strides.
-    win = _windows(_pad_spatial(np.ascontiguousarray(x), padding), kh, kw, stride)
-    out = np.einsum("nchwij,cij->nchw", win, weight[:, 0], optimize=False)
-    return np.ascontiguousarray(out, dtype=np.float32)
+    out_h, out_w = _check_conv_geometry("depthwise_conv2d", h, w, kh, kw,
+                                        stride, padding)
+    x = _pad_spatial(x, padding)
+    taps = weight[:, 0, :, :, None, None]  # (C, kH, kW, 1, 1)
+    # Shifted multiply-adds, element-wise and so free of memory order. The
+    # sum is taken as np.einsum("nchwij,cij->nchw") takes it for every 3x3
+    # shape a LayerSpec builds: from +0.0, adding each kernel row's sum,
+    # itself accumulated left to right from the row's first product.
+    out = np.zeros((n, c, out_h, out_w), np.float32)
+    for i in range(kh):
+        row = None
+        for j in range(kw):
+            tap = x[:, :, i:i + stride * (out_h - 1) + 1:stride,
+                    j:j + stride * (out_w - 1) + 1:stride] * taps[:, i, j]
+            row = tap if row is None else np.add(row, tap, out=row)
+        out += row
+    return out
 
 
 def _check_channels(op: str, x: Tensor, params: str, count: int) -> None:
@@ -160,15 +294,28 @@ def _check_channels(op: str, x: Tensor, params: str, count: int) -> None:
             f"{op}: input has {x.shape[1]} channels but {params} has {count}")
 
 
+def _norm_affine(gamma: Tensor, beta: Tensor, mean: Tensor,
+                 variance: Tensor, epsilon: float = 1e-5
+                 ) -> tuple[Tensor, Tensor]:
+    """Per-channel ``(scale, shift)`` with which batch norm is
+    ``x * scale + shift``."""
+    scale = gamma / np.sqrt(variance + np.float32(epsilon))
+    return scale, beta - mean * scale
+
+
+def _scale_shift(scale: Tensor, shift: Tensor, x: Tensor) -> Tensor:
+    """``x * scale + shift`` with one scale and shift per channel (axis 1);
+    the parameters come first, to be bound with :func:`functools.partial`."""
+    x = _as_f32(x)
+    _check_channels("batch_norm", x, "gamma", scale.size)
+    shape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
+    return x * scale.reshape(shape) + shift.reshape(shape)
+
+
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, mean: Tensor,
                variance: Tensor, epsilon: float = 1e-5) -> Tensor:
     """Inference-mode batch normalization with stored per-channel statistics."""
-    x = _as_f32(x)
-    _check_channels("batch_norm", x, "gamma", gamma.size)
-    shape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
-    scale = (gamma / np.sqrt(variance + np.float32(epsilon))).reshape(shape)
-    shift = beta.reshape(shape) - mean.reshape(shape) * scale
-    return x * scale + shift
+    return _scale_shift(*_norm_affine(gamma, beta, mean, variance, epsilon), x)
 
 
 def relu6(x: Tensor) -> Tensor:
@@ -372,7 +519,7 @@ def _compile(layer: LayerSpec, params: dict) -> Callable[[Tensor], Tensor]:
         return partial(conv2d, **params, stride=layer.stride,
                        padding=layer.padding)
     if kind == "batch-norm":
-        return partial(batch_norm, **params)
+        return partial(_scale_shift, *_norm_affine(**params))
     if kind == "relu6":
         return relu6
     if kind == "relu":
@@ -400,8 +547,8 @@ def _compile(layer: LayerSpec, params: dict) -> Callable[[Tensor], Tensor]:
     residual = layer.residual
 
     def norm(prefix: str):
-        return partial(batch_norm, **{stat: params[f"{prefix}.{stat}"]
-                                      for stat in _NORM_STATS})
+        return partial(_scale_shift, *_norm_affine(
+            **{stat: params[f"{prefix}.{stat}"] for stat in _NORM_STATS}))
 
     if expansion > 1:
         expand_weight, expand_norm = params["expand_weight"], norm("expand_norm")
@@ -483,8 +630,9 @@ class Network:
                 f"input shape {tuple(x.shape[1:])} does not match the "
                 f"network's declared {self.input_shape}")
         # The trunk runs chunk by chunk; its outputs are joined for the head.
-        parts = [self._run(self._trunk, x[chunk], keep, {})
-                 for chunk in row_chunks(len(x), x[:1].nbytes)]
+        parts = parallel_map(lambda chunk: self._run(self._trunk, x[chunk],
+                                                     keep, {}),
+                             row_chunks(len(x), x[:1].nbytes))
         current = np.concatenate([part[0] for part in parts])
         outputs = {name: np.concatenate([part[1][name] for part in parts])
                    for name in parts[0][1]}

@@ -256,6 +256,8 @@ ONE_LAYER_CASES = {
                  lambda x, p: T.conv2d(x, p["weight"], p["bias"])),
     "batch-norm": (bn_layer("l", 4), (2, 4, 7, 7),
                    lambda x, p: T.batch_norm(x, *(p[s] for s in STATS))),
+    "batch-norm-rank2": (bn_layer("l", 5), (3, 5),
+                         lambda x, p: T.batch_norm(x, *(p[s] for s in STATS))),
     "relu6": (LayerSpec(kind="relu6", name="l"), (2, 4, 7, 7),
               lambda x, p: T.relu6(x)),
     "relu": (LayerSpec(kind="relu", name="l"), (2, 4, 7, 7),

@@ -1,7 +1,7 @@
 import json
 import threading
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +253,32 @@ class TestProcessFrame:
                         trace=trace)
         assert trace == golden["trace"]
 
+    def test_concurrent_frames_match_golden(self, golden, stack):
+        """Three threads run the golden frame at once, their units sharing
+        the helper pool; each gets the golden funnel and detections."""
+        networks, classifier, spec = stack
+        seed, width, height = (golden["frame"][key]
+                               for key in ("seed", "width", "height"))
+        frame = P.Frame(index=0, width=width, height=height,
+                        pixels=fixtures.synthetic_frame(seed, width, height))
+        results = {}
+
+        def job(k):
+            trace = {}
+            detections = P.process_frame(frame, networks, classifier,
+                                         D.CascadeConfig(), spec, trace=trace)
+            results[k] = trace, [json.loads(d.to_json()) for d in detections]
+
+        threads = [threading.Thread(target=job, args=(k,), daemon=True)
+                   for k in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        want = golden["trace"], golden["detections"]
+        assert results == {k: want for k in range(3)}
+
     def test_frame_layout_never_changes_bits(self, golden, stack):
         """The channels-last view ``frame_to_tensor`` returns and its
         contiguous copy give the same faces and predictions."""
@@ -447,6 +473,24 @@ class TestRun:
         for p in (tmp_path / "out").glob("*.ppm"):
             assert p.read_bytes() == first_frames[p.name]
 
+    def test_helpers_and_frame_workers_never_change_bytes(self, tmp_path,
+                                                          monkeypatch):
+        """Two frame workers sharing the helper pool write the log and the
+        annotated frames that one worker without helpers writes."""
+        config = P.parse_config(write_run_setup(tmp_path, [0, 1, 2]))
+        outputs = {}
+        for workers, helpers in ((2, None), (1, 0)):
+            pool = T._Pool()
+            pool.size = helpers  # None starts helpers on first use; 0 never
+            monkeypatch.setattr(T, "_pool", pool)
+            out = tmp_path / f"out{workers}"
+            P.run(replace(config, workers=workers, output_dir=out))
+            outputs[workers] = {p.name: p.read_bytes()
+                                for p in sorted(out.iterdir())
+                                if p.name != "summary.json"}
+        assert outputs[2] == outputs[1]
+        assert len(outputs[1]) == 4 and outputs[1]["detections.jsonl"]
+
     def test_annotated_frames_mirror_input_names(self, tmp_path):
         config_path = write_run_setup(tmp_path, [0])
         P.run(P.parse_config(config_path))
@@ -591,7 +635,56 @@ class TestRun:
         assert written[0][1] <= 2 * workers, written
 
 
+def poison_third_level(monkeypatch):
+    """NaN pixels in frame 0's third pyramid level; returns the message a
+    plain loop over the levels raises."""
+    resize, calls = D.bilinear_resize, []
+
+    def resize_poisoned(image, out_h, out_w):
+        calls.append(out_h)
+        level = resize(image, out_h, out_w)
+        return np.full_like(level, np.nan) if len(calls) == 3 else level
+
+    monkeypatch.setattr(D, "bilinear_resize", resize_poisoned)
+    return "face scores must be finite"
+
+
+def poison_second_crop_block(monkeypatch):
+    """A zero-step slice for the second block of frame 0's rnet crops;
+    returns the message numpy raises for one."""
+    chunks, poisoned = D.row_chunks, []
+
+    def chunks_poisoned(n, row_bytes):
+        slices = chunks(n, row_bytes)
+        if row_bytes == 3 * 24 * 24 * 4 and not poisoned:
+            poisoned.append(n)
+            assert len(slices) > 2
+            slices[1] = slice(slices[1].start, slices[1].stop, 0)
+        return slices
+
+    monkeypatch.setattr(D, "row_chunks", chunks_poisoned)
+    with pytest.raises(ValueError) as caught:
+        np.empty(1)[::0]
+    return str(caught.value)
+
+
 class TestRunFailureIsolation:
+    @pytest.mark.parametrize("poison", [poison_third_level,
+                                        poison_second_crop_block])
+    def test_failed_unit_fails_only_its_frame(self, tmp_path, monkeypatch,
+                                              caplog, poison):
+        """A unit that fails on a helper thread fails its frame alone, with
+        the message a plain loop would have raised."""
+        message = poison(monkeypatch)
+        config = P.parse_config(write_run_setup(tmp_path, [0, 1]))
+        summary = P.run(config)
+        assert (summary.frames, summary.failed_frames) == (2, 1)
+        assert [r.getMessage() for r in caplog.records
+                if r.levelname == "WARNING"] == [
+            f"frame 0 (frames/frame000.ppm): {message}"]
+        assert (tmp_path / "out" / "frame001.ppm").exists()
+        assert not (tmp_path / "out" / "frame000.ppm").exists()
+
     def test_missing_frame_is_frame_level_failure(self, tmp_path, caplog):
         config_path = write_run_setup(tmp_path, [0, 1])
         (tmp_path / "frames.txt").write_text(

@@ -1,8 +1,13 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from cascadet import oracles
 from cascadet import tensor as T
+from cascadet.classifier import BackboneSpec, classifier_layers
 from cascadet.weights import WeightArchive
 
 
@@ -118,6 +123,150 @@ class TestDepthwiseConv2d:
             got = T.depthwise_conv2d(x, w, stride, padding)
             want = oracles.naive_depthwise_conv2d(x, w, stride, padding)
             np.testing.assert_allclose(got, want, atol=1e-5)
+
+
+def einsum_depthwise(x, weight, stride, padding):
+    """The window einsum the depthwise operator replaced, on a contiguous
+    copy: the reference whose summation order the shifted adds keep."""
+    kh, kw = weight.shape[2:]
+    pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+    win = np.lib.stride_tricks.sliding_window_view(
+        np.pad(np.ascontiguousarray(x), pad), (kh, kw), axis=(2, 3))
+    return np.einsum("nchwij,cij->nchw", win[:, :, ::stride, ::stride],
+                     weight[:, 0], optimize=False)
+
+
+def classifier_depthwise_shapes(extent):
+    """(input shape, stride) of every block's depthwise convolution in the
+    default classifier at ``extent``, at batch 1."""
+    side = (extent - 1) // 2 + 1  # after the 3x3 stride-2 stem, padding 1
+    shapes = []
+    for layer in classifier_layers(BackboneSpec(input_extent=extent)):
+        if layer.kind == "bottleneck-block":
+            mid = layer.in_channels * layer.expansion
+            shapes.append(((1, mid, side, side), layer.stride))
+            side = (side - 1) // layer.stride + 1
+    return shapes
+
+
+def depthwise_case(rng, shape, channels_last_memory):
+    """ReLU6-like input, zeros included, and 3x3 weights with some channels
+    all negative, so that whole windows sum to a signed zero."""
+    x = np.clip(rng.normal(0.5, 1.5, shape), 0, 6).astype(np.float32)
+    w = rand_f32(rng, shape[1], 1, 3, 3)
+    w[::4] = -np.abs(w[::4])
+    return (channels_last(x) if channels_last_memory else x), w
+
+
+class TestDepthwiseShiftedAdds:
+    """Byte equality with the einsum on every shape the classifier runs, and
+    on random 3x3 shapes with output width >= 2; elsewhere (other kernels,
+    output width 1 at batch > 1) the float64 oracle test above applies."""
+
+    @pytest.mark.parametrize("extent", [32, 33, 40, 48, 64, 96])
+    def test_classifier_shapes_give_einsum_bytes(self, extent):
+        rng = np.random.default_rng(extent)
+        for shape, stride in classifier_depthwise_shapes(extent):
+            for layout in (False, True):
+                x, w = depthwise_case(rng, shape, layout)
+                got = T.depthwise_conv2d(x, w, stride, 1)
+                want = einsum_depthwise(x, w, stride, 1)
+                assert got.tobytes() == want.tobytes(), (shape, stride)
+
+    def test_random_shapes_give_einsum_bytes(self):
+        rng = np.random.default_rng(176)
+        cases = 0
+        while cases < 176:
+            n, c = int(rng.integers(1, 6)), int(rng.integers(1, 40))
+            stride, padding = int(rng.integers(1, 4)), int(rng.integers(0, 3))
+            h, w = (int(rng.integers(max(1, 3 - 2 * padding), 14))
+                    for _ in range(2))
+            if (w + 2 * padding - 3) // stride + 1 < 2:
+                continue
+            x, weight = depthwise_case(rng, (n, c, h, w), cases % 2 == 1)
+            got = T.depthwise_conv2d(x, weight, stride, padding)
+            want = einsum_depthwise(x, weight, stride, padding)
+            assert got.tobytes() == want.tobytes(), (x.shape, stride, padding)
+            cases += 1
+
+
+class TestParallelMap:
+    def test_results_keep_input_order(self):
+        def slow_early(i):
+            time.sleep(0.002 * (20 - i))  # early items finish last
+            return i * i
+
+        assert T.parallel_map(slow_early, range(20)) == [
+            i * i for i in range(20)]
+        assert T.parallel_map(slow_early, iter(range(3))) == [0, 1, 4]
+
+    def test_earliest_failure_is_raised_unchanged(self):
+        """Item 3 fails late and item 7 early; a plain loop raises item 3's
+        exception, and so does the map, the same object."""
+        planted = {3: KeyError("three"), 7: ValueError("seven")}
+
+        def fail(i):
+            if i == 3:
+                time.sleep(0.05)
+            if i in planted:
+                raise planted[i]
+            return i
+
+        with pytest.raises(KeyError) as caught:
+            T.parallel_map(fail, range(10))
+        assert caught.value is planted[3]
+
+    def test_nested_and_small_calls_finish(self, monkeypatch):
+        """0- and 1-item calls start no thread; a map inside a mapped item
+        and maps from more threads than cores all finish."""
+        monkeypatch.setattr(T, "_pool", T._Pool())
+        assert T.parallel_map(abs, []) == []
+        assert T.parallel_map(abs, [-5]) == [5]
+        assert T._pool.size is None  # never started
+
+        results = {}
+
+        def nested(k):
+            results[k] = T.parallel_map(
+                lambda i: T.parallel_map(lambda j: k * i * j, range(4)),
+                range(6))
+
+        # Daemon threads: a deadlock fails the test instead of hanging it.
+        threads = [threading.Thread(target=nested, args=(k,), daemon=True)
+                   for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert results == {k: [[k * i * j for j in range(4)] for i in range(6)]
+                           for k in range(4)}
+        assert T._pool.size is not None
+
+    def test_stress_with_short_switch_interval(self):
+        """Six threads each map 200 times over ten items, with a thread
+        switch every microsecond: no result is lost, duplicated or moved."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        failures = []
+
+        def hammer(k):
+            for round_ in range(200):
+                got = T.parallel_map(lambda i: (k, round_, i), range(10))
+                if got != [(k, round_, i) for i in range(10)]:
+                    failures.append((k, round_, got))
+
+        try:
+            threads = [threading.Thread(target=hammer, args=(k,), daemon=True)
+                       for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
 
 
 class TestPointwiseConv2d:

@@ -263,29 +263,139 @@ def nms(boxes: np.ndarray, scores: np.ndarray, threshold: float,
     ``mode`` selects the overlap measure: IoU ("union") or intersection over
     the smaller area ("min"). Ties in score keep the lower original index.
     Returns the indices of the survivors in descending score order.
+    Raises ValueError unless ``boxes`` is ``(len(scores), 4)``.
+
+    Only pairs that can suppress each other are scored: a box of positive,
+    finite extent meets only the boxes whose x and y intervals overlap its
+    own (in union mode, by enough to exceed the threshold), and any other
+    box meets every box (see :func:`_candidate_pairs`). Each pair is scored
+    with the greedy loop's expressions, the higher-ranked box first, and a
+    NaN overlap suppresses; so the indices, their order and dtype equal
+    those of the loop that scores each kept box against every remaining
+    box, on every input.
     """
     if mode not in ("union", "min"):
         raise ValueError(f"unknown NMS mode {mode!r}")
     if not 0 < threshold < 1:
         raise ValueError(f"NMS threshold must be in (0, 1), got {threshold}")
-    x1, y1, x2, y2 = boxes.T
-    areas = (x2 - x1) * (y2 - y1)
-    # Descending score; ties keep the lower original index.
+    if scores.ndim != 1 or boxes.shape != (len(scores), 4):
+        raise ValueError(f"expected boxes of shape (len(scores), 4), got "
+                         f"boxes {boxes.shape} and scores {scores.shape}")
+    # Work on ranks: descending score, ties by the lower original index.
     order = np.lexsort((np.arange(len(scores)), -scores))
-    kept: list[int] = []
-    while order.size:
-        i = order[0]
-        kept.append(int(i))
-        rest = order[1:]
-        ix = np.maximum(0.0, np.minimum(x2[i], x2[rest]) - np.maximum(x1[i], x1[rest]))
-        iy = np.maximum(0.0, np.minimum(y2[i], y2[rest]) - np.maximum(y1[i], y1[rest]))
+    ranked = boxes[order]
+    x1, y1, x2, y2 = ranked.T
+    areas = (x2 - x1) * (y2 - y1)
+    reach = 0.0
+    if mode == "union" and boxes.dtype == np.float64:
+        reach = max(0.0, 0.98 * threshold / (1 + threshold) - 2.0**-40)
+    hitters, targets = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+    for a, b in _candidate_pairs(ranked, areas, reach):
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        ix = np.maximum(0.0, np.minimum(x2[i], x2[j]) - np.maximum(x1[i], x1[j]))
+        iy = np.maximum(0.0, np.minimum(y2[i], y2[j]) - np.maximum(y1[i], y1[j]))
         inter = ix * iy
         if mode == "union":
-            overlap = inter / (areas[i] + areas[rest] - inter)
+            overlap = inter / (areas[i] + areas[j] - inter)
         else:
-            overlap = inter / np.minimum(areas[i], areas[rest])
-        order = rest[overlap <= threshold]
-    return np.array(kept, dtype=np.intp)
+            overlap = inter / np.minimum(areas[i], areas[j])
+        hit = ~(overlap <= threshold)
+        hitters.append(i[hit])
+        targets.append(j[hit])
+    # One pass in rank order: a box that is not dropped drops its targets.
+    hitters, targets = np.concatenate(hitters), np.concatenate(targets)
+    by_hitter = np.argsort(hitters, kind="stable")
+    hitters, targets = hitters[by_hitter], targets[by_hitter].tolist()
+    starts = np.flatnonzero(np.diff(hitters, prepend=-1))
+    dropped = bytearray(len(order))
+    for i, start, stop in zip(hitters[starts].tolist(), starts.tolist(),
+                              [*starts[1:].tolist(), len(targets)]):
+        if not dropped[i]:
+            for j in targets[start:stop]:
+                dropped[j] = 1
+    return order[np.frombuffer(dropped, np.uint8) == 0]
+
+
+_BAND = 256  # regular boxes per band; a pair of bands is one block of pairs
+_MIN_SIDE = np.float64(2.0**-500)
+
+
+def _candidate_pairs(boxes: np.ndarray, areas: np.ndarray, reach: float):
+    """Yield blocks ``(a, b)`` of index pairs into ``boxes`` that include
+    every pair whose overlap, as :func:`nms` computes it, can exceed its
+    threshold or be NaN.
+
+    A box is regular when its width and height are at least 2**-500 and
+    its area is finite, which makes its corners finite; every other box is
+    paired with all boxes. Regular boxes are cut into bands of ``_BAND`` in
+    y1 order and each band is sorted by x1. Along each axis a box gets a
+    limit, ``far - reach * (side + least) + 2**-40 * (|far| + side +
+    least)``, from its far edge (x2 or y2), its side (width or height) and
+    the least regular side: box i pairs with a box j that starts no earlier
+    along x only when j's x1 lies below i's x limit, a band with a later
+    band only while that band's least y1 lies below its greatest y limit,
+    and a pair is kept when its ``iy`` exceeds ``reach * (h_i + h_j)``.
+
+    ``reach`` is 0, or 0.98 t / (1 + t) less 2**-40 for float64 boxes in
+    union mode at threshold t. An IoU above t needs ``inter > t / (1 + t)
+    * (a_i + a_j)``; as ``inter <= ix * min(h_i, h_j)`` and ``a_i + a_j >=
+    (w_i + w_j) * min(h_i, h_j)``, that needs ``ix > t / (1 + t) * (w_i +
+    w_j)``, and likewise ``iy`` along y, where ``ix`` is at most i's x2
+    less j's x1. The 2% and 2**-40 margins and the least side of 2**-500
+    cover every float64 rounding of these expressions. With ``reach`` 0 a
+    kept pair's intervals meet, which a regular pair needs for a nonzero
+    intersection and so for any overlap above 0.
+    """
+    x1, y1, x2, y2 = boxes.T
+    width, height = x2 - x1, y2 - y1
+    regular = ((width >= _MIN_SIDE) & (height >= _MIN_SIDE)
+               & (areas > 0) & (areas < np.inf))
+    by_y = np.flatnonzero(regular)
+    by_y = by_y[np.argsort(y1[by_y], kind="stable")]
+    x_limit = np.empty(len(areas))
+    x_limit[by_y] = _limit(x2[by_y], width[by_y], reach)
+    y_limit = _limit(y2[by_y], height[by_y], reach)
+    bands = [by_y[k:k + _BAND] for k in range(0, len(by_y), _BAND)]
+    tops = [y1[band[0]] for band in bands]
+    bottoms = [y_limit[k:k + _BAND].max() for k in range(0, len(by_y), _BAND)]
+    bands = [band[np.argsort(x1[band], kind="stable")] for band in bands]
+    for s, band in enumerate(bands):
+        left = x1[band]
+        spans = [_spans(band, band, np.arange(1, len(band) + 1),
+                        np.searchsorted(left, x_limit[band]))]
+        for t in range(s + 1, len(bands)):
+            if tops[t] >= bottoms[s]:
+                break
+            other = bands[t]
+            other_left = x1[other]
+            spans.append(_spans(band, other, np.searchsorted(other_left, left),
+                                np.searchsorted(other_left, x_limit[band])))
+            spans.append(_spans(other, band,
+                                np.searchsorted(left, other_left, "right"),
+                                np.searchsorted(left, x_limit[other])))
+        for a, b in spans:
+            iy = np.maximum(0.0, np.minimum(y2[a], y2[b]) - np.maximum(y1[a], y1[b]))
+            meet = iy > reach * (height[a] + height[b])
+            yield a[meet], b[meet]
+    everyone = np.arange(len(areas))
+    for i in np.flatnonzero(~regular):
+        yield np.full(len(everyone) - 1, i), np.delete(everyone, i)
+
+
+def _limit(far: np.ndarray, side: np.ndarray, reach: float) -> np.ndarray:
+    """Per box, the start below which a partner must begin along one axis
+    (see :func:`_candidate_pairs`)."""
+    span = side + side.min(initial=np.inf)
+    return far - reach * span + 2.0**-40 * (np.abs(far) + span)
+
+
+def _spans(rows: np.ndarray, cols: np.ndarray, starts: np.ndarray,
+           stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs ``(rows[k], cols[c])`` for every k and ``starts[k] <= c <
+    stops[k]``."""
+    counts = stops - starts
+    first = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return np.repeat(rows, counts), cols[first + np.arange(len(first))]
 
 
 def _positive_area(boxes: np.ndarray) -> np.ndarray:

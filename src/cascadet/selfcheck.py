@@ -53,6 +53,16 @@ def _check_nms(rng) -> bool:
             got = detector.nms(boxes, scores, 0.5, mode)
             if got.tolist() != brute_force_nms(boxes, scores, 0.5, mode):
                 return False
+    # A proposal level: 300 of the 12-pixel boxes at stride 2 on a 30x30
+    # grid, where the pair sweep leaves out most pairs.
+    cells = rng.choice(900, size=300, replace=False)
+    corner = detector.PNET_STRIDE * np.stack([cells % 30, cells // 30], axis=1)
+    boxes = np.hstack([corner, corner + detector.PNET_EXTENT]).astype(np.float64)
+    scores = rng.uniform(0, 1, len(boxes))
+    for mode in ("union", "min"):
+        got = detector.nms(boxes, scores, 0.5, mode)
+        if got.tolist() != brute_force_nms(boxes, scores, 0.5, mode):
+            return False
     return True
 
 

@@ -260,6 +260,41 @@ def random_candidates(rng, n):
     return boxes(*rows), np.array(scores)
 
 
+def greedy_loop_nms(boxes, scores, threshold, mode="union"):
+    """The greedy loop ``nms`` replaced, kept as its reference: each kept
+    box is scored against every box still remaining."""
+    x1, y1, x2, y2 = boxes.T
+    areas = (x2 - x1) * (y2 - y1)
+    order = np.lexsort((np.arange(len(scores)), -scores))
+    kept = []
+    while order.size:
+        i = order[0]
+        kept.append(int(i))
+        rest = order[1:]
+        ix = np.maximum(0.0, np.minimum(x2[i], x2[rest]) - np.maximum(x1[i], x1[rest]))
+        iy = np.maximum(0.0, np.minimum(y2[i], y2[rest]) - np.maximum(y1[i], y1[rest]))
+        inter = ix * iy
+        if mode == "union":
+            overlap = inter / (areas[i] + areas[rest] - inter)
+        else:
+            overlap = inter / np.minimum(areas[i], areas[rest])
+        order = rest[overlap <= threshold]
+    return np.array(kept, dtype=np.intp)
+
+
+def pnet_level(rng, scale, count, width=640, height=360):
+    """``count`` distinct cells of the proposal grid of a width x height
+    frame's pyramid level at ``scale``, mapped to frame pixels as
+    :func:`detector.generate_proposals` maps them (equal 12/scale boxes at
+    stride 2/scale), with random scores."""
+    rows = (int(np.ceil(height * scale)) - D.PNET_EXTENT) // D.PNET_STRIDE + 1
+    cols = (int(np.ceil(width * scale)) - D.PNET_EXTENT) // D.PNET_STRIDE + 1
+    cells = np.sort(rng.choice(rows * cols, size=count, replace=False))
+    y, x = D.PNET_STRIDE * (cells // cols), D.PNET_STRIDE * (cells % cols)
+    level = np.stack([x, y, x + D.PNET_EXTENT, y + D.PNET_EXTENT], axis=1)
+    return level * (1.0 / scale), rng.uniform(0.6, 1.0, count)
+
+
 class TestNMS:
     def test_single_candidate(self):
         assert D.nms(boxes((0, 0, 10, 10)), np.array([0.9]), 0.5).tolist() == [0]
@@ -300,6 +335,137 @@ class TestNMS:
 
     def test_empty_input(self):
         assert D.nms(boxes(), np.zeros(0), 0.5).size == 0
+
+    @pytest.mark.parametrize("count, scored", [(5, 3), (3, 5)])
+    def test_rejects_boxes_that_do_not_match_scores(self, count, scored):
+        rng = np.random.default_rng(6)
+        cand_boxes, _ = random_candidates(rng, count)
+        with pytest.raises(ValueError, match=rf"\({count}, 4\).*\({scored},\)"):
+            D.nms(cand_boxes, rng.uniform(0, 1, scored), 0.5)
+
+    @pytest.mark.parametrize("mode", ["union", "min"])
+    def test_pnet_level_peak_memory_is_bounded(self, mode):
+        """Candidate pairs are made and scored a band pair at a time: on
+        this 4,000-box level the peak measured 0.73 MiB in union mode and
+        1.07 MiB in min mode, against 10 and 25 MiB when one band holds
+        every box; the bound is the larger peak plus 50%."""
+        level, scores = pnet_level(np.random.default_rng(7), 0.6, 4000)
+        tracemalloc.start()
+        try:
+            D.nms(level, scores, 0.5, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * 2**20, peak / 2**20
+
+
+NMS_SETTINGS = [(mode, threshold) for mode in ("union", "min")
+                for threshold in (0.3, 0.5, 0.7)]
+
+
+class TestNMSMatchesGreedyLoop:
+    """``nms`` scores only pairs that can suppress each other, yet keeps
+    the same indices, in the same order and dtype, as the greedy loop."""
+
+    @staticmethod
+    def assert_same(cand_boxes, scores):
+        for mode, threshold in NMS_SETTINGS:
+            got = D.nms(cand_boxes, scores, threshold, mode)
+            want = greedy_loop_nms(cand_boxes, scores, threshold, mode)
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist(), (mode, threshold)
+
+    def test_every_call_on_the_golden_frame(self, cascade, monkeypatch):
+        calls = []
+        real_nms = D.nms
+
+        def recording_nms(cand_boxes, scores, threshold, mode="union"):
+            calls.append((cand_boxes, scores))
+            return real_nms(cand_boxes, scores, threshold, mode)
+
+        monkeypatch.setattr(D, "nms", recording_nms)
+        frame = D.frame_to_tensor(fixtures.synthetic_frame(0, 640, 360))
+        D.detect_faces(frame, cascade, D.CascadeConfig())
+        monkeypatch.undo()
+        assert len(calls) >= 4 and max(len(s) for _, s in calls) > 1000
+        for cand_boxes, scores in calls:
+            self.assert_same(cand_boxes, scores)
+
+    @pytest.mark.parametrize("scale, count", [(0.6, 4000), (0.6, 600),
+                                              (0.4254, 2000), (0.1077, 60)])
+    def test_pnet_shaped_grids(self, scale, count):
+        rng = np.random.default_rng(int(scale * 1e4) + count)
+        self.assert_same(*pnet_level(rng, scale, count))
+
+    def test_mixed_size_cross_level_sets(self):
+        """Survivors of several levels, some shifted off the grid, with
+        sizes from 20 to 313 pixels, as the cross-level call sees them."""
+        rng = np.random.default_rng(9)
+        for _ in range(3):
+            levels = [pnet_level(rng, 0.6 * 0.709 ** k, max(4, 400 >> k))
+                      for k in range(9)]
+            cand_boxes = np.concatenate([level for level, _ in levels])
+            cand_boxes += rng.normal(0, 2, (len(cand_boxes), 1)) * (
+                rng.uniform(size=(len(cand_boxes), 1)) < 0.5)
+            scores = np.concatenate([s for _, s in levels])
+            self.assert_same(cand_boxes, scores)
+
+    @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.7])
+    def test_pairs_at_the_threshold(self, threshold):
+        """Far-apart pairs whose IoU lies within a few ulps of the
+        threshold: shifted along x, along y or both, of equal or unequal
+        widths, near the origin and a million pixels out. A limit of the
+        sweep that is too tight drops a pair that suppresses."""
+        rng = np.random.default_rng(int(threshold * 10))
+        t = threshold
+        rows = []
+        for k in range(300):
+            w, h = rng.uniform(2, 60, 2)
+            w2 = w * rng.choice([1.0, rng.uniform(0.8, 1.25)])
+            # IoU (w - d) / (w2 + d) equals t at this x shift d, at equal y.
+            d = (w - t * w2) / (1 + t)
+            d = d + rng.integers(-3, 4) * np.spacing(d)
+            a, b = (0, 0, w, h), (d, 0, d + w2, h)
+            if k % 3 == 1:  # the same pair along y
+                a, b = (0, 0, h, w), (0, d, h, d + w2)
+            elif k % 3 == 2:  # part of the shift along y, equal sizes
+                e = rng.uniform(0, 0.5) * h * (1 - t) / (1 + t)
+                inter = 2 * t / (1 + t) * w * h
+                d = w - inter / (h - e)
+                d = d + rng.integers(-3, 4) * np.spacing(d)
+                a, b = (0, 0, w, h), (d, e, d + w, e + h)
+            origin = np.array([k * 200.0, 0, k * 200.0, 0])
+            if k % 2:
+                origin += 1e6
+            rows += [np.add(a, origin), np.add(b, origin)]
+        self.assert_same(np.array(rows), rng.uniform(0, 1, len(rows)))
+
+    def test_degenerate_sets(self):
+        """NaN and infinite corners, zero width or height, inverted boxes,
+        areas that overflow or underflow, duplicates, tied and NaN scores.
+        Both sides compute the same NaN and infinite overlaps, whose
+        floating-point warnings are silenced here."""
+        rng = np.random.default_rng(10)
+        nan, inf = np.nan, np.inf
+        odd = boxes((nan, 0, 10, 10), (0, nan, 10, 10), (0, 0, nan, 10),
+                    (0, 0, 10, nan), (-inf, 0, 10, 10), (0, 0, inf, 10),
+                    (0, -inf, 10, inf), (inf, 0, inf, 10), (5, 5, 5, 20),
+                    (5, 5, 20, 5), (20, 5, 5, 20), (20, 20, 5, 5),
+                    (-1e308, 0, 1e308, 10), (-1e308, 20, 1e308, 30),
+                    (0, -1e308, 10, 1e308), (20, -1e308, 30, 1e308),
+                    (3, 3, 3 + 1e-200, 3 + 1e-200), (-1, -1, 1e200, 1e200))
+        finite = odd[np.isfinite(odd).all(axis=1)]
+        for trial in range(40):
+            cand_boxes, scores = random_candidates(rng, 60)
+            rows = rng.choice(60, size=12, replace=False)
+            cand_boxes[rows[:6]] = odd[rng.choice(len(odd), size=6)]
+            cand_boxes[rows[6:9]] = cand_boxes[rows[9:]]
+            scores = np.round(scores, 1)
+            scores[rng.choice(60, size=trial % 4, replace=False)] = nan
+            with np.errstate(all="ignore"):
+                self.assert_same(cand_boxes, scores)
+                self.assert_same(odd, rng.permutation(len(odd)) / 10)
+                self.assert_same(finite, rng.permutation(len(finite)) / 10)
 
 
 class TestCalibrate:

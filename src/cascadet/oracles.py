@@ -1,12 +1,13 @@
 """Slow, independent reference implementations used as oracles by the tests
 and by ``cascadet selfcheck``.
 
-Everything here computes with explicit scalar loops (float64 accumulators)
-and stays deliberately ignorant of how the package implements the same
-operations.
+Everything here computes in float64, with explicit scalar loops or, for
+whole networks, window einsums, and stays deliberately ignorant of how the
+package implements the same operations.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def naive_conv2d(x, weight, bias=None, stride=1, padding=1):
@@ -208,3 +209,95 @@ def central_difference(f, x, step=1e-5):
         dipped[i] -= step
         flat[i] = (f(bumped.reshape(x.shape)) - f(dipped.reshape(x.shape))) / (2 * step)
     return grad
+
+
+def _reference_windows(x, kernel, stride, padding):
+    """(N, C, outH, outW, k, k) windows of zero-padded NCHW ``x``."""
+    pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+    win = sliding_window_view(np.pad(x, pad), (kernel, kernel), axis=(2, 3))
+    return win[:, :, ::stride, ::stride]
+
+
+def _reference_layer(layer, param, x):
+    """One layer in float64; ``param(role)`` gives a parameter as float64."""
+    kind = layer.kind
+
+    def conv(x, weight, stride=1, padding=0):
+        win = _reference_windows(x, weight.shape[-1], stride, padding)
+        return np.einsum("nchwij,ocij->nohw", win, weight, optimize=False)
+
+    def norm(x, prefix=""):
+        gamma, beta, mean, variance = (param(prefix + stat) for stat in
+                                       ("gamma", "beta", "mean", "variance"))
+        shape = (1, -1) + (1,) * (x.ndim - 2)
+        return ((x - mean.reshape(shape)) / np.sqrt(variance + 1e-5).reshape(shape)
+                * gamma.reshape(shape) + beta.reshape(shape))
+
+    def bias(out):
+        if not layer.bias:
+            return out
+        return out + param("bias").reshape((1, -1) + (1,) * (out.ndim - 2))
+
+    if kind == "conv":
+        return bias(conv(x, param("weight"), layer.stride, layer.padding))
+    if kind == "dense":
+        return bias(np.einsum("nk,ok->no", x.reshape(len(x), -1),
+                              param("weight"), optimize=False))
+    if kind == "batch-norm":
+        return norm(x)
+    if kind == "relu6":
+        return np.clip(x, 0.0, 6.0)
+    if kind == "relu":
+        return np.maximum(x, 0.0)
+    if kind == "prelu":
+        alpha = param("alpha").reshape((1, -1) + (1,) * (x.ndim - 2))
+        return np.where(x > 0, x, alpha * x)
+    if kind == "max-pool":
+        return _reference_windows(x, layer.kernel, layer.stride, 0).max(axis=(4, 5))
+    if kind == "global-avg-pool":
+        return x.mean(axis=(2, 3), keepdims=True)
+    if kind == "softmax":
+        e = np.exp(x - x.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+    if kind != "bottleneck-block":
+        raise ValueError(f"no reference for layer kind {kind!r}")
+    h = x
+    if layer.expansion > 1:
+        h = np.clip(norm(conv(h, param("expand_weight")), "expand_norm."), 0, 6)
+    depthwise = param("depthwise_weight")[:, 0]
+    win = _reference_windows(h, depthwise.shape[-1], layer.stride, 1)
+    h = np.clip(norm(np.einsum("nchwij,cij->nchw", win, depthwise,
+                               optimize=False),
+                     "depthwise_norm."), 0, 6)
+    h = norm(conv(h, param("project_weight")), "project_norm.")
+    if layer.stride == 1 and layer.in_channels == layer.out_channels:
+        h = h + x
+    return h
+
+
+def reference_forward(layers, archive, x, taps=()):
+    """The network a ``LayerSpec`` list and a weight archive describe,
+    evaluated in float64 on NCHW input ``x``: convolutions, depthwise
+    convolutions and dense layers are window einsums summed without BLAS.
+
+    Returns the final output or, with ``taps``, ``(output, {name: tensor})``
+    for the named layers. Each layer reads the previous layer's output, or
+    the output of the layer its ``feeds_from`` names.
+    """
+    outputs, current = {}, np.asarray(x, dtype=np.float64)
+    for layer in layers:
+        def param(role, name=layer.name):
+            return np.asarray(archive.get(f"{name}.{role}"), dtype=np.float64)
+
+        source = outputs[layer.feeds_from] if layer.feeds_from else current
+        current = outputs[layer.name] = _reference_layer(layer, param, source)
+    if taps:
+        return current, {name: outputs[name] for name in taps}
+    return current
+
+
+def relative_gap(got, want):
+    """Largest absolute difference over the largest magnitude of ``want``."""
+    want = np.asarray(want, dtype=np.float64)
+    return float(np.abs(np.asarray(got, dtype=np.float64) - want).max()
+                 / np.abs(want).max())

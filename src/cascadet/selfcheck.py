@@ -1,8 +1,8 @@
 """Built-in oracle suites, runnable from the CLI.
 
 Each check recomputes an operator's result with a slow, obviously correct
-reference (scalar loops, brute-force suppression, finite differences) and
-compares. Intended as a quick field diagnostic; the full test suite covers
+reference (scalar loops, brute-force suppression, finite differences, a
+float64 forward) and compares. Intended as a quick field diagnostic; the full test suite covers
 the same ground more thoroughly.
 """
 
@@ -10,9 +10,65 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import detector, losses, tensor, weights
+from . import detector, fixtures, losses, tensor, weights
+from .classifier import BackboneSpec, build_classifier
 from .oracles import (brute_force_nms, central_difference, naive_conv2d,
-                      naive_crop_resize)
+                      naive_crop_resize, reference_forward, relative_gap)
+
+# The pre-softmax outputs of each fixture network, and the largest relative
+# gap (:func:`oracles.relative_gap`) each may have from
+# :func:`oracles.reference_forward`. Each bound is ten times the largest gap
+# measured on :func:`network_input` seeds 1-12 (4 crops, 2 for the
+# classifier) with the (C, kH, kW)-ordered im2col that preceded the
+# window-major one, rounded up to one significant digit. A bound is never
+# loosened: new arithmetic must fit the old bound.
+REFERENCE_TAPS = {
+    "pnet": ("pnet.prob_conv", "pnet.reg"),
+    "rnet": ("rnet.prob_fc", "rnet.reg"),
+    "onet": ("onet.prob_fc", "onet.reg", "onet.landmarks"),
+    "classifier": ("head.fc2",),
+}
+REFERENCE_BOUNDS = {
+    "pnet.prob_conv": 8e-6, "pnet.reg": 8e-6,
+    "rnet.prob_fc": 2e-5, "rnet.reg": 9e-6,
+    "onet.prob_fc": 6e-5, "onet.reg": 3e-5, "onet.landmarks": 2e-5,
+    "head.fc2": 2e-4,
+}
+
+
+def fixture_networks() -> dict[str, tuple[tensor.Network, weights.WeightArchive]]:
+    """The four fixture networks by name, each with its archive."""
+    cascade = fixtures.fixture_cascade_archive()
+    networks = detector.CascadeNetworks.from_archive(cascade)
+    spec = BackboneSpec()
+    archive = fixtures.fixture_classifier_archive(spec)
+    return {"pnet": (networks.pnet, cascade), "rnet": (networks.rnet, cascade),
+            "onet": (networks.onet, cascade),
+            "classifier": (build_classifier(spec, archive), archive)}
+
+
+def network_input(network: tensor.Network, seed: int, crops: int) -> tensor.Tensor:
+    """A small input as the pipeline would give ``network``: a 48x36
+    pyramid level of synthetic frame ``seed`` (160x120) for a network of
+    any input size, else ``crops`` crops of that frame at the network's
+    input extent, some hanging past its edges."""
+    frame = detector.frame_to_tensor(fixtures.synthetic_frame(seed, 160, 120))
+    if network.input_shape is None:
+        return detector.bilinear_resize(frame, 36, 48)
+    rng = np.random.default_rng(seed)
+    corner = rng.uniform(-20, 130, (crops, 2))
+    boxes = np.hstack([corner, corner + rng.uniform(20, 60, (crops, 2))])
+    return detector.crop_resize_batch(frame, boxes, network.input_shape[-1])
+
+
+def reference_gaps(name: str, network: tensor.Network, archive,
+                   x: tensor.Tensor) -> dict[str, float]:
+    """The :func:`oracles.relative_gap` of each of fixture network
+    ``name``'s pre-softmax taps from the float64 reference forward on ``x``."""
+    taps = REFERENCE_TAPS[name]
+    _, got = network.forward(x, taps=taps)
+    _, want = reference_forward(network.layers, archive, x, taps=taps)
+    return {tap: relative_gap(got[tap], want[tap]) for tap in taps}
 
 
 def _check_conv(rng) -> bool:
@@ -62,6 +118,15 @@ def _check_nms(rng) -> bool:
     for mode in ("union", "min"):
         got = detector.nms(boxes, scores, 0.5, mode)
         if got.tolist() != brute_force_nms(boxes, scores, 0.5, mode):
+            return False
+    return True
+
+
+def _check_networks() -> bool:
+    for name, (network, archive) in fixture_networks().items():
+        x = network_input(network, 1, 1)
+        gaps = reference_gaps(name, network, archive, x)
+        if any(gap > REFERENCE_BOUNDS[tap] for tap, gap in gaps.items()):
             return False
     return True
 
@@ -122,6 +187,7 @@ def run_selfcheck() -> bool:
             ("analytic vs finite-difference gradients", _check_gradients(rng)),
             ("weight archive round-trip and corruption", _check_archive(Path(tmp))),
             ("crop sampler vs scalar loop", _check_crop(rng)),
+            ("fixture networks vs float64 reference", _check_networks()),
         ]
     ok = True
     for name, passed in checks:

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from cascadet import cli, losses
+from cascadet import cli, losses, tensor
 from cascadet.classifier import MaskLabel
 from cascadet.pipeline import Detection
 
@@ -255,7 +256,19 @@ class TestSelfcheck:
         assert rc == cli.EXIT_OK
         assert "[PASS]" in out
         assert "[PASS] crop sampler vs scalar loop" in out
+        assert "[PASS] fixture networks vs float64 reference" in out
         assert "[FAIL]" not in out
+
+    def test_selfcheck_fails_on_inexact_convolution(self, capsys, monkeypatch):
+        true_conv2d = tensor.conv2d
+
+        def skewed(*args, **kwargs):
+            return true_conv2d(*args, **kwargs) * np.float32(1.001)
+
+        monkeypatch.setattr(tensor, "conv2d", skewed)
+        assert cli.main(["selfcheck"]) == cli.EXIT_INTERNAL
+        assert ("[FAIL] fixture networks vs float64 reference"
+                in capsys.readouterr().out)
 
     def test_selfcheck_fails_on_wrong_gradient(self, capsys, monkeypatch):
         true_loss_box = losses.loss_box

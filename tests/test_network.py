@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cascadet import detector as D
-from cascadet import fixtures
+from cascadet import fixtures, oracles, selfcheck
 from cascadet import tensor as T
 from cascadet.classifier import (BackboneSpec, build_classifier,
                                  classifier_layers,
@@ -293,20 +293,54 @@ def test_layer_kinds_are_the_kinds_the_networks_use():
     assert {layer.kind for layer in layers} == T.LAYER_KINDS
 
 
-@pytest.mark.parametrize("case", sorted(ONE_LAYER_CASES))
-def test_compiled_layer_equals_direct_operator_call(case):
-    layer, shape, direct = ONE_LAYER_CASES[case]
+def one_layer_inputs(case):
+    """A one-layer case's layer, a seeded archive for it and an input."""
+    layer, shape, _ = ONE_LAYER_CASES[case]
     rng = np.random.default_rng(8)
     archive = WeightArchive()
     for entry, entry_shape in parameter_shapes([layer]):
         low = 0.2 if entry.endswith("variance") else -1.0
         archive.put(entry, rng.uniform(low, 1.0, entry_shape).astype(np.float32))
-    x = rng.uniform(-8, 8, shape).astype(np.float32)
+    return layer, archive, rng.uniform(-8, 8, shape).astype(np.float32)
+
+
+@pytest.mark.parametrize("case", sorted(ONE_LAYER_CASES))
+def test_compiled_layer_equals_direct_operator_call(case):
+    layer, archive, x = one_layer_inputs(case)
+    direct = ONE_LAYER_CASES[case][2]
     got = Network([layer], archive).forward(x)
     want = direct(x, {role: archive.get(f"l.{role}")
                       for role, _ in T.layer_parameters(layer)})
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(ONE_LAYER_CASES))
+def test_reference_forward_agrees_on_every_layer_kind(case):
+    """The float64 reference and the float32 operators, independent
+    implementations of each layer, agree to float32 rounding."""
+    layer, archive, x = one_layer_inputs(case)
+    want = oracles.reference_forward([layer], archive, x)
+    got = Network([layer], archive).forward(x)
+    assert want.dtype == np.float64 and want.shape == got.shape
+    np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+
+
+@pytest.fixture(scope="module")
+def reference_networks():
+    return selfcheck.fixture_networks()
+
+
+@pytest.mark.parametrize("network", sorted(selfcheck.REFERENCE_TAPS))
+def test_pre_softmax_taps_within_reference_bounds(reference_networks, network):
+    """Each fixture network's pre-softmax outputs stay within their fixed
+    relative bounds of the float64 reference forward, on a few pipeline
+    shaped inputs: a pyramid level for pnet, crops for the others."""
+    net, archive = reference_networks[network]
+    for seed in (1, 2, 3):
+        x = selfcheck.network_input(net, seed, 2 if network == "classifier" else 4)
+        for tap, gap in selfcheck.reference_gaps(network, net, archive, x).items():
+            assert gap <= selfcheck.REFERENCE_BOUNDS[tap], (seed, tap, gap)
 
 
 # Fixture weights are drawn in parameter_shapes order, so any reordering or

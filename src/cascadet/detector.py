@@ -88,7 +88,8 @@ def frame_to_tensor(pixels: np.ndarray) -> Tensor:
 
 
 def bilinear_resize(image: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Bilinear resample of an (N, C, H, W) tensor, edges clamped."""
+    """Bilinear resample of an (N, C, H, W) tensor, edges clamped; the
+    result is a view of channels-last memory."""
     n, c, h, w = image.shape
     if out_h < 1 or out_w < 1:
         raise ValueError(f"output extents must be positive, got {out_h}x{out_w}")
@@ -100,15 +101,17 @@ def bilinear_resize(image: Tensor, out_h: int, out_w: int) -> Tensor:
     x0 = np.floor(src_x).astype(np.int64)
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
-    fy = (src_y - y0).astype(np.float32)
-    fx = (src_x - x0).astype(np.float32)
+    fy = (src_y - y0).astype(np.float32)[:, None, None]
+    fx = (src_x - x0).astype(np.float32)[:, None]
 
-    rows0 = image[:, :, y0, :]
-    rows1 = image[:, :, y1, :]
-    top = rows0[:, :, :, x0] * (1 - fx) + rows0[:, :, :, x1] * fx
-    bottom = rows1[:, :, :, x0] * (1 - fx) + rows1[:, :, :, x1] * fx
-    out = top * (1 - fy)[None, None, :, None] + bottom * fy[None, None, :, None]
-    return np.ascontiguousarray(out, dtype=np.float32)
+    # Gathers with take() come back C-ordered: (N, outH, outW, C) memory.
+    pixels = image.transpose(0, 2, 3, 1)
+    rows0 = pixels.take(y0, axis=1)
+    rows1 = pixels.take(y1, axis=1)
+    top = rows0.take(x0, axis=2) * (1 - fx) + rows0.take(x1, axis=2) * fx
+    bottom = rows1.take(x0, axis=2) * (1 - fx) + rows1.take(x1, axis=2) * fx
+    out = top * (1 - fy) + bottom * fy
+    return out.astype(np.float32, copy=False).transpose(0, 3, 1, 2)
 
 
 def build_image_pyramid(frame: Tensor, config: CascadeConfig

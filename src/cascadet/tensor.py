@@ -2,13 +2,16 @@
 
 Tensors are plain ``numpy.ndarray`` objects in float32 whose shapes are
 logical batch-channel-height-width (NCHW). Their memory order is not fixed:
-a returned array may be a strided view, and a convolution's output is held
-channels-last (channels fastest-varying) so the next layer reads it without
-a transpose copy. One rule decides who copies for memory layout: only an
-operator whose arithmetic depends on its input's memory order (the matrix
-products and the spatial mean) makes that input contiguous, and only its own
-input. No caller copies on an operator's behalf, so a result's bits never
-depend on the memory order it is given.
+a returned array may be a strided view. A convolution's output is held
+channels-last (channels fastest-varying), and padding, pooling and the
+depthwise convolution keep their input's order, so every convolution, 1x1
+included, copies each output position's (kH, kW, C) window in runs of kW*C
+floats into one row of window-major im2col columns (Chellapilla et al.
+2006). One rule decides who copies for memory layout: only an operator
+whose arithmetic depends on its input's memory order (the matrix products
+and the spatial mean) copies that input, and only its own input. No caller
+copies on an operator's behalf, so a result's bits never depend on the
+memory order it is given.
 
 One byte budget splits every batch: :func:`row_chunks` gives slices of
 about ``_BLOCK_BYTES`` of input rows, never fewer than ``_MIN_CHUNK_ROWS``.
@@ -39,8 +42,9 @@ reduction order fixed across runs and caller thread counts.
 
 Operators check the activation they are given (rank, channels, geometry)
 but trust their float32 parameter tensors: a :class:`Network` checks those
-once, when it binds them; it also works out each batch norm's per-channel
-scale and shift then, not on every call.
+once, when it binds them. It then also works out each batch norm's scale
+and shift, and holds each conv weight in the columns' (outC, kH, kW, inC)
+order, which :func:`conv2d` otherwise makes on every call.
 """
 
 from __future__ import annotations
@@ -188,10 +192,6 @@ def parallel_map(fn: Callable, items: Iterable) -> list:
     return job.results
 
 
-def _out_extent(extent: int, kernel: int, stride: int, padding: int) -> int:
-    return (extent + 2 * padding - kernel) // stride + 1
-
-
 def _check_conv_geometry(op: str, h: int, w: int, kh: int, kw: int,
                          stride: int, padding: int) -> tuple[int, int]:
     if stride < 1:
@@ -202,19 +202,22 @@ def _check_conv_geometry(op: str, h: int, w: int, kh: int, kw: int,
         raise ValueError(
             f"{op}: padded input {h + 2 * padding}x{w + 2 * padding} is "
             f"smaller than the {kh}x{kw} kernel")
-    return _out_extent(h, kh, stride, padding), _out_extent(w, kw, stride, padding)
+    return (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
 
 
 def _pad_spatial(x: Tensor, padding: int) -> Tensor:
+    """``x`` with ``padding`` zeros around each image, in ``x``'s memory order."""
     if padding == 0:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    n, c, h, w = x.shape
+    out = np.zeros_like(x, shape=(n, c, h + 2 * padding, w + 2 * padding))
+    out[:, :, padding:padding + h, padding:padding + w] = x
+    return out
 
 
-def _windows(x: Tensor, kh: int, kw: int, stride: int) -> Tensor:
-    """View of all kernel-sized windows: (N, C, outH, outW, kH, kW)."""
-    view = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    return view[:, :, ::stride, ::stride, :, :]
+def _window_major(weight: Tensor) -> Tensor:
+    """``weight`` held in the (outC, kH, kW, inC) memory order conv2d reads."""
+    return np.ascontiguousarray(weight.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
@@ -233,24 +236,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         raise ValueError(
             f"conv2d: input has {c} channels but weight expects {in_c}")
     out_h, out_w = _check_conv_geometry("conv2d", h, w, kh, kw, stride, padding)
-    if (kh, kw, stride, padding) == (1, 1, 1, 0):
-        # A per-pixel linear map across channels: one product per sample.
-        # Its bits depend on the operand's strides, hence the contiguous copy.
-        out = np.matmul(weight[:, :, 0, 0],
-                        np.ascontiguousarray(x).reshape(n, c, h * w))
-        if bias is not None:
-            out += bias[None, :, None]
-        return out.reshape(n, out_c, h, w)
-
-    win = _windows(_pad_spatial(x, padding), kh, kw, stride)
-    # One GEMM: (N*outH*outW, C*kH*kW) x (C*kH*kW, outC).
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5))
-    cols = cols.reshape(n * out_h * out_w, c * kh * kw)
-    out = cols @ weight.reshape(out_c, -1).T
+    # One GEMM: (N*outH*outW, kH*kW*C) window-major columns x (kH*kW*C, outC).
+    win = np.lib.stride_tricks.sliding_window_view(
+        _pad_spatial(x, padding).transpose(0, 2, 3, 1), (kh, kw), axis=(1, 2))
+    cols = np.ascontiguousarray(np.moveaxis(win[:, ::stride, ::stride], 3, -1))
+    weight = np.ascontiguousarray(weight.transpose(0, 2, 3, 1))
+    out = cols.reshape(-1, kh * kw * c) @ weight.reshape(out_c, -1).T
     if bias is not None:
         out += bias
-    # Channels-last memory under the logical NCHW shape: the next im2col
-    # copies windows out of any strides, so no transpose copy is needed.
     return out.reshape(n, out_h, out_w, out_c).transpose(0, 3, 1, 2)
 
 
@@ -273,7 +266,7 @@ def depthwise_conv2d(x: Tensor, weight: Tensor, stride: int = 1,
     # sum is taken as np.einsum("nchwij,cij->nchw") takes it for every 3x3
     # shape a LayerSpec builds: from +0.0, adding each kernel row's sum,
     # itself accumulated left to right from the row's first product.
-    out = np.zeros((n, c, out_h, out_w), np.float32)
+    out = np.zeros_like(x, shape=(n, c, out_h, out_w))
     for i in range(kh):
         row = None
         for j in range(kw):
@@ -516,6 +509,7 @@ def _compile(layer: LayerSpec, params: dict) -> Callable[[Tensor], Tensor]:
     """
     kind = layer.kind
     if kind == "conv":
+        params = {**params, "weight": _window_major(params["weight"])}
         return partial(conv2d, **params, stride=layer.stride,
                        padding=layer.padding)
     if kind == "batch-norm":
@@ -550,6 +544,7 @@ def _compile(layer: LayerSpec, params: dict) -> Callable[[Tensor], Tensor]:
         return partial(_scale_shift, *_norm_affine(
             **{stat: params[f"{prefix}.{stat}"] for stat in _NORM_STATS}))
 
+    # A 1x1 weight's memory is already in conv2d's (outC, kH, kW, inC) order.
     if expansion > 1:
         expand_weight, expand_norm = params["expand_weight"], norm("expand_norm")
     depthwise_weight, depthwise_norm = (params["depthwise_weight"],

@@ -137,6 +137,15 @@ class TestResampling:
                 got = D.bilinear_resize(frame, extent, extent)
                 np.testing.assert_allclose(got[0], want, rtol=0, atol=1e-6)
 
+    def test_bilinear_resize_returns_channels_last_memory(self):
+        """Pyramid levels come back channels-last, the memory pnet's first
+        convolution reads in contiguous runs."""
+        frame = np.random.default_rng(15).uniform(
+            -1, 1, (1, 3, 20, 30)).astype(np.float32)
+        out = D.bilinear_resize(frame, 13, 17)
+        assert out.shape == (1, 3, 13, 17) and out.dtype == np.float32
+        assert out.transpose(0, 2, 3, 1).flags.c_contiguous
+
     def test_bilinear_upscale_clamps_to_edge(self):
         """Upscaled, the outer samples fall outside the pixel centres and
         clamp to the edge: each corner output is its corner pixel exactly,

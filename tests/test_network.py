@@ -21,6 +21,7 @@ from cascadet.tensor import (LayerSpec, Network, NetworkError, bn_layer,
 from cascadet.weights import WeightArchive
 
 from generate_golden import GOLDEN_FRAME_SEED, GOLDEN_HEIGHT, GOLDEN_WIDTH
+from test_tensor_ops import channels_last
 
 STATS = ("gamma", "beta", "mean", "variance")
 
@@ -306,13 +307,17 @@ def one_layer_inputs(case):
 
 @pytest.mark.parametrize("case", sorted(ONE_LAYER_CASES))
 def test_compiled_layer_equals_direct_operator_call(case):
+    """On contiguous input and, for an activation, on the channels-last
+    memory the trunk passes between layers."""
     layer, archive, x = one_layer_inputs(case)
     direct = ONE_LAYER_CASES[case][2]
-    got = Network([layer], archive).forward(x)
-    want = direct(x, {role: archive.get(f"l.{role}")
-                      for role, _ in T.layer_parameters(layer)})
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    params = {role: archive.get(f"l.{role}")
+              for role, _ in T.layer_parameters(layer)}
+    for x in (x, channels_last(x)) if x.ndim == 4 else (x,):
+        got = Network([layer], archive).forward(x)
+        want = direct(x, params)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("case", sorted(ONE_LAYER_CASES))

@@ -16,6 +16,20 @@ def channels_last(x):
     return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
 
 
+def strided_slice(x):
+    """The same NCHW values, as a view that skips rows and columns of a
+    larger NCHW array."""
+    n, c, h, w = x.shape
+    big = np.zeros((n, c, 2 * h, w + 3), x.dtype)
+    big[:, :, ::2, 2:-1] = x
+    return big[:, :, ::2, 2:-1]
+
+
+# One logical input held in three memory orders.
+LAYOUTS = {"contiguous": np.ascontiguousarray, "channels-last": channels_last,
+           "strided-slice": strided_slice}
+
+
 def rand_f32(rng, *shape, lo=-1.0, hi=1.0):
     return rng.uniform(lo, hi, size=shape).astype(np.float32)
 
@@ -59,7 +73,7 @@ class TestConv2d:
             got = T.conv2d(x, w, b, stride, padding)
             want = oracles.naive_conv2d(x, w, b, stride, padding)
             np.testing.assert_allclose(got, want, atol=1e-5)
-        # A 1x1 kernel at stride 1 without padding: the per-pixel product.
+        # A 1x1 kernel at stride 1 without padding.
         x, w, b = rand_f32(rng, 2, 4, 5, 5), rand_f32(rng, 3, 4, 1, 1), rand_f32(rng, 3)
         np.testing.assert_allclose(T.conv2d(x, w, b),
                                    oracles.naive_conv2d(x, w, b, 1, 0), atol=1e-5)
@@ -90,6 +104,33 @@ class TestConv2d:
         w = np.zeros((1, 1, 3, 3), np.float32)
         with pytest.raises(ValueError, match="smaller than"):
             T.conv2d(x, w)
+
+
+@pytest.mark.parametrize("padding", [0, 1])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("kernel", [1, 2, 3])
+def test_conv2d_bytes_do_not_depend_on_memory_order(kernel, stride, padding):
+    rng = np.random.default_rng(40 + kernel)
+    x = rand_f32(rng, 3, 12, 9, 11, lo=-4.0, hi=4.0)
+    w, b = rand_f32(rng, 7, 12, kernel, kernel), rand_f32(rng, 7)
+    got = {name: T.conv2d(layout(x), w, b, stride, padding).tobytes()
+           for name, layout in LAYOUTS.items()}
+    assert len(set(got.values())) == 1, got.keys()
+
+
+def memory_order(x):
+    """Axes from the slowest-varying in memory to the fastest."""
+    return tuple(np.argsort([-s for s in x.strides], kind="stable"))
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_pad_spatial_keeps_memory_order(layout):
+    x = LAYOUTS[layout](rand_f32(np.random.default_rng(41), 2, 5, 4, 6))
+    out = T._pad_spatial(x, 2)
+    order = memory_order(x)
+    assert memory_order(out) == order
+    assert out.transpose(order).flags.c_contiguous
+    assert out.tobytes() == np.pad(x, ((0, 0), (0, 0), (2, 2), (2, 2))).tobytes()
 
 
 class TestDepthwiseConv2d:

@@ -2,8 +2,8 @@
 
 Each check recomputes an operator's result with a slow, obviously correct
 reference (scalar loops, brute-force suppression, finite differences, a
-float64 forward) and compares. Intended as a quick field diagnostic; the full test suite covers
-the same ground more thoroughly.
+float64 forward) and compares. Intended as a quick field diagnostic; the
+full test suite covers the same ground more thoroughly.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from .oracles import (brute_force_nms, central_difference, naive_conv2d,
 # gap (:func:`oracles.relative_gap`) each may have from
 # :func:`oracles.reference_forward`. Each bound is ten times the largest gap
 # measured on :func:`network_input` seeds 1-12 (4 crops, 2 for the
-# classifier) with the (C, kH, kW)-ordered im2col that preceded the
-# window-major one, rounded up to one significant digit. A bound is never
+# classifier) with im2col columns in (C, kH, kW) order, before they became
+# window-major, rounded up to one significant digit. A bound is never
 # loosened: new arithmetic must fit the old bound.
 REFERENCE_TAPS = {
     "pnet": ("pnet.prob_conv", "pnet.reg"),

@@ -8,8 +8,7 @@ import pytest
 from cascadet import detector as D
 from cascadet import fixtures, oracles, selfcheck
 from cascadet import tensor as T
-from cascadet.classifier import (BackboneSpec, build_classifier,
-                                 classifier_layers,
+from cascadet.classifier import (BackboneSpec, classifier_layers,
                                  classifier_parameter_shapes)
 from cascadet.detector import (CascadeNetworks, build_onet_layers,
                                build_pnet_layers, build_rnet_layers,
@@ -333,6 +332,7 @@ def test_reference_forward_agrees_on_every_layer_kind(case):
 
 @pytest.fixture(scope="module")
 def reference_networks():
+    """The four fixture networks by name, each with its archive."""
     return selfcheck.fixture_networks()
 
 
@@ -367,12 +367,8 @@ def test_parameter_order_pinned(network):
 
 
 @pytest.fixture(scope="module")
-def fixture_networks():
-    cascade = CascadeNetworks.from_archive(fixtures.fixture_cascade_archive())
-    spec = BackboneSpec()
-    return {"pnet": cascade.pnet, "rnet": cascade.rnet, "onet": cascade.onet,
-            "classifier": build_classifier(
-                spec, fixtures.fixture_classifier_archive(spec))}
+def fixture_networks(reference_networks):
+    return {name: net for name, (net, _) in reference_networks.items()}
 
 
 @pytest.mark.parametrize("network", ["pnet", "rnet", "onet", "classifier"])

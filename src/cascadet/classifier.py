@@ -15,7 +15,7 @@ import numpy as np
 
 from . import detector
 from .tensor import (LayerSpec, Network, Tensor, bn_layer, bottleneck_layer,
-                     conv_layer, dense_layer, parallel_map, parameter_shapes)
+                     conv_layer, dense_layer, parameter_shapes)
 
 # (expansion, output channels, repeats, first-block stride) per group; the
 # standard inverted-residual progression, 17 blocks total.
@@ -120,15 +120,15 @@ def classify_all(classifier: Network, frame: Tensor,
                  faces: list[detector.FaceCandidate], *,
                  input_extent: int | None = None,
                  ) -> list[tuple[detector.FaceCandidate, MaskPrediction]]:
-    """One prediction per detected face, input order preserved; the
-    per-face forwards run side by side through :func:`parallel_map`.
+    """One prediction per detected face, input order preserved, from one
+    forward over all of their crops.
 
     Crops are square-padded and resampled from the normalized frame tensor,
     matching the preprocessing the detector stages use. The crop extent
     defaults to the classifier's declared input shape. The label is the
     likelier class, NoMask on an exact tie, and the confidence its
     probability. Raises ValueError when no extent is given or declared, or
-    unless each forward emits two finite probabilities.
+    unless the forward emits two finite probabilities per face.
     """
     if input_extent is None:
         if classifier.input_shape is None:
@@ -138,16 +138,12 @@ def classify_all(classifier: Network, frame: Tensor,
     boxes = np.array([f.box for f in faces], np.float64).reshape(-1, 4)
     crops = detector.crop_resize_batch(frame, detector.square_pad(boxes),
                                        input_extent)
-
-    def predict(crop: Tensor) -> MaskPrediction:
-        # One forward per face: a row's dense output depends on the batch size.
-        probs = np.asarray(classifier.forward(crop[None])).reshape(-1)
-        if probs.shape != (2,):
-            raise ValueError(f"classifier emitted shape {probs.shape}, expected 2")
-        if not np.isfinite(probs).all():
-            raise ValueError(f"classifier probabilities must be finite, got {probs}")
-        p_mask, p_nomask = float(probs[0]), float(probs[1])
-        label = MaskLabel.MASK if p_mask > p_nomask else MaskLabel.NO_MASK
-        return MaskPrediction(label, max(p_mask, p_nomask))
-
-    return list(zip(faces, parallel_map(predict, crops)))
+    probs = np.asarray(classifier.forward(crops))
+    if probs.shape != (len(faces), 2):
+        raise ValueError(f"classifier emitted shape {probs.shape}, "
+                         f"expected {(len(faces), 2)}")
+    if not np.isfinite(probs).all():
+        raise ValueError(f"classifier probabilities must be finite, got {probs}")
+    return [(face, MaskPrediction(MaskLabel.MASK if mask > nomask
+                                  else MaskLabel.NO_MASK, max(mask, nomask)))
+            for face, (mask, nomask) in zip(faces, probs.tolist())]

@@ -122,11 +122,21 @@ def _check_nms(rng) -> bool:
     return True
 
 
-def _check_networks() -> bool:
-    for name, (network, archive) in fixture_networks().items():
+def _check_networks(networks) -> bool:
+    for name, (network, archive) in networks.items():
         x = network_input(network, 1, 1)
         gaps = reference_gaps(name, network, archive, x)
         if any(gap > REFERENCE_BOUNDS[tap] for tap, gap in gaps.items()):
+            return False
+    return True
+
+
+def _check_batch_invariance(networks) -> bool:
+    for network, _ in networks.values():
+        x = np.concatenate([network_input(network, seed, 1)
+                            for seed in range(1, 6)])
+        alone = np.concatenate([network.forward(row[None]) for row in x])
+        if network.forward(x).tobytes() != alone.tobytes():
             return False
     return True
 
@@ -179,6 +189,7 @@ def run_selfcheck() -> bool:
     from pathlib import Path
 
     rng = np.random.default_rng(2024)
+    networks = fixture_networks()
     with tempfile.TemporaryDirectory() as tmp:
         checks = [
             ("convolution vs scalar loop", _check_conv(rng)),
@@ -187,7 +198,9 @@ def run_selfcheck() -> bool:
             ("analytic vs finite-difference gradients", _check_gradients(rng)),
             ("weight archive round-trip and corruption", _check_archive(Path(tmp))),
             ("crop sampler vs scalar loop", _check_crop(rng)),
-            ("fixture networks vs float64 reference", _check_networks()),
+            ("fixture networks vs float64 reference", _check_networks(networks)),
+            ("batched rows equal one-at-a-time rows",
+             _check_batch_invariance(networks)),
         ]
     ok = True
     for name, passed in checks:

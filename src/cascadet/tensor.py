@@ -13,24 +13,18 @@ and the spatial mean) copies that input, and only its own input. No caller
 copies on an operator's behalf, so a result's bits never depend on the
 memory order it is given.
 
-One byte budget splits every batch: :func:`row_chunks` gives slices of
-about ``_BLOCK_BYTES`` of input rows, never fewer than ``_MIN_CHUNK_ROWS``.
-A :class:`Network` runs its trunk, the layers before its first dense or
-global-avg-pool layer, and the crop sampler fills its crops on those slices,
-so each im2col matrix and temporary grows with a chunk's bytes, not the
-batch's. The floor is five rows because a trunk convolution gives the same
-bits on five or more rows as on the whole batch (on the pinned BLAS build;
-rnet's last convolution differs at one to four). A dense layer's bits depend
-on the batch's row count, so the head runs once, on the joined trunk output.
+Every matrix product (:func:`conv2d`, :func:`dense`) runs in tiles of exactly
+``_TILE_ROWS`` rows, so a row's bits never depend on the rest of its batch
+(batch-invariant kernels, He et al. 2025). :func:`row_chunks` splits a batch
+by ``_BLOCK_BYTES`` of input rows; a :class:`Network` and the crop sampler
+run on its slices, so their temporaries grow with a chunk, not the batch.
 
 One helper pool runs a frame's independent units side by side:
 :func:`parallel_map` maps a function over its items on the calling thread
 and on one helper thread when this process may run on two or more cores.
-Its units are a trunk's chunks, the detector's pyramid levels and crop
-blocks, and the classifier's per-face forwards. The pool has no setting:
-its size follows the CPU affinity, and it starts on first use, so a
-one-core process never starts a thread. Each unit does the same arithmetic
-on the same rows as it would alone, with single-threaded BLAS, and results
+Its units are a network's chunks and the detector's pyramid levels and crop
+blocks. The pool has no setting: its size follows the CPU affinity, and it
+starts on first use, so a one-core process never starts a thread. Results
 are joined in input order, so outputs are byte-identical at any core count.
 
 Operators are pure functions: inputs are never modified, except that
@@ -54,7 +48,7 @@ import os
 import queue
 import threading
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from typing import Callable, Iterable
 
 import numpy as np
@@ -70,16 +64,15 @@ def _as_f32(x) -> Tensor:
     return np.asarray(x, dtype=np.float32)
 
 
-# Bytes of input rows per chunk, and the fewest rows a chunk may hold.
+# Bytes of input rows per chunk.
 _BLOCK_BYTES = 1 << 18
-_MIN_CHUNK_ROWS = 5
 
 
 def row_chunks(n: int, row_bytes: int) -> list[slice]:
     """Slices that split ``n`` rows of ``row_bytes`` bytes (0 counts as 1)
-    into chunks of ``max(_MIN_CHUNK_ROWS, _BLOCK_BYTES // row_bytes)`` rows,
-    the last also taking the remainder; below twice that, one whole slice."""
-    rows = max(_MIN_CHUNK_ROWS, _BLOCK_BYTES // max(1, row_bytes))
+    into chunks of ``max(1, _BLOCK_BYTES // row_bytes)`` rows, the last
+    also taking the remainder; below twice that, one whole slice."""
+    rows = max(1, _BLOCK_BYTES // max(1, row_bytes))
     starts = range(0, n - rows + 1, rows) or range(1)
     return list(map(slice, starts, [*starts[1:], n]))
 
@@ -220,6 +213,26 @@ def _window_major(weight: Tensor) -> Tensor:
     return np.ascontiguousarray(weight.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
 
 
+# Rows per product tile; 1024-row tiles were slower.
+_TILE_ROWS = 64
+
+
+def _gemm(rows: Tensor, weight_t: Tensor) -> Tensor:
+    """``rows @ weight_t`` as one BLAS call per ``_TILE_ROWS`` rows, the
+    last tile (perhaps empty) a copy padded with zero rows, so a row gets
+    its bits alone."""
+    rows = np.ascontiguousarray(rows)
+    (m, k), n = rows.shape, weight_t.shape[1]
+    full = m - m % _TILE_ROWS
+    out = np.empty((full + _TILE_ROWS, n), np.float32)
+    np.matmul(rows[:full].reshape(-1, _TILE_ROWS, k), weight_t,
+              out=out[:full].reshape(-1, _TILE_ROWS, n))
+    last = np.zeros((_TILE_ROWS, k), np.float32)
+    last[:m - full] = rows[full:]
+    np.matmul(last, weight_t, out=out[full:])
+    return out[:m]
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """Dense 2D convolution (cross-correlation) over an NCHW tensor.
@@ -241,7 +254,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         _pad_spatial(x, padding).transpose(0, 2, 3, 1), (kh, kw), axis=(1, 2))
     cols = np.ascontiguousarray(np.moveaxis(win[:, ::stride, ::stride], 3, -1))
     weight = np.ascontiguousarray(weight.transpose(0, 2, 3, 1))
-    out = cols.reshape(-1, kh * kw * c) @ weight.reshape(out_c, -1).T
+    out = _gemm(cols.reshape(-1, kh * kw * c), weight.reshape(out_c, -1).T)
     if bias is not None:
         out += bias
     return out.reshape(n, out_h, out_w, out_c).transpose(0, 3, 1, 2)
@@ -384,8 +397,7 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ValueError(
             f"dense: input has {x.shape[1]} features but weight expects "
             f"{weight.shape[1]}")
-    # The product's bits depend on the operand's strides.
-    out = np.ascontiguousarray(x) @ weight.T
+    out = _gemm(x, weight.T)
     if bias is not None:
         out += bias
     return out
@@ -394,9 +406,11 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically guarded softmax along ``axis`` (max-subtracted)."""
     x = _as_f32(x)
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    # Max and sum fold the classes in class order, element-wise, so their
+    # bits never follow memory order and a short class axis stays fast.
+    top = reduce(np.maximum, np.moveaxis(x, axis, 0))
+    e = np.exp(x - np.expand_dims(top, axis))
+    return e / np.expand_dims(reduce(np.add, np.moveaxis(e, axis, 0)), axis)
 
 
 LAYER_KINDS = frozenset({
@@ -602,10 +616,6 @@ class Network:
             steps.append((layer.name, layer.feeds_from, layer.kind == "prelu",
                           _compile(layer, _bind(layer, archive))))
         self._steps = tuple(steps)
-        # The trunk ends at the first dense or global-avg-pool layer.
-        split = next((i for i, layer in enumerate(self.layers)
-                      if layer.kind in ("dense", "global-avg-pool")), len(steps))
-        self._trunk, self._head = self._steps[:split], self._steps[split:]
 
     def forward(self, x: Tensor, taps: tuple[str, ...] = ()):
         """Apply all layers; returns the final output.
@@ -624,26 +634,20 @@ class Network:
             raise ValueError(
                 f"input shape {tuple(x.shape[1:])} does not match the "
                 f"network's declared {self.input_shape}")
-        # The trunk runs chunk by chunk; its outputs are joined for the head.
-        parts = parallel_map(lambda chunk: self._run(self._trunk, x[chunk],
-                                                     keep, {}),
+        parts = parallel_map(lambda chunk: self._run(x[chunk], keep, taps),
                              row_chunks(len(x), x[:1].nbytes))
-        current = np.concatenate([part[0] for part in parts])
-        outputs = {name: np.concatenate([part[1][name] for part in parts])
-                   for name in parts[0][1]}
-        current, outputs = self._run(self._head, current, keep, outputs)
-        if taps:
-            return current, {name: outputs[name] for name in taps}
-        return current
+        current, *tapped = map(np.concatenate, zip(*parts))
+        return (current, dict(zip(taps, tapped))) if taps else current
 
-    def _run(self, steps, current: Tensor, keep: frozenset, outputs: dict):
-        """Apply ``steps`` to ``current``; returns the result and
-        ``outputs`` with the output of each layer in ``keep`` added."""
+    def _run(self, current: Tensor, keep: frozenset, taps: tuple[str, ...]):
+        """Apply every layer to ``current``; returns the result followed by
+        the output of each layer in ``taps``."""
         # Whether ``current`` is an intermediate no one else holds: not the
         # caller's input, a tap or a ``feeds_from`` source. No operator
         # returns a view of its input, so a PReLU may then overwrite it.
         owned = False
-        for name, feeds_from, in_place, step in steps:
+        outputs = {}
+        for name, feeds_from, in_place, step in self._steps:
             try:
                 if feeds_from:
                     current = step(outputs[feeds_from])
@@ -656,7 +660,7 @@ class Network:
             owned = name not in keep
             if not owned:
                 outputs[name] = current
-        return current, outputs
+        return [current, *(outputs[name] for name in taps)]
 
 
 def bn_layer(name: str, channels: int) -> LayerSpec:

@@ -163,7 +163,7 @@ class TestResampling:
             frame.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
         # Three blocks of 24x24 crops, the last with half a block more.
         crop_bytes = 3 * 24 * 24 * 4
-        per_block = max(T._MIN_CHUNK_ROWS, T._BLOCK_BYTES // crop_bytes)
+        per_block = T._BLOCK_BYTES // crop_bytes
         n = 3 * per_block + per_block // 2
         xy = rng.uniform(-10, 45, (n, 2))
         batch_boxes = np.hstack([xy, xy + rng.uniform(1, 30, (n, 2))])

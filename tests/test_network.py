@@ -20,7 +20,7 @@ from cascadet.tensor import (LayerSpec, Network, NetworkError, bn_layer,
 from cascadet.weights import WeightArchive
 
 from generate_golden import GOLDEN_FRAME_SEED, GOLDEN_HEIGHT, GOLDEN_WIDTH
-from test_tensor_ops import channels_last
+from test_tensor_ops import channels_last, rand_f32
 
 STATS = ("gamma", "beta", "mean", "variance")
 
@@ -403,7 +403,7 @@ def test_every_tap_equals_contiguous_replay(fixture_networks, network):
 
 def rule_rows(row_bytes):
     """Rows per chunk the byte rule gives rows of ``row_bytes`` bytes."""
-    return max(T._MIN_CHUNK_ROWS, T._BLOCK_BYTES // row_bytes)
+    return max(1, T._BLOCK_BYTES // row_bytes)
 
 
 # An 8 KiB row (1 x 32 x 64 float32) and its chunk rows: 32 at the default
@@ -416,8 +416,8 @@ R = rule_rows(ROW_BYTES)
 @pytest.mark.parametrize("n", [0, 1, R - 1, R, R + 1, 2 * R - 1, 2 * R,
                                2 * R + 1, 3 * R + 2])
 def test_trunk_runs_in_chunks_and_head_on_whole_batch(monkeypatch, n):
-    """Below 2R rows the trunk runs once; above, on R-row chunks whose last
-    takes the remainder. The dense head always sees the whole batch."""
+    """Below 2R rows the network runs once; above, on R-row chunks whose
+    last takes the remainder. The dense head sees the chunks too."""
     rows = {"conv2d": [], "dense": []}
 
     def recording(op):
@@ -437,7 +437,9 @@ def test_trunk_runs_in_chunks_and_head_on_whole_batch(monkeypatch, n):
     # The dense layer sums 2 x 2048 conv outputs of v + 1, exactly.
     assert out.tolist() == [[4096 * (v + 1) + 1] * 3 for v in range(n)]
     chunks = [n] if n < 2 * R else [R] * (n // R - 1) + [R + n % R]
-    assert rows == {"conv2d": chunks, "dense": [n]}
+    # Two chunks may run side by side, so each layer's calls can interleave.
+    assert {op: sorted(sizes) for op, sizes in rows.items()} == {
+        "conv2d": sorted(chunks), "dense": sorted(chunks)}
 
 
 @pytest.fixture(scope="module")
@@ -475,7 +477,7 @@ def refinement_batch(net, golden_crops, network, batch):
 
 
 def assert_chunks_keep_bytes(net, x, monkeypatch):
-    """A forward whose trunk runs in the chunks of the current
+    """A forward that runs in the chunks of the current
     ``_BLOCK_BYTES`` gives the bytes of a forward on the whole batch at
     once: its output, its taps and its untapped output."""
     # Every layer from the first pool on: the first two hold 75 MB each on
@@ -511,14 +513,13 @@ def test_chunked_trunk_equals_whole_batch(fixture_networks, golden_crops,
 @pytest.mark.parametrize("batch", [9, 3 * R + 2, "golden"])
 def test_five_row_chunks_equal_whole_batch(fixture_networks, golden_crops,
                                            monkeypatch, network, batch):
-    """The floor the byte rule keeps, because a trunk convolution's bits
-    hold on chunks of five rows (on the pinned BLAS build, rnet.conv3's
-    bits change at one to four): a one-byte budget gives 5-row chunks."""
+    """A one-byte budget gives one-row chunks, each forwarded with the
+    bits its rows get in the whole batch."""
     net = fixture_networks[network]
     x = refinement_batch(net, golden_crops, network, batch)
     monkeypatch.setattr(T, "_BLOCK_BYTES", 1)
     chunks = T.row_chunks(len(x), x[:1].nbytes)
-    assert {c.stop - c.start for c in chunks[:-1]} <= {5}
+    assert {c.stop - c.start for c in chunks} == {1}
     assert_chunks_keep_bytes(net, x, monkeypatch)
 
 
@@ -534,18 +535,18 @@ def test_row_chunks_cover_the_batch_in_order(n):
     assert chunks[-1].stop == n and all(c.step is None for c in chunks)
 
 
-@pytest.mark.parametrize("extent, rows", [(24, 37), (48, 9), (96, 5)])
+@pytest.mark.parametrize("extent, rows", [(24, 37), (48, 9), (96, 2)])
 def test_byte_rule_sizes_chunks_by_row_bytes(extent, rows):
     """The rule gives rnet, onet and classifier crops (3 x E x E float32)
-    37, 9 and 5 rows at the default budget; no chunk has fewer than five
-    rows unless the batch does, even for rows above the budget."""
+    37, 9 and 2 rows at the default budget; no chunk is empty unless the
+    batch is, even for rows above the budget."""
     crop_bytes = 3 * extent * extent * 4
     assert T.row_chunks(3 * rows, crop_bytes)[0] == slice(0, rows)
     for row_bytes in (crop_bytes, T._BLOCK_BYTES + 1, 1 << 30):
         for n in range(3 * rows + 2):
             sizes = [c.stop - c.start for c in T.row_chunks(n, row_bytes)]
             assert sum(sizes) == n
-            assert min(sizes) >= min(n, T._MIN_CHUNK_ROWS)
+            assert min(sizes) >= min(n, 1)
 
 
 @pytest.mark.parametrize("network, rows, limit_mib",
@@ -565,3 +566,54 @@ def test_forward_peak_memory_is_chunk_sized(fixture_networks, network, rows,
     finally:
         tracemalloc.stop()
     assert peak < limit_mib * 2**20, peak / 2**20
+
+
+# Batch sizes on both sides of one and of two 64-row product tiles.
+INVARIANCE_BATCHES = (1, 2, 16, 17, 64, 65)
+
+
+def assert_rows_alone(forward, x):
+    """On the first rows of ``x``, at each of ``INVARIANCE_BATCHES``, every
+    row of ``forward``'s output has the bytes ``forward`` gives it alone."""
+    alone = [forward(x[i:i + 1]).tobytes() for i in range(len(x))]
+    for batch in INVARIANCE_BATCHES:
+        out = forward(x[:batch])
+        for i in range(batch):
+            assert out[i:i + 1].tobytes() == alone[i], (batch, i)
+
+
+# The operators that run matrix products, on shapes the networks use:
+# operator, weight shape, one row's input shape and keyword arguments.
+GEMM_CASES = {
+    "conv-3x3": (T.conv2d, (10, 3, 3, 3), (3, 12, 12), {}),
+    "conv-2x2": (T.conv2d, (64, 48, 2, 2), (48, 3, 3), {}),
+    "conv-1x1": (T.conv2d, (2, 32, 1, 1), (32, 5, 5), {}),
+    "conv-3x3-s2-padded": (T.conv2d, (32, 3, 3, 3), (3, 16, 16),
+                           {"stride": 2, "padding": 1}),
+    "dense-576-128": (T.dense, (128, 576), (576,), {}),
+    "dense-1280-128": (T.dense, (128, 1280), (1280,), {}),
+    "dense-128-2": (T.dense, (2, 128), (128,), {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GEMM_CASES))
+def test_product_operators_give_each_row_its_bits_alone(case):
+    op, weight_shape, row_shape, kwargs = GEMM_CASES[case]
+    rng = np.random.default_rng(40)
+    weight, bias = rand_f32(rng, *weight_shape), rand_f32(rng, weight_shape[0])
+    x = rand_f32(rng, max(INVARIANCE_BATCHES), *row_shape)
+    assert_rows_alone(lambda rows: op(rows, weight, bias, **kwargs), x)
+
+
+@pytest.mark.parametrize("budget", ["default", 1])
+@pytest.mark.parametrize("network", ["pnet", "rnet", "onet", "classifier"])
+def test_networks_give_each_row_its_bits_alone(fixture_networks, monkeypatch,
+                                               network, budget):
+    """pnet on pyramid levels, the others on crops, one per seed, at the
+    default byte budget and at one-row chunks."""
+    net = fixture_networks[network]
+    if budget != "default":
+        monkeypatch.setattr(T, "_BLOCK_BYTES", budget)
+    x = np.concatenate([selfcheck.network_input(net, seed, 1)
+                        for seed in range(1, max(INVARIANCE_BATCHES) + 1)])
+    assert_rows_alone(net.forward, x)

@@ -297,7 +297,7 @@ class TestProcessFrame:
         assert outputs(np.ascontiguousarray(view)) == got
 
     def test_block_size_never_changes_bits(self, golden, stack, monkeypatch):
-        """With a one-byte budget, so five rows per crop block and trunk
+        """With a one-byte budget, so one row per crop block and network
         chunk, the crops, the rnet forward on every stage-1 crop, the onet
         forward and the classifier give the bytes they give at the default
         budget on the golden frame."""
@@ -326,7 +326,7 @@ class TestProcessFrame:
                     classify_all(classifier, frame, faces))
 
         # Each call's batch rows, row bytes and chunk sizes, for the crop
-        # sampler and for every network trunk.
+        # sampler and for every network.
         calls = []
         chunks = T.row_chunks
 
@@ -337,8 +337,8 @@ class TestProcessFrame:
         for module in (D, T):
             monkeypatch.setattr(module, "row_chunks", record)
         default = outputs()
-        # The stage-1 crops span several 37-crop blocks; rnet's trunk runs
-        # them in 37-row chunks and onet's in 9-row ones.
+        # The stage-1 crops span several 37-crop blocks; rnet runs them in
+        # 37-row chunks and onet in 9-row ones.
         rnet_bytes, onet_bytes, classifier_bytes = (3 * e * e * 4
                                                     for e in (24, 48, 96))
         assert calls[0][:2] == (len(stage1), rnet_bytes)
@@ -349,13 +349,11 @@ class TestProcessFrame:
         calls.clear()
         monkeypatch.setattr(T, "_BLOCK_BYTES", 1)
         assert outputs() == default
-        # Every crop block and trunk chunk holds five rows, the last up to
-        # nine; the classifier's one-face forwards are one-row chunks.
+        # Every crop block and network chunk holds one row.
         assert {row_bytes for _, row_bytes, _ in calls} == {
             rnet_bytes, onet_bytes, classifier_bytes}
         for n, _, sizes in calls:
-            assert set(sizes[:-1]) <= {5}
-            assert sizes[-1] == n if n < 10 else 5 <= sizes[-1] <= 9
+            assert sizes == ([1] * n if n else [0])
 
     def test_boxes_inside_frame(self, golden):
         for det in golden["detections"]:

@@ -543,6 +543,12 @@ class TestSoftmax:
             shifted = v + np.float32(c)
             np.testing.assert_array_equal(T.softmax(v), T.softmax(shifted))
 
+    def test_nine_classes_give_same_bytes_in_either_memory_order(self):
+        rng = np.random.default_rng(23)
+        x = rand_f32(rng, 4000, 9, lo=-30, hi=30)
+        want = T.softmax(x, axis=1)
+        assert T.softmax(np.asfortranarray(x), axis=1).tobytes() == want.tobytes()
+
 
 class TestPurity:
     def test_operators_do_not_modify_inputs(self):

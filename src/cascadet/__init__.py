@@ -11,9 +11,10 @@ import os
 
 # Pin BLAS to one thread before numpy loads anywhere in this package.
 # Parallelism comes from frame-level workers and, inside a frame, from
-# tensor.parallel_map's helper thread over independent units; single-threaded
-# GEMM keeps each unit's reductions in a fixed order, so runs are
-# bit-identical regardless of worker or core count.
+# tensor.parallel_map's helper thread over independent units, each on a
+# concurrent.futures.ThreadPoolExecutor; single-threaded GEMM keeps each
+# unit's reductions in a fixed order, so runs are bit-identical regardless
+# of worker or core count.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
              "NUMEXPR_NUM_THREADS"):
     os.environ.setdefault(_var, "1")

@@ -19,13 +19,14 @@ Every matrix product (:func:`conv2d`, :func:`dense`) runs in tiles of exactly
 by ``_BLOCK_BYTES`` of input rows; a :class:`Network` and the crop sampler
 run on its slices, so their temporaries grow with a chunk, not the batch.
 
-One helper pool runs a frame's independent units side by side:
+One helper runs a frame's independent units side by side:
 :func:`parallel_map` maps a function over its items on the calling thread
-and on one helper thread when this process may run on two or more cores.
-Its units are a network's chunks and the detector's pyramid levels and crop
-blocks. The pool has no setting: its size follows the CPU affinity, and it
-starts on first use, so a one-core process never starts a thread. Results
-are joined in input order, so outputs are byte-identical at any core count.
+and on a one-thread ``ThreadPoolExecutor`` when this process may run on two
+or more cores. Its units are a network's chunks and the detector's pyramid
+levels and crop blocks. The executor has no setting: its size follows the
+CPU affinity, and it is made on first use, so a one-core process never
+starts a thread. Results are joined in input order, so outputs are
+byte-identical at any core count.
 
 Operators are pure functions: inputs are never modified, except that
 :func:`prelu` writes to ``out`` when given one, and repeated calls on
@@ -45,10 +46,9 @@ from __future__ import annotations
 
 import math
 import os
-import queue
-import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from typing import Callable, Iterable
 
 import numpy as np
@@ -77,112 +77,75 @@ def row_chunks(n: int, row_bytes: int) -> list[slice]:
     return list(map(slice, starts, [*starts[1:], n]))
 
 
-class _Job:
-    """One :func:`parallel_map` call: items are claimed in input order by
-    the caller and by any helper that joins before the caller closes it."""
-
-    def __init__(self, fn: Callable, items: list):
-        self.fn, self.items = fn, items
-        self.results: list = [None] * len(items)
-        self.errors: dict[int, BaseException] = {}
-        self.claimed = 0
-        self.helpers = 0  # helpers inside work()
-        self.closed = False
-        self.cond = threading.Condition()
-
-    def work(self) -> None:
-        """Run unclaimed items until none is left or one has failed."""
-        while True:
-            with self.cond:
-                if self.errors or self.claimed == len(self.items):
-                    return
-                i = self.claimed
-                self.claimed += 1
-            try:
-                self.results[i] = self.fn(self.items[i])
-            except BaseException as exc:  # re-raised by the caller
-                with self.cond:
-                    self.errors[i] = exc
-
-    def help(self) -> None:
-        """A helper's share: none once the caller has closed the job."""
-        with self.cond:
-            if self.closed:
-                return
-            self.helpers += 1
-        try:
-            self.work()
-        finally:
-            with self.cond:
-                self.helpers -= 1
-                self.cond.notify_all()
-
-
 # The most helpers: each unit in flight holds its own chunk's temporaries,
 # and a forward's memory bounds hold for two units at once (with three
 # helpers, onet's 160-crop forward peaks at 21 MiB, not 11-13 MiB).
 _MAX_HELPERS = 1
 
 
-class _Pool:
-    """Daemon helpers that take jobs from one queue, started on first use."""
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.jobs: queue.SimpleQueue = queue.SimpleQueue()
-        self.size: int | None = None
-
-    def start(self) -> int:
-        """Start the helpers if not yet started; returns their count: one
-        per core this process may run on, less the caller's, at most
-        ``_MAX_HELPERS``."""
-        with self.lock:
-            if self.size is None:
-                try:
-                    cores = len(os.sched_getaffinity(0))
-                except AttributeError:  # no affinity call on this platform
-                    cores = os.cpu_count() or 1
-                self.size = min(_MAX_HELPERS, cores - 1)
-                for _ in range(self.size):
-                    threading.Thread(target=self.serve, daemon=True,
-                                     name="cascadet-helper").start()
-            return self.size
-
-    def serve(self) -> None:
-        while True:
-            self.jobs.get().help()
+@cache
+def _helpers() -> ThreadPoolExecutor | None:
+    """The helper threads, made on first use: one per core this process may
+    run on, less the caller's, at most ``_MAX_HELPERS``; ``None`` on one
+    core, so a one-core process never starts a thread."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    size = min(_MAX_HELPERS, cores - 1)
+    return ThreadPoolExecutor(size, "cascadet-helper") if size > 0 else None
 
 
-_pool = _Pool()
-# A forked child has none of the parent's threads: it starts its own.
-os.register_at_fork(after_in_child=_pool.__init__)
+# A forked child has none of the parent's threads: it makes its own.
+os.register_at_fork(after_in_child=_helpers.cache_clear)
 
 
 def parallel_map(fn: Callable, items: Iterable) -> list:
     """``[fn(item) for item in items]``, with helper threads taking items too.
 
-    The calling thread claims items in input order alongside the helpers and
-    never waits for a helper that has not started on this call, so a call
-    made from inside ``fn``, or from any number of threads, cannot deadlock.
-    On failure no further item is started, and once the started ones end,
-    the exception of the earliest failed item is raised as it was raised:
-    the one a plain loop would raise. Each ``fn(item)`` must be independent
-    of the others; results keep the input order.
+    Items are taken in input order, by the calling thread or a helper, and
+    the caller never waits for a helper that has not started on this call,
+    so a call made from inside ``fn``, or from any number of threads, cannot
+    deadlock. On failure no later item is started, and once the started ones
+    end, the exception of the earliest failed item is raised as it was
+    raised: the one a plain loop would raise. Each ``fn(item)`` must be
+    independent of the others; results keep the input order.
     """
     items = list(items)
-    helpers = min(len(items) - 1, _pool.start()) if len(items) > 1 else 0
-    if helpers < 1:
+    pool = _helpers() if len(items) > 1 else None
+    if pool is None:
         return [fn(item) for item in items]
-    job = _Job(fn, items)
-    for _ in range(helpers):
-        _pool.jobs.put(job)
-    job.work()
-    with job.cond:
-        job.closed = True
-        job.cond.wait_for(lambda: job.helpers == 0)
-    if job.errors:
-        raise job.errors[min(job.errors)]
-    return job.results
+    results: list = [None] * len(items)
+    # A list, not a dict: one thread may append while another iterates.
+    errors: list[tuple[int, BaseException]] = []
+
+    def run(i: int) -> None:
+        # An item before a failed one still runs: it may fail first.
+        if any(j < i for j, _ in errors):
+            return
+        try:
+            results[i] = fn(items[i])
+        except BaseException as exc:  # re-raised by the caller
+            errors.append((i, exc))
+
+    futures = [pool.submit(run, i) for i in range(1, len(items))]
+    # The caller runs item 0 itself. Handed to the helper as well, it raised
+    # the peak RSS of 6 frames x 2 at 640x360 from 125-126 MB to 135 MB,
+    # likely because a pyramid's first and largest level then grows the
+    # helper's malloc arena.
+    run(0)
+    # An item no helper has taken runs here; a cancelled future is not
+    # waited on, since it stays queued behind whatever a helper is running.
+    started = []
+    for i, future in enumerate(futures, 1):
+        if future.cancel():
+            run(i)
+        else:
+            started.append(future)
+    wait(started)
+    if errors:
+        raise min(errors)[1]  # indices are unique: no exception is compared
+    return results
 
 
 def _check_conv_geometry(op: str, h: int, w: int, kh: int, kw: int,

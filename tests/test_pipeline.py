@@ -477,10 +477,8 @@ class TestRun:
         annotated frames that one worker without helpers writes."""
         config = P.parse_config(write_run_setup(tmp_path, [0, 1, 2]))
         outputs = {}
-        for workers, helpers in ((2, None), (1, 0)):
-            pool = T._Pool()
-            pool.size = helpers  # None starts helpers on first use; 0 never
-            monkeypatch.setattr(T, "_pool", pool)
+        for workers, helpers in ((2, T._helpers), (1, lambda: None)):
+            monkeypatch.setattr(T, "_helpers", helpers)  # None: no helpers
             out = tmp_path / f"out{workers}"
             P.run(replace(config, workers=workers, output_dir=out))
             outputs[workers] = {p.name: p.read_bytes()

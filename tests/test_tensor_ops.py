@@ -1,6 +1,10 @@
+import gc
+import os
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -231,6 +235,35 @@ class TestDepthwiseShiftedAdds:
             cases += 1
 
 
+def live_helpers():
+    return [thread for thread in threading.enumerate()
+            if thread.name.startswith("cascadet-helper")]
+
+
+def clear_helpers():
+    """Drop the cached helper pool and wait for its threads to exit, which
+    they do once the pool is collected."""
+    T._helpers.cache_clear()
+    gc.collect()
+    for thread in live_helpers():
+        thread.join(timeout=10)
+
+
+@pytest.fixture
+def eager_helper(monkeypatch):
+    """A helper that finishes each item as it is handed over, before the
+    caller goes on: the earliest any helper can run an item."""
+    with ThreadPoolExecutor(1) as helper:
+        def submit(fn, *args):
+            future = helper.submit(fn, *args)
+            wait([future])
+            return future
+
+        monkeypatch.setattr(T, "_helpers",
+                            lambda: SimpleNamespace(submit=submit))
+        yield
+
+
 class TestParallelMap:
     def test_results_keep_input_order(self):
         def slow_early(i):
@@ -257,13 +290,30 @@ class TestParallelMap:
             T.parallel_map(fail, range(10))
         assert caught.value is planted[3]
 
-    def test_nested_and_small_calls_finish(self, monkeypatch):
-        """0- and 1-item calls start no thread; a map inside a mapped item
+    def test_item_zero_runs_on_the_caller(self, eager_helper):
+        caller = threading.get_ident()
+        ran_on = T.parallel_map(lambda i: threading.get_ident(), range(3))
+        assert ran_on[0] == caller and caller not in ran_on[1:]
+
+    def test_earlier_item_runs_after_a_later_one_failed(self, eager_helper):
+        """Item 1 fails on the helper before item 0 starts; item 0 still
+        runs, as in a plain loop, and its exception is the one raised."""
+        planted = [KeyError("zero"), ValueError("one")]
+
+        def fail(i):
+            raise planted[i]
+
+        with pytest.raises(KeyError) as caught:
+            T.parallel_map(fail, range(2))
+        assert caught.value is planted[0]
+
+    def test_nested_and_small_calls_finish(self):
+        """0- and 1-item calls make no executor; a map inside a mapped item
         and maps from more threads than cores all finish."""
-        monkeypatch.setattr(T, "_pool", T._Pool())
+        clear_helpers()
         assert T.parallel_map(abs, []) == []
         assert T.parallel_map(abs, [-5]) == [5]
-        assert T._pool.size is None  # never started
+        assert T._helpers.cache_info().currsize == 0  # never made
 
         results = {}
 
@@ -272,7 +322,9 @@ class TestParallelMap:
                 lambda i: T.parallel_map(lambda j: k * i * j, range(4)),
                 range(6))
 
-        # Daemon threads: a deadlock fails the test instead of hanging it.
+        # A deadlocked map leaves its thread alive, which fails the test.
+        # The helpers are not daemons, so the interpreter then hangs at exit,
+        # after pytest has reported the failure.
         threads = [threading.Thread(target=nested, args=(k,), daemon=True)
                    for k in range(4)]
         for thread in threads:
@@ -282,7 +334,69 @@ class TestParallelMap:
             assert not thread.is_alive()
         assert results == {k: [[k * i * j for j in range(4)] for i in range(6)]
                            for k in range(4)}
-        assert T._pool.size is not None
+        assert T._helpers.cache_info().currsize == 1
+
+    def test_caller_never_waits_behind_another_call(self):
+        """While another thread's item holds the helper, a 10-item map runs
+        every item on its calling thread without waiting."""
+        if T._helpers() is None:
+            pytest.skip("one allowed core: no helper to hold")
+        held = threading.Event()
+
+        def hold(i):
+            if i == 0:  # on the caller, so item 1 can only be a helper's
+                held.wait(timeout=5)
+            else:
+                held.set()
+                time.sleep(1.5)
+
+        holder = threading.Thread(target=T.parallel_map, args=(hold, range(2)),
+                                  daemon=True)
+        holder.start()
+        assert held.wait(timeout=5)
+        start = time.perf_counter()
+        ran_on = T.parallel_map(lambda i: threading.get_ident(), range(10))
+        elapsed = time.perf_counter() - start
+        holder.join(timeout=10)
+        assert not holder.is_alive()
+        assert elapsed < 0.5
+        assert ran_on == [threading.get_ident()] * 10
+
+    def test_at_most_max_helpers_threads(self, monkeypatch):
+        """Maps from four threads run on at most ``_MAX_HELPERS`` helper
+        threads, and on none when the process may use one core."""
+        def maps_from_four_threads():
+            """The most live helpers any mapped item saw."""
+            seen = []
+
+            def count(i):
+                seen.append(len(live_helpers()))
+                time.sleep(0.001)
+
+            def maps():
+                for _ in range(5):
+                    T.parallel_map(count, range(8))
+
+            threads = [threading.Thread(target=maps, daemon=True)
+                       for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            return max(seen)
+
+        clear_helpers()
+        assert maps_from_four_threads() <= T._MAX_HELPERS
+        assert len(live_helpers()) <= T._MAX_HELPERS
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        clear_helpers()
+        try:
+            assert maps_from_four_threads() == 0
+            assert live_helpers() == []
+        finally:
+            T._helpers.cache_clear()  # later tests get a real pool
 
     def test_stress_with_short_switch_interval(self):
         """Six threads each map 200 times over ten items, with a thread

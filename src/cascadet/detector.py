@@ -23,7 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .tensor import (Network, Tensor, conv_layer, dense_layer, prelu_layer,
-                     LayerSpec, parallel_map, parameter_shapes, row_chunks)
+                     LayerSpec, parallel_map, parameter_shapes, read_extent,
+                     row_chunks)
 
 log = logging.getLogger(__name__)
 
@@ -426,25 +427,28 @@ def square_pad(boxes: np.ndarray) -> np.ndarray:
     return np.hstack([center - half, center + half])
 
 
-def crop_resize_batch(frame: Tensor, boxes: np.ndarray,
-                      out_extent: int) -> Tensor:
-    """Bilinearly sample each box region of the frame into an E x E crop.
+def crop_resize_batch(frame: Tensor, boxes: np.ndarray, out_extent: int,
+                      count: int | None = None) -> Tensor:
+    """Bilinearly sample each box region of the frame into an E x E crop,
+    or only its top-left ``count`` x ``count`` samples.
 
-    Returns a (len(boxes), C, E, E) batch, a view of channels-last memory.
-    Sample points outside the frame contribute zero, so boxes hanging past
-    the edges come back zero-padded. The crops are filled in
-    :func:`row_chunks` blocks, side by side through :func:`parallel_map`;
-    each crop's bits depend only on its own box, not on the block size or
-    the rest of the batch.
+    Returns a (len(boxes), C, count, count) batch (count defaults to E), a
+    view of channels-last memory. The sample points are those of the E x E
+    grid, one box side / E apart, so a cut crop's bytes are the full crop's
+    ``[:, :, :count, :count]``. Sample points outside the frame contribute
+    zero, so boxes hanging past the edges come back zero-padded. The crops
+    are filled in :func:`row_chunks` blocks, side by side through
+    :func:`parallel_map`; each crop's bits depend only on its own box, not
+    on the block size or the rest of the batch.
     """
     if out_extent < 1:
         raise ValueError(f"out_extent must be positive, got {out_extent}")
+    e = out_extent if count is None else count
     _, c, h, w = frame.shape
-    e = out_extent
     origin = boxes[:, :2, None]
     grid = np.arange(e, dtype=np.float64) + 0.5
-    src = origin + grid * ((boxes[:, 2:, None] - origin) / e) - 0.5  # (N, 2, E)
-    lo = np.floor(src)
+    src = origin + grid * ((boxes[:, 2:, None] - origin) / out_extent) - 0.5
+    lo = np.floor(src)  # (N, 2, e)
     x0, y0 = lo.astype(np.int64).transpose(1, 0, 2)
     fx, fy = (src - lo).astype(np.float32).transpose(1, 0, 2)
 
@@ -455,21 +459,24 @@ def crop_resize_batch(frame: Tensor, boxes: np.ndarray,
                    ((1, 1), (1, 1), (0, 0))).reshape(-1, c)
     row0, row1 = ((np.clip(y, -1, h) + 1) * (w + 2) for y in (y0, y0 + 1))
     col0, col1 = (np.clip(x, -1, w) + 1 for x in (x0, x0 + 1))
-    wx0, wx1 = (1 - fx)[:, None, :, None], fx[:, None, :, None]
-    wy0, wy1 = (1 - fy)[:, :, None, None], fy[:, :, None, None]
+    # Each crop row is e*C floats: the x-weights repeat over the channels,
+    # so every product below runs one e*C-long inner loop, not C-long ones.
+    wx0, wx1 = (np.repeat(v, c, axis=1)[:, None, :] for v in (1 - fx, fx))
+    wy0, wy1 = (1 - fy)[:, :, None], fy[:, :, None]
 
     def gather(b: slice, row: np.ndarray, col: np.ndarray) -> Tensor:
-        """Pixels at (row[n, i], col[n, j]) for boxes ``b`` -> (B, E, E, C)."""
-        return table.take(row[b, :, None] + col[b, None, :], axis=0)
+        """Pixels at (row[n, i], col[n, j]) for boxes ``b`` -> (B, e, e*C)."""
+        rows = table.take(row[b, :, None] + col[b, None, :], axis=0)
+        return rows.reshape(len(rows), e, e * c)
 
     def fill(b: slice) -> None:
         top = gather(b, row0, col0) * wx0[b] + gather(b, row0, col1) * wx1[b]
         bottom = gather(b, row1, col0) * wx0[b] + gather(b, row1, col1) * wx1[b]
         np.add(top * wy0[b], bottom * wy1[b], out=out[b])
 
-    out = np.empty((len(boxes), e, e, c), np.float32)
+    out = np.empty((len(boxes), e, e * c), np.float32)
     parallel_map(fill, row_chunks(len(out), out[:1].nbytes))
-    return out.transpose(0, 3, 1, 2)
+    return out.reshape(-1, e, e, c).transpose(0, 3, 1, 2)
 
 
 def refine_stage(frame: Tensor, boxes: np.ndarray, network: Network,
@@ -477,16 +484,20 @@ def refine_stage(frame: Tensor, boxes: np.ndarray, network: Network,
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Re-score boxes on square crops; keep, calibrate and annotate.
 
-    Each box is square-padded, cropped at the network's declared input
-    extent and scored; survivors (score >= threshold) get their box
-    recalibrated by the offsets of ``heads[0]``, the regression head.
+    Each box is square-padded, cropped to the region of the network's
+    declared input that its output and ``heads`` read (:func:`read_extent`:
+    21x21 of rnet's 24x24, 41x41 of onet's 48x48) and scored; survivors
+    (score >= threshold) get their box recalibrated by the offsets of
+    ``heads[0]``, the regression head.
     Returns ``(boxes, scores, landmarks)``: landmarks are None unless
     ``heads[1]`` names a landmark head, else (N, 5, 2) frame points mapped
     from crop-normalized coordinates by the pre-calibration square.
     Raises ValueError on any non-finite score.
     """
     squares = square_pad(boxes)
-    crops = crop_resize_batch(frame, squares, network.input_shape[-1])
+    # Square crops and square kernels: the region is square too.
+    count, _ = read_extent(network.layers, network.input_shape[1:], heads)
+    crops = crop_resize_batch(frame, squares, network.input_shape[-1], count)
     probs, tapped = network.forward(crops, taps=heads)
     scores = probs[:, 1].astype(np.float64)
     if not np.isfinite(scores).all():

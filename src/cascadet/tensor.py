@@ -18,6 +18,10 @@ Every matrix product (:func:`conv2d`, :func:`dense`) runs in tiles of exactly
 (batch-invariant kernels, He et al. 2025). :func:`row_chunks` splits a batch
 by ``_BLOCK_BYTES`` of input rows; a :class:`Network` and the crop sampler
 run on its slices, so their temporaries grow with a chunk, not the batch.
+:func:`read_extent` finds, from layer geometry, the top-left region of an
+input that a network's requested outputs read, and :meth:`Network.forward`
+cuts its input to that region first: rows and columns that floor pooling
+drops are never convolved.
 
 One helper runs a frame's independent units side by side:
 :func:`parallel_map` maps a function over its items on the calling thread
@@ -541,6 +545,65 @@ def _compile(layer: LayerSpec, params: dict) -> Callable[[Tensor], Tensor]:
     return bottleneck
 
 
+# Layers whose output at a position reads only their input at that position.
+_ELEMENTWISE = frozenset({"batch-norm", "relu6", "relu", "prelu", "softmax"})
+
+
+def read_extent(layers: Iterable[LayerSpec], extent: tuple[int, int],
+                outputs: Iterable[str] = ()) -> tuple[int, int]:
+    """``(h, w)``: the rows and columns, from the top-left, of an input of
+    spatial ``extent`` that the final output and the layers named in
+    ``outputs`` read.
+
+    A receptive-field walk (Araujo et al. 2019). Forward, each layer's
+    output extent; a rank-2 output (dense) counts as 1x1. Backward from the
+    outputs, each needed in full: a conv or max-pool with padding 0 that must
+    give n rows reads ``(n - 1) * stride + kernel`` of its input's; an
+    element-wise layer passes its need through; any other layer (a padded
+    conv, a bottleneck block, dense, global-avg-pool) reads its whole input;
+    a layer read by several consumers gives the largest of their needs.
+    Where the extents do not fit the kernels, the whole ``extent``, so the
+    forward itself reports the misfit.
+    """
+    layers, extent = tuple(layers), tuple(extent)
+    # Per layer name (None: the network input), its source and its extent.
+    source, size, last = {}, {None: extent}, None
+    for layer in layers:
+        src = source[layer.name] = layer.feeds_from or last
+        last = layer.name
+        kind = layer.kind
+        if kind in ("conv", "max-pool", "bottleneck-block"):
+            kernel, padding = ((3, 1) if kind == "bottleneck-block"
+                               else (layer.kernel, layer.padding))
+            size[last] = tuple((n + 2 * padding - kernel) // layer.stride + 1
+                               for n in size[src])
+            if min(size[last]) < 1:
+                return extent
+        elif kind in _ELEMENTWISE:
+            size[last] = size[src]
+        else:  # dense, global-avg-pool
+            size[last] = (1, 1)
+    need: dict = {}
+
+    def read(name, rows_cols):
+        need[name] = tuple(map(max, need.get(name, rows_cols), rows_cols))
+
+    for name in {last, *outputs}:
+        read(name, size[name])
+    for layer in reversed(layers):
+        if layer.name not in need:
+            continue
+        src, rows_cols = source[layer.name], need[layer.name]
+        if layer.kind in _ELEMENTWISE:
+            read(src, rows_cols)
+        elif layer.kind in ("conv", "max-pool") and layer.padding == 0:
+            read(src, tuple((n - 1) * layer.stride + layer.kernel
+                            for n in rows_cols))
+        else:
+            read(src, size[src])
+    return need[None]
+
+
 class Network:
     """Ordered layers bound to parameter tensors from a weight archive.
 
@@ -555,8 +618,9 @@ class Network:
     output unless its spec names an earlier layer via ``feeds_from``.
 
     ``input_shape`` optionally declares the expected per-sample input shape
-    (channels, height, width); when set, forward rejects anything else.
-    Fully convolutional networks leave it unset.
+    (channels, height, width); when set, forward rejects anything but it
+    and the region of it that the requested outputs read. Fully
+    convolutional networks leave it unset.
     """
 
     def __init__(self, layers: list[LayerSpec], archive=None,
@@ -587,16 +651,29 @@ class Network:
         the named intermediate layers. ``x``, the taps and every
         ``feeds_from`` source are never written; a PReLU overwrites any
         other intermediate with its own output.
+
+        A rank-4 ``x`` is first cut, as a view, to the top-left region that
+        the output and taps read (:func:`read_extent`), and the batch is
+        chunked by that region's row bytes; the bits are an uncut
+        forward's. With a declared ``input_shape``, ``x`` must have that
+        shape or its region's: (3, 21, 21) for rnet's (3, 24, 24) and heads.
         """
         unknown = set(taps) - self._names
         if unknown:
             raise NetworkError(f"unknown tap layers: {sorted(unknown)}")
         keep = self._feeds.union(taps)
         x = _as_f32(x)
-        if self.input_shape and tuple(x.shape[1:]) != self.input_shape:
-            raise ValueError(
-                f"input shape {tuple(x.shape[1:])} does not match the "
-                f"network's declared {self.input_shape}")
+        shape = tuple(x.shape[1:])
+        if self.input_shape and shape != self.input_shape:
+            c, *extent = self.input_shape
+            region = (c, *read_extent(self.layers, extent, taps))
+            if shape != region:
+                raise ValueError(
+                    f"input shape {shape} is neither the network's declared "
+                    f"{self.input_shape} nor the region {region} it reads")
+        if x.ndim == 4:
+            h, w = read_extent(self.layers, x.shape[2:], taps)
+            x = x[:, :, :h, :w]
         parts = parallel_map(lambda chunk: self._run(x[chunk], keep, taps),
                              row_chunks(len(x), x[:1].nbytes))
         current, *tapped = map(np.concatenate, zip(*parts))

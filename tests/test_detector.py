@@ -117,6 +117,22 @@ class TestResampling:
         np.testing.assert_array_equal(
             crops, D.crop_resize_batch(padded, edge_boxes + 8, 8))
 
+    @pytest.mark.parametrize("extent, counts", [(24, (21, 24, 1)),
+                                                (48, (41, 47)), (5, (3,))])
+    def test_counted_crop_is_the_full_crops_corner(self, extent, counts):
+        """Sampling the first ``count`` grid points on each axis gives the
+        bytes of the full crop's top-left corner, off-frame boxes too."""
+        frame = D.frame_to_tensor(fixtures.synthetic_frame(4, 160, 120))
+        rng = np.random.default_rng(extent)
+        corner = rng.uniform(-30, 150, (50, 2))
+        crop_boxes = np.hstack([corner, corner + rng.uniform(3, 90, (50, 2))])
+        full = D.crop_resize_batch(frame, crop_boxes, extent)
+        for count in counts:
+            got = D.crop_resize_batch(frame, crop_boxes, extent, count)
+            assert got.shape == (50, 3, count, count)
+            assert got.tobytes() == np.ascontiguousarray(
+                full[:, :, :count, :count]).tobytes()
+
     def test_downscale_preserves_constant(self):
         frame = np.full((1, 3, 16, 16), 0.625, np.float32)
         out = D.crop_resize_batch(frame, boxes((0, 0, 16, 16)), 8)
@@ -610,6 +626,26 @@ class TestRefineStage:
             taps=(f"{stage}.reg",))
         assert probs.shape == (0, 2)
         assert tapped[f"{stage}.reg"].shape == (0, 4)
+
+    @pytest.mark.parametrize("stage, region", [("rnet", 21), ("onet", 41)])
+    def test_crops_only_the_region_its_heads_read(self, cascade, stage,
+                                                  region):
+        """The network gets the corner of each crop that its heads read."""
+        network = getattr(cascade, stage)
+        shapes = []
+
+        class Recording:
+            layers, input_shape = network.layers, network.input_shape
+
+            def forward(self, x, taps=()):
+                shapes.append(x.shape)
+                return network.forward(x, taps=taps)
+
+        frame = D.frame_to_tensor(fixtures.synthetic_frame(1, 64, 64))
+        heads = RNET_HEADS if stage == "rnet" else ONET_HEADS
+        D.refine_stage(frame, boxes((10, 10, 30, 30), (-5, 0, 40, 50)),
+                       Recording(), 0.5, heads)
+        assert shapes == [(2, 3, region, region)]
 
     def test_all_rejected_when_scores_low(self):
         rnet = crafted_rnet()  # every score 0.5

@@ -389,16 +389,145 @@ def test_every_tap_equals_contiguous_replay(fixture_networks, network):
     names = tuple(layer.name for layer in net.layers)
     final, taps = net.forward(x, taps=names)
 
-    replay, current = {}, x
-    for name, feeds_from, _, step in net._steps:
-        source = replay[feeds_from] if feeds_from else current
-        current = replay[name] = step(np.ascontiguousarray(source))
+    current, replay = replay_steps(net, x)
     for name in names:
         assert taps[name].tobytes() == replay[name].tobytes(), name
     assert final.tobytes() == current.tobytes()
     # Untapped, PReLUs run in place: the same final bytes, input untouched.
     assert net.forward(x).tobytes() == current.tobytes()
     assert np.array(x).tobytes() == snapshot.tobytes()
+
+
+def replay_steps(net, x):
+    """``net``'s bound steps applied one at a time to contiguous copies of
+    the whole of ``x``, uncut: the final output and every layer's."""
+    replay, current = {}, x
+    for name, feeds_from, _, step in net._steps:
+        source = replay[feeds_from] if feeds_from else current
+        current = replay[name] = step(np.ascontiguousarray(source))
+    return current, replay
+
+
+HEADS = {"rnet": ("rnet.reg",), "onet": ("onet.reg", "onet.landmarks")}
+
+
+class TestReadExtent:
+    def test_refinement_heads_read_a_corner(self):
+        rnet, onet = build_rnet_layers(), build_onet_layers()
+        assert T.read_extent(rnet, (24, 24), HEADS["rnet"]) == (21, 21)
+        assert T.read_extent(onet, (48, 48), HEADS["onet"]) == (41, 41)
+        # The region of a region is itself.
+        assert T.read_extent(rnet, (21, 21), HEADS["rnet"]) == (21, 21)
+
+    def test_padded_and_pooled_networks_read_everything(self):
+        layers = classifier_layers(BackboneSpec())
+        assert T.read_extent(layers, (96, 96)) == (96, 96)
+        assert T.read_extent(layers, (96, 96), ("backbone.block2",)) == (96, 96)
+        assert T.read_extent([], (5, 7)) == (5, 7)
+
+    @pytest.mark.parametrize("network, extent", [("rnet", 24), ("onet", 48)])
+    def test_a_tapped_first_layer_reads_everything(self, network, extent):
+        build = {"rnet": build_rnet_layers, "onet": build_onet_layers}
+        layers = build[network]()
+        for name in (layers[0].name, layers[1].name):
+            assert T.read_extent(layers, (extent, extent),
+                                 (*HEADS[network], name)) == (extent, extent)
+
+    def test_floor_pooling_and_strides_follow_each_axis(self):
+        # 3x3 conv, 2x2 stride-2 pool: 2x3 outputs read 6x8 of 7x9 rows.
+        layers = [conv_layer("c", 1, 1, 3), prelu_layer("a", 1),
+                  LayerSpec(kind="max-pool", name="p", kernel=2, stride=2)]
+        assert T.read_extent(layers, (7, 9)) == (6, 8)
+        # A branch that reads more widens the need of the layer it reads.
+        wide = [*layers, conv_layer("d", 1, 1, 1, feeds_from="a")]
+        assert T.read_extent(wide, (7, 9)) == (7, 9)
+        assert T.read_extent(wide[:3] + [dense_layer("f", 12, 2)], (7, 9),
+                             ("a",)) == (7, 9)
+
+    def test_kernels_that_do_not_fit_read_everything(self):
+        # conv3 cannot run on pnet's 2x2 map: the forward reports it.
+        assert T.read_extent(build_pnet_layers(), (11, 11)) == (11, 11)
+
+
+@pytest.mark.parametrize("network", ["pnet", "rnet", "onet", "classifier"])
+def test_each_tap_alone_equals_uncut_replay(fixture_networks, network):
+    """Tapping one layer at a time, the forward on its cut input gives that
+    layer's output whole, and the final output, with the bytes the steps
+    give on the uncut input."""
+    net = fixture_networks[network]
+    x = selfcheck.network_input(net, 3, 3)
+    final, replay = replay_steps(net, x)
+    for name, want in replay.items():
+        out, taps = net.forward(x, taps=(name,))
+        assert taps[name].tobytes() == want.tobytes(), name
+        assert out.tobytes() == final.tobytes(), name
+
+
+@pytest.mark.parametrize("network", ["rnet", "onet"])
+def test_unread_border_never_reaches_the_heads(fixture_networks, golden_crops,
+                                               network):
+    """NaN in every row and column past the region of the golden frame's
+    crops: the forward and the uncut steps give the heads the clean
+    forward's bytes, all finite."""
+    net = fixture_networks[network]
+    x = golden_crops[network][:40]
+    heads = HEADS[network]
+    h, w = T.read_extent(net.layers, net.input_shape[1:], heads)
+    poisoned = np.array(x)
+    poisoned[:, :, h:, :] = np.nan
+    poisoned[:, :, :, w:] = np.nan
+    clean, clean_taps = net.forward(x, taps=heads)
+    got, got_taps = net.forward(poisoned, taps=heads)
+    uncut, uncut_taps = replay_steps(net, poisoned)
+    for name in heads:
+        assert np.isfinite(clean_taps[name]).all()
+        assert got_taps[name].tobytes() == clean_taps[name].tobytes()
+        assert uncut_taps[name].tobytes() == clean_taps[name].tobytes()
+    assert np.isfinite(clean).all()
+    assert got.tobytes() == uncut.tobytes() == clean.tobytes()
+
+
+@pytest.mark.parametrize("network", ["rnet", "onet"])
+def test_last_read_row_and_column_reach_the_heads(fixture_networks,
+                                                  golden_crops, network):
+    """The region is tight: a large value added to its last row, or to its
+    last column, changes some head output."""
+    net = fixture_networks[network]
+    x = golden_crops[network][:40]
+    heads = HEADS[network]
+    h, w = T.read_extent(net.layers, net.input_shape[1:], heads)
+
+    def outputs(v):
+        final, taps = net.forward(v, taps=heads)
+        return [final.tobytes(), *(taps[name].tobytes() for name in heads)]
+
+    clean = outputs(x)
+    for edge in (np.s_[:, :, h - 1, :w], np.s_[:, :, :h, w - 1]):
+        bumped = np.array(x)
+        bumped[edge] += 100.0
+        assert outputs(bumped) != clean
+
+
+class TestDeclaredInputShape:
+    def test_region_shape_accepted_with_the_bytes_of_the_whole(
+            self, fixture_networks, golden_crops):
+        net = fixture_networks["rnet"]
+        x = golden_crops["rnet"][:20]
+        whole = net.forward(x, taps=HEADS["rnet"])
+        cut = net.forward(np.ascontiguousarray(x[:, :, :21, :21]),
+                          taps=HEADS["rnet"])
+        assert whole[0].tobytes() == cut[0].tobytes()
+        assert (whole[1]["rnet.reg"].tobytes()
+                == cut[1]["rnet.reg"].tobytes())
+
+    @pytest.mark.parametrize("shape, taps", [
+        ((3, 22, 22), ("rnet.reg",)), ((3, 21, 24), ("rnet.reg",)),
+        ((3, 23, 23), ("rnet.reg",)), ((3, 20, 20), ("rnet.reg",)),
+        ((4, 21, 21), ("rnet.reg",)), ((3, 21, 21), ("rnet.conv1",))])
+    def test_any_other_shape_rejected(self, fixture_networks, shape, taps):
+        net = fixture_networks["rnet"]
+        with pytest.raises(ValueError, match="declared"):
+            net.forward(np.zeros((2, *shape), np.float32), taps=taps)
 
 
 def rule_rows(row_bytes):
@@ -444,14 +573,15 @@ def test_trunk_runs_in_chunks_and_head_on_whole_batch(monkeypatch, n):
 
 @pytest.fixture(scope="module")
 def golden_crops(fixture_networks):
-    """The golden frame's stage-1 rnet crops and stage-2 onet crops."""
+    """The golden frame's stage-1 rnet crops and stage-2 onet crops, whole:
+    the detector itself samples only the region its heads read."""
     crops = {}
     crop = D.crop_resize_batch
 
-    def record(image, boxes, extent):
-        crops["rnet" if extent == D.RNET_EXTENT else "onet"] = out = crop(
+    def record(image, boxes, extent, count=None):
+        crops["rnet" if extent == D.RNET_EXTENT else "onet"] = crop(
             image, boxes, extent)
-        return out
+        return crop(image, boxes, extent, count)
 
     networks = CascadeNetworks(*(fixture_networks[name]
                                  for name in ("pnet", "rnet", "onet")))

@@ -307,16 +307,19 @@ class TestProcessFrame:
         frame = D.frame_to_tensor(fixtures.synthetic_frame(seed, width, height))
         crop = D.crop_resize_batch
         squares = []
-        monkeypatch.setattr(D, "crop_resize_batch", lambda image, boxes, e:
-                            squares.append(boxes) or crop(image, boxes, e))
+        monkeypatch.setattr(D, "crop_resize_batch",
+                            lambda image, boxes, e, count=None:
+                            squares.append(boxes)
+                            or crop(image, boxes, e, count))
         faces = D.detect_faces(frame, networks, D.CascadeConfig())
         monkeypatch.undo()
         stage1, stage2 = squares
         assert len(stage1) == golden["trace"]["stage1"]
 
+        # The regions rnet's and onet's heads read, as the detector crops them.
         def outputs():
-            rnet_crops = D.crop_resize_batch(frame, stage1, 24)
-            onet_crops = D.crop_resize_batch(frame, stage2, 48)
+            rnet_crops = D.crop_resize_batch(frame, stage1, 24, 21)
+            onet_crops = D.crop_resize_batch(frame, stage2, 48, 41)
             rnet = networks.rnet.forward(rnet_crops, taps=("rnet.reg",))
             onet = networks.onet.forward(
                 onet_crops, taps=("onet.reg", "onet.landmarks"))
@@ -337,14 +340,14 @@ class TestProcessFrame:
         for module in (D, T):
             monkeypatch.setattr(module, "row_chunks", record)
         default = outputs()
-        # The stage-1 crops span several 37-crop blocks; rnet runs them in
-        # 37-row chunks and onet in 9-row ones.
+        # The stage-1 crops span several 49-crop blocks; rnet runs them in
+        # 49-row chunks and onet in 12-row ones.
         rnet_bytes, onet_bytes, classifier_bytes = (3 * e * e * 4
-                                                    for e in (24, 48, 96))
+                                                    for e in (21, 41, 96))
         assert calls[0][:2] == (len(stage1), rnet_bytes)
-        assert calls[0][2][0] == 37 < len(stage1)
+        assert calls[0][2][0] == 49 < len(stage1)
         assert (len(stage1), rnet_bytes, calls[0][2]) in calls[2:]
-        assert any(sizes[0] == 9 and len(sizes) > 1
+        assert any(sizes[0] == 12 and len(sizes) > 1
                    for _, row_bytes, sizes in calls if row_bytes == onet_bytes)
         calls.clear()
         monkeypatch.setattr(T, "_BLOCK_BYTES", 1)
@@ -652,7 +655,7 @@ def poison_second_crop_block(monkeypatch):
 
     def chunks_poisoned(n, row_bytes):
         slices = chunks(n, row_bytes)
-        if row_bytes == 3 * 24 * 24 * 4 and not poisoned:
+        if row_bytes == 3 * 21 * 21 * 4 and not poisoned:
             poisoned.append(n)
             assert len(slices) > 2
             slices[1] = slice(slices[1].start, slices[1].stop, 0)

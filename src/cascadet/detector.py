@@ -248,14 +248,17 @@ def generate_proposals(image: Tensor, scale: float, pnet: Network,
 
 
 def iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Intersection over union of every box in ``a`` (N, 4) with every box
-    in ``b`` (M, 4), as an (N, M) float64 matrix; 0 for disjoint pairs."""
-    overlap = np.maximum(0.0, np.minimum(a[:, None, 2:], b[:, 2:])
-                         - np.maximum(a[:, None, :2], b[:, :2]))
+    """Intersection over union of every box in ``a`` (..., N, 4) with every
+    box in ``b`` (..., M, 4), as a (..., N, M) float64 array; 0 for disjoint
+    pairs. Leading axes broadcast, and each cell is the same expression
+    whatever the rank, so a stack of matrices has each matrix's bytes."""
+    a, b = a[..., :, None, :], b[..., None, :, :]
+    overlap = np.maximum(0.0, np.minimum(a[..., 2:], b[..., 2:])
+                         - np.maximum(a[..., :2], b[..., :2]))
     inter = overlap[..., 0] * overlap[..., 1]
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    return np.divide(inter, area_a[:, None] + area_b - inter,
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    return np.divide(inter, area_a + area_b - inter,
                      out=np.zeros(inter.shape), where=inter > 0.0)
 
 

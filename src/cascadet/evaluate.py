@@ -1,16 +1,27 @@
 """Detection/classification evaluation: matching, confusion counts, metrics.
 
 Detections are matched to ground truth per frame by greedy IoU assignment
-in descending face-score order. The face task counts TP/FP/FN (TN is fixed
-at 0: pure detection has no true-negative unit); the mask task scores label
-agreement over matched pairs with Mask as the positive class. Metrics are
-percentages; a zero denominator yields None ("undefined"), never a number.
+in descending face-score order. An exact score tie goes to the detection
+first in (x1, y1, x2, y2, label, confidence) order, and an exact IoU tie to
+the truth first in (x1, y1, x2, y2, label) order, so input order never
+changes the counts. All frames of a log are matched together: frames are
+padded to power-of-two record counts, cut into ``tensor.row_chunks`` blocks
+by their padded IoU bytes, and each block claims in lockstep over
+detection rank. Beyond the records' columns, which grow with the log, peak
+memory follows the larger of that byte budget and one frame's own IoU
+matrix.
+
+The face task counts TP/FP/FN (TN is fixed at 0: pure detection has no
+true-negative unit); the mask task scores label agreement over matched
+pairs with Mask as the positive class. Metrics are percentages; a zero
+denominator yields None ("undefined"), never a number.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +29,7 @@ import numpy as np
 from .classifier import MaskLabel
 from .detector import iou
 from .pipeline import Detection, check_box, check_json_types
+from .tensor import row_chunks
 
 DEFAULT_IOU_THRESHOLD = 0.5
 UNDEFINED = "undefined"
@@ -95,17 +107,26 @@ LITERATURE_BASELINES: tuple[BaselineRow, ...] = (
 )
 
 
-# (predicted, true) label -> mask confusion cell; Mask is the positive class.
-_MASK_CELL = {(MaskLabel.MASK, MaskLabel.MASK): "tp",
-              (MaskLabel.NO_MASK, MaskLabel.NO_MASK): "tn",
-              (MaskLabel.MASK, MaskLabel.NO_MASK): "fp",
-              (MaskLabel.NO_MASK, MaskLabel.MASK): "fn"}
+def _columns(records: list, fields: tuple[str, ...]) -> np.ndarray:
+    """(len(fields), len(records)) float64 rows of the named attributes,
+    ``label`` as 0 for Mask and 1 for NoMask, the order of their values.
+    Box corners convert exactly: ``check_box`` keeps them within 2**53."""
+    columns = np.empty((len(fields), len(records)))
+    for row, name in zip(columns, fields):
+        row[:] = ([r.label is MaskLabel.NO_MASK for r in records]
+                  if name == "label" else list(map(attrgetter(name), records)))
+    return columns
 
 
-def _boxes(records: list) -> np.ndarray:
-    """(N, 4) corners of detections or ground-truth entries."""
-    return np.array([(r.x1, r.y1, r.x2, r.y2) for r in records],
-                    np.float64).reshape(-1, 4)
+def _frame_major(frame: np.ndarray, keys: np.ndarray, place: np.ndarray,
+                 starts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Records sorted by their frame's ``place``, then by ``keys`` (the
+    first row most significant): the sorting permutation, and each sorted
+    record's place and rank within its frame. ``starts[p]`` is the number
+    of records in frames placed before ``p``."""
+    order = np.lexsort((*keys[::-1], place[frame]))
+    sorted_place = place[frame[order]]
+    return order, sorted_place, np.arange(len(order)) - starts[sorted_place]
 
 
 def match_detections(detections: list[Detection],
@@ -120,32 +141,76 @@ def match_detections(detections: list[Detection],
     IoU tie going to the truth first in (x1, y1, x2, y2, label) order. Only
     identical records are interchangeable, so input order never affects the
     result.
+
+    All frames are matched together (see the module docstring). One
+    ``lexsort`` per kind of record gives the visiting orders, each block of
+    frames takes one :func:`detector.iou` call, and at each detection rank
+    every frame of the block whose row still holds an overlap claims the
+    row's first maximum and zeroes the claimed truth's column.
     """
-    by_frame: dict[int, tuple[list, list]] = {}
-    for det in detections:
-        by_frame.setdefault(det.frame_index, ([], []))[0].append(det)
-    for gt in truths:
-        by_frame.setdefault(gt.frame_index, ([], []))[1].append(gt)
-    face = dict(tp=0, fp=0, fn=0)
-    mask = dict(tp=0, tn=0, fp=0, fn=0)
-    for dets, gts in by_frame.values():
-        dets.sort(key=lambda d: (-d.face_score, d.x1, d.y1, d.x2, d.y2,
-                                 d.label.value, d.confidence))
-        gts.sort(key=lambda g: (g.x1, g.y1, g.x2, g.y2, g.label.value))
-        overlaps = iou(_boxes(dets), _boxes(gts))
-        overlaps = np.where(overlaps >= iou_threshold, overlaps, 0.0)
-        matched = 0
-        for det, row in zip(dets, overlaps):
-            if not row.any():
-                continue
-            best = row.argmax()
-            overlaps[:, best] = 0.0  # this truth is taken
-            matched += 1
-            mask[_MASK_CELL[det.label, gts[best].label]] += 1
-        face["tp"] += matched
-        face["fp"] += len(dets) - matched
-        face["fn"] += len(gts) - matched
-    return ConfusionCounts(**face), ConfusionCounts(**mask)
+    frames: dict[int, int] = {}  # frame index -> dense id
+    det_frame, gt_frame = (
+        np.array([frames.setdefault(r.frame_index, len(frames))
+                  for r in records], np.intp)
+        for records in (detections, truths))
+    dets = _columns(detections, ("face_score", "x1", "y1", "x2", "y2",
+                                 "label", "confidence"))
+    dets[0] *= -1.0  # descending face score
+    gts = _columns(truths, ("x1", "y1", "x2", "y2", "label"))
+    det_count = np.bincount(det_frame, minlength=len(frames))
+    gt_count = np.bincount(gt_frame, minlength=len(frames))
+    # Frames with both kinds of record first, by the exponents of their
+    # counts rounded up to powers of two (frexp(n - 1)[1] is ceil(log2 n)).
+    det_exp, gt_exp = np.frexp(det_count - 1)[1], np.frexp(gt_count - 1)[1]
+    both = (det_count > 0) & (gt_count > 0)
+    frame_order = np.lexsort((gt_exp, det_exp, ~both))
+    place = np.empty_like(frame_order)
+    place[frame_order] = np.arange(len(frame_order))
+    det_start = np.concatenate(([0], np.cumsum(det_count[frame_order])))
+    gt_start = np.concatenate(([0], np.cumsum(gt_count[frame_order])))
+    det_order, det_place, det_rank = _frame_major(det_frame, dets, place,
+                                                  det_start)
+    gt_order, gt_place, gt_rank = _frame_major(gt_frame, gts, place, gt_start)
+
+    # Claimed (detection, truth) pairs, as positions in visiting order.
+    claimed_det, claimed_gt = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    matchable = int(both.sum())
+    exps = np.stack((det_exp, gt_exp))[:, frame_order[:matchable]]
+    group_starts = np.flatnonzero(np.diff(exps, prepend=-1).any(axis=0))
+    for lo, hi in zip(group_starts, [*group_starts[1:], matchable]):
+        rows, cols = 1 << int(exps[0, lo]), 1 << int(exps[1, lo])
+        for chunk in row_chunks(hi - lo, 8 * rows * cols):
+            first, stop = lo + chunk.start, lo + chunk.stop
+            d = slice(det_start[first], det_start[stop])
+            g = slice(gt_start[first], gt_start[stop])
+            # Zero boxes pad each frame: they overlap nothing.
+            det_boxes = np.zeros((stop - first, rows, 4))
+            det_boxes[det_place[d] - first, det_rank[d]] = \
+                dets[1:5, det_order[d]].T
+            gt_boxes = np.zeros((stop - first, cols, 4))
+            gt_boxes[gt_place[g] - first, gt_rank[g]] = gts[:4, gt_order[g]].T
+            overlaps = iou(det_boxes, gt_boxes)
+            overlaps[~(overlaps >= iou_threshold)] = 0.0
+            block = np.arange(stop - first)
+            for rank in range(rows):
+                row = overlaps[:, rank]
+                best = row.argmax(axis=1)
+                hit = np.flatnonzero(row[block, best] > 0.0)
+                best = best[hit]
+                overlaps[hit, :, best] = 0.0  # these truths are taken
+                claimed_det.append(det_start[first + hit] + rank)
+                claimed_gt.append(gt_start[first + hit] + best)
+
+    claimed_det = det_order[np.concatenate(claimed_det)]
+    claimed_gt = gt_order[np.concatenate(claimed_gt)]
+    # Label pairs (predicted, true) as 2 * predicted + true, Mask 0.
+    tp, fp, fn, tn = np.bincount(
+        (2 * dets[5, claimed_det] + gts[4, claimed_gt]).astype(np.intp),
+        minlength=4).tolist()
+    matched = len(claimed_det)
+    return (ConfusionCounts(tp=matched, fp=len(det_frame) - matched,
+                            fn=len(gt_frame) - matched),
+            ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn))
 
 
 def _ratio(num: int, den: int) -> float | None:

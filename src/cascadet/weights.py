@@ -193,17 +193,31 @@ def load(path: str | Path) -> WeightArchive:
     return WeightArchive(tensors, metadata)
 
 
+# Draws per block of the generator: its temporaries are a few arrays of this
+# many uint64 or float64 values, whatever the count.
+_LCG_BLOCK = 1 << 16
+
+
 def _lcg_uniform(seed: int, count: int) -> np.ndarray:
-    """`count` draws in [-0.1, 0.1) as float32, from the recurrence's closed
-    form state_i = A^i * seed + C * (A^0 + ... + A^(i-1)) mod 2^64, which
-    uint64 products and sums give exactly: they wrap mod 2^64."""
-    powers = np.full(count + 1, LCG_MULTIPLIER, dtype=np.uint64)
+    """`count` draws in [-0.1, 0.1) as float32. Each block of draws steps
+    from the state before it, s, by the recurrence's closed form
+    state_j = A^j * s + C * (A^0 + ... + A^(j-1)) mod 2^64, which uint64
+    products and sums give exactly: they wrap mod 2^64."""
+    block = max(1, min(_LCG_BLOCK, count))
+    powers = np.full(block + 1, LCG_MULTIPLIER, dtype=np.uint64)
     powers[0] = 1
-    powers = np.multiply.accumulate(powers)  # A^0 .. A^count
-    states = (powers[1:] * np.uint64(seed & _U64)
-              + np.uint64(LCG_INCREMENT) * np.add.accumulate(powers[:-1]))
-    uniform = (states >> np.uint64(11)).astype(np.float64) / float(1 << 53)
-    return (uniform * 0.2 - 0.1).astype(np.float32)
+    powers = np.multiply.accumulate(powers)  # A^0 .. A^block
+    offsets = np.uint64(LCG_INCREMENT) * np.add.accumulate(powers[:-1])
+    powers = powers[1:]
+    draws = np.empty(count, np.float32)
+    state = np.uint64(seed & _U64)
+    for start in range(0, count, block):
+        n = min(block, count - start)
+        states = powers[:n] * state + offsets[:n]
+        uniform = (states >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+        draws[start:start + n] = uniform * 0.2 - 0.1
+        state = states[-1]
+    return draws
 
 
 def random_init(spec: list[tuple[str, tuple[int, ...]]], seed: int,

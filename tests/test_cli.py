@@ -205,6 +205,24 @@ class TestEval:
         assert rc == cli.EXIT_DATA
         assert f"{path}:3: bad {kind} record" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("iou, tp", [("0", 2), ("1", 1)])
+    def test_iou_at_the_interval_ends(self, tmp_path, capsys, iou, tp):
+        # IoU 1, IoU 1/3 and a touching box (IoU 0): at 0 any overlap
+        # matches, at 1 only an identical box.
+        log = tmp_path / "det.jsonl"
+        log.write_text("".join(
+            Detection(3, *box, MaskLabel.MASK, 0.9, 0.9).to_json() + "\n"
+            for box in ((0, 0, 10, 10), (20, 0, 30, 10), (45, 0, 55, 10))))
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text("".join(
+            f'{{"frame": 3, "x1": {x}, "y1": 0, "x2": {x + 10}, "y2": 10, '
+            f'"label": "Mask"}}\n' for x in (0, 25, 55)))
+        rc = cli.main(["eval", "--log", str(log), "--truth", str(truth),
+                       "--iou", iou])
+        assert rc == cli.EXIT_OK
+        assert f"Face counts: TP={tp} FP={3 - tp} FN={3 - tp}" in (
+            capsys.readouterr().out)
+
     @pytest.mark.parametrize("iou", ["nan", "1.5", "-0.1", "half"])
     def test_iou_outside_unit_interval_is_usage_error(self, tmp_path, capsys,
                                                       iou):

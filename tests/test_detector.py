@@ -274,6 +274,19 @@ class TestIoU:
     def test_one_iff_identical(self):
         assert D.iou(boxes((0, 0, 10, 10)), boxes((0, 0, 10, 10.5)))[0, 0] < 1.0
 
+    def test_leading_axes_broadcast_with_each_matrix_bytes(self):
+        rng = np.random.default_rng(3)
+        corner = rng.uniform(-50, 50, (3, 2, 7, 2))
+        stack = np.concatenate([corner, corner + rng.uniform(0.5, 40, (3, 2, 7, 2))],
+                               axis=-1)
+        a, b = stack[:, 0, :5], stack[:, 1]
+        got = D.iou(a, b)
+        assert got.shape == (3, 5, 7)
+        for i in range(3):
+            assert got[i].tobytes() == D.iou(a[i], b[i]).tobytes()
+        shared = D.iou(a[0], b)  # (5, 4) against (3, 7, 4)
+        assert shared.tobytes() == np.stack([D.iou(a[0], m) for m in b]).tobytes()
+
 
 def random_candidates(rng, n):
     """(boxes, scores) for n random boxes, drawn box by box."""

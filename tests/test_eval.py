@@ -1,5 +1,7 @@
 import json
+import tracemalloc
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -50,7 +52,8 @@ def reference_matcher(detections, truths, threshold):
         for d in dets:
             candidates = [(scalar_iou((d.x1, d.y1, d.x2, d.y2), truth_key(g)), gi)
                           for gi, g in enumerate(gts) if gi not in used]
-            candidates = [(o, gi) for o, gi in candidates if o >= threshold]
+            candidates = [(o, gi) for o, gi in candidates
+                          if o > 0.0 and o >= threshold]
             if not candidates:
                 face["fp"] += 1
                 continue
@@ -73,10 +76,10 @@ def reference_matcher(detections, truths, threshold):
     return face, mask
 
 
-def assert_matches_reference(detections, truths):
-    """``E.match_detections`` at IoU 0.5, checked against the reference."""
-    face, mask = E.match_detections(detections, truths)
-    ref_face, ref_mask = reference_matcher(detections, truths, 0.5)
+def assert_matches_reference(detections, truths, threshold=0.5):
+    """``E.match_detections`` checked against the reference."""
+    face, mask = E.match_detections(detections, truths, threshold)
+    ref_face, ref_mask = reference_matcher(detections, truths, threshold)
     assert (face.tp, face.fp, face.fn) == (
         ref_face["tp"], ref_face["fp"], ref_face["fn"])
     assert (mask.tp, mask.tn, mask.fp, mask.fn) == (
@@ -191,6 +194,178 @@ class TestMatchDetections:
                         (0, 0, limit + 1, 1), (-limit - 1, 0, 0, 1)]:
             with pytest.raises(ValueError, match="must be finite"):
                 truth(0, *corners)
+
+
+LABELS = (MaskLabel.MASK, MaskLabel.NO_MASK)
+# Frame indices a JSON log may hold: any integer, negative or past int64.
+FRAMES = (0, 1, 7, -1, -2 ** 70, 2 ** 63, 2 ** 63 + 1, 2 ** 64 + 5)
+
+
+def tied_log(rng, frames=FRAMES, boxes_per_frame=12):
+    """(detections, truths) whose corners lie on a coarse grid and whose
+    scores and confidences take three values, so equal boxes, exact IoU
+    ties and exact score ties are common; some records are duplicated, and
+    some frames hold only detections or only truths."""
+    def corners():
+        x1, y1 = (int(v) for v in rng.integers(0, 6, 2) * 4)
+        w, h = (int(v) for v in rng.integers(1, 4, 2) * 4)
+        return x1, y1, x1 + w, y1 + h
+
+    dets, truths = [], []
+    for frame in frames:
+        kinds = rng.choice(["both", "both", "dets", "truths"])
+        for _ in range(int(rng.integers(0, boxes_per_frame + 1))):
+            label = LABELS[int(rng.integers(0, 2))]
+            if kinds != "truths" and rng.random() < 0.6:
+                dets.append(det(frame, *corners(), label=label,
+                                conf=float(rng.choice([0.5, 0.75, 1.0])),
+                                score=float(rng.choice([0.25, 0.5, 0.75]))))
+            if kinds != "dets" and rng.random() < 0.6:
+                truths.append(truth(frame, *map(float, corners()),
+                                    label=label))
+    for records in (dets, truths):
+        if records:
+            picks = rng.integers(0, len(records), len(records) // 5)
+            records += [records[i] for i in picks]
+    return dets, truths
+
+
+class TestLockstepMatcher:
+    """``match_detections`` against ``reference_matcher`` on logs built to
+    hit the tie-breaks, the padding and the block boundaries."""
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tied_logs_match_reference(self, seed, threshold):
+        rng = np.random.default_rng(100 + seed)
+        dets, truths = tied_log(rng)
+        face, _ = assert_matches_reference(dets, truths, threshold)
+        assert face.tp + face.fp == len(dets)
+        assert face.tp + face.fn == len(truths)
+        shuffled_d, shuffled_t = list(dets), list(truths)
+        rng.shuffle(shuffled_d)
+        rng.shuffle(shuffled_t)
+        assert (E.match_detections(shuffled_d, shuffled_t, threshold)
+                == E.match_detections(dets, truths, threshold))
+
+    def test_many_frames_of_mixed_sizes_match_reference(self):
+        # Frames of 0 to 40 records of each kind fall in several padded
+        # sizes, and the small sizes span more than one block.
+        rng = np.random.default_rng(7)
+        dets, truths = [], []
+        for frame in range(600):
+            d, t = tied_log(rng, frames=[frame],
+                            boxes_per_frame=int(rng.choice([2, 5, 40])))
+            dets += d
+            truths += t
+        assert_matches_reference(dets, truths)
+
+    def test_empty_log(self):
+        zero = E.ConfusionCounts()
+        assert E.match_detections([], []) == (zero, zero)
+
+    def test_frames_with_one_kind_only(self):
+        dets = [det(f, 0, 0, 10, 10) for f in FRAMES[:4]]
+        truths = [truth(f, 0, 0, 10, 10) for f in FRAMES[4:]]
+        face, mask = assert_matches_reference(dets, truths)
+        assert (face.tp, face.fp, face.fn) == (0, 4, len(FRAMES) - 4)
+        assert mask == E.ConfusionCounts()
+
+    @pytest.mark.parametrize("threshold, box", [
+        (0.5, (0, 0, 2, 1)),   # IoU 1/2 with the unit truth
+        (1 / 3, (0, 0, 3, 1)),  # IoU 1/3, the same float as the threshold
+        (1.0, (0, 0, 1, 1)),   # IoU 1: identical boxes
+    ])
+    def test_iou_exactly_at_threshold_matches(self, threshold, box):
+        truths = [truth(2 ** 63, 0, 0, 1, 1)]
+        dets = [det(2 ** 63, *box)]
+        assert iou(np.array([box], float), np.array([[0, 0, 1, 1]], float)
+                   )[0, 0] == threshold
+        face, _ = assert_matches_reference(dets, truths, threshold)
+        assert face.tp == 1
+        face, _ = E.match_detections(dets, truths, np.nextafter(threshold, 2))
+        assert face.tp == 0
+
+    def test_threshold_zero_never_matches_a_touching_box(self):
+        truths = [truth(-5, 0, 0, 10, 10)]
+        dets = [det(-5, 10, 0, 20, 10), det(-5, 0, 10, 10, 20)]
+        face, _ = assert_matches_reference(dets, truths, 0.0)
+        assert (face.tp, face.fp, face.fn) == (0, 2, 1)
+
+    def test_corner_range_boxes_in_many_frames(self):
+        # Boxes at the corner limit, in frames of several padded sizes, with
+        # any floating-point warning raised as an error.
+        limit = 2 ** 53
+        records = [(-limit, -limit, limit, limit), (-limit, 0, 1, limit),
+                   (limit - 1, limit - 1, limit, limit), (0, 0, 1, 1),
+                   (-limit, -limit, -limit + 1, -limit + 1)]
+        dets, truths = [], []
+        for frame in range(1, 9):
+            for i in range(frame):
+                r = records[(frame + i) % len(records)]
+                dets.append(det(frame, *r, score=0.5))
+                truths.append(truth(-frame, *map(float, r)))
+                truths.append(truth(frame, *map(float, records[i % 5])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for threshold in (0.0, 0.5, 1.0):
+                assert_matches_reference(dets, truths, threshold)
+
+
+class TestMatcherMemory:
+    """tracemalloc peaks of ``match_detections`` alone. Each bound is about
+    1.5x the peak measured on numpy 2.4.6 (given per test): the records'
+    columns grow with the log, but the IoU blocks stay near the byte budget
+    or one frame's own matrix."""
+
+    @staticmethod
+    def peak_mib(dets, truths):
+        tracemalloc.start()
+        try:
+            result = E.match_detections(dets, truths)
+            return result, tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def small_frames(rng, frames, per_frame, first=0):
+        xy = rng.integers(0, 600, (frames, per_frame, 2, 2))
+        wh = rng.integers(8, 60, (frames, per_frame, 2, 2))
+        dets = [det(first + f, *map(int, xy[f, i, 0]),
+                    *map(int, xy[f, i, 0] + wh[f, i, 0]))
+                for f in range(frames) for i in range(per_frame)]
+        truths = [truth(first + f, *map(float, xy[f, i, 1]),
+                        *map(float, xy[f, i, 1] + wh[f, i, 1]))
+                  for f in range(frames) for i in range(per_frame)]
+        return dets, truths
+
+    def test_long_log(self):
+        # 20,000 frames of 2 + 2 records and one of 64 + 64. Measured:
+        # 12.4 MiB, against 5.3 MiB for a loop over frames; about 5 MiB are
+        # the frame ids and the records' columns, and 5 MiB are the largest
+        # block's boxes and iou temporaries. Padding every frame to the
+        # largest would take 655 MB.
+        rng = np.random.default_rng(0)
+        dets, truths = self.small_frames(rng, 20_000, 2)
+        big_dets, big_truths = self.small_frames(rng, 1, 64, first=20_000)
+        (face, _), peak = self.peak_mib(dets + big_dets, truths + big_truths)
+        assert face.tp + face.fp == len(dets) + 64
+        assert peak < 19.0, peak
+
+    def test_one_large_frame_among_small_ones(self):
+        # Measured: 42.7 MiB, which is iou's temporaries on the 1,024 x 1,024
+        # padded matrix of the large frame; padding every frame to it
+        # would take 2,001 such matrices.
+        rng = np.random.default_rng(1)
+        dets, truths = self.small_frames(rng, 2_000, 3)
+        big_dets, big_truths = self.small_frames(rng, 1, 1_000, first=-1)
+        counts, peak = self.peak_mib(dets + big_dets, truths + big_truths)
+        # Frames are independent: the counts are those of the two parts.
+        small = E.match_detections(dets, truths)
+        big = E.match_detections(big_dets, big_truths)
+        for got, a, b in zip(counts, small, big):
+            assert astuple(got) == tuple(map(sum, zip(astuple(a), astuple(b))))
+        assert peak < 64.0, peak
 
 
 class TestComputeMetrics:

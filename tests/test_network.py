@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,6 +231,65 @@ class TestNetwork:
         net = Network(layers, archive)
         x = rng.uniform(-1, 1, (1, 3, 10, 10)).astype(np.float32)
         assert net.forward(x).tobytes() == net.forward(x).tobytes()
+
+    # Imports numpy and cascadet in the order given by argv[1], then prints
+    # the thread count its OpenBLAS reports (or "none"), any warning logged
+    # and the digest of an onet forward on 64 crops.
+    IMPORT_ORDER_SCRIPT = """
+import ctypes, hashlib, logging, sys
+logging.basicConfig(stream=sys.stdout, format="warning: %(message)s")
+if sys.argv[1] == "numpy-first":
+    import numpy
+    import cascadet
+else:
+    import cascadet
+    import numpy
+from cascadet import detector, fixtures, selfcheck
+threads = "none"
+for path in cascadet._loaded_libraries():
+    if "openblas" in path:
+        library = ctypes.CDLL(path)
+        for name in cascadet._SET_THREADS:
+            getter = getattr(library, name.replace("_set_", "_get_"), None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                threads = getter()
+                break
+print("threads", threads)
+onet = detector.CascadeNetworks.from_archive(
+    fixtures.fixture_cascade_archive()).onet
+x = selfcheck.network_input(onet, 1, 64)
+print("digest", hashlib.sha256(onet.forward(x).tobytes()).hexdigest())
+"""
+
+    def run_import_order(self, order, pin_by_environment):
+        env = dict(os.environ)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+            env.pop(var, None)
+            if pin_by_environment:
+                env[var] = "1"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", self.IMPORT_ORDER_SCRIPT, order], env=env,
+            capture_output=True, text=True, timeout=120, check=True)
+        return done.stdout.splitlines()
+
+    def test_blas_pinned_whatever_the_import_order(self):
+        """numpy imported before cascadet, with no thread variable set,
+        still gives one BLAS thread (or a warning naming the variable) and
+        the forward bytes of a run pinned through the environment."""
+        pinned = self.run_import_order("cascadet-first", True)
+        late = self.run_import_order("numpy-first", False)
+        assert pinned[0] in ("threads 1", "threads none")
+        assert late[-1] == pinned[-1]
+        warned = [line for line in late if line.startswith("warning:")]
+        if late[0] == "threads 1":
+            assert not warned
+        else:
+            assert len(warned) == 1 and "OPENBLAS_NUM_THREADS" in warned[0]
 
     @pytest.mark.parametrize("tap, depth", [(None, 0), ("p1", 1), ("p2", 2)])
     def test_forward_leaves_caller_input_and_taps_intact(self, tap, depth):

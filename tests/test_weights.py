@@ -239,6 +239,28 @@ class TestRandomInit:
             assert got.dtype == np.float32
             np.testing.assert_array_equal(got, scalar(seed, n))
 
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_blocks_step_from_the_previous_state(self, monkeypatch, block):
+        # Small blocks put many block boundaries inside a short stream; the
+        # draws equal those of one block over the whole stream.
+        whole = W._lcg_uniform(2**64 - 1, 5000)
+        assert 5000 <= W._LCG_BLOCK
+        monkeypatch.setattr(W, "_LCG_BLOCK", block)
+        assert W._lcg_uniform(2**64 - 1, 5000).tobytes() == whole.tobytes()
+        assert W._lcg_uniform(5, 0).shape == (0,)
+
+    def test_fixture_generator_peak_memory(self):
+        # Measured: 12.3 MiB, of which 9.3 MiB are the archive's own
+        # tensors (8.6x the archive before the generator drew in blocks).
+        # Bound: the measurement plus 30%.
+        tracemalloc.start()
+        try:
+            fixtures.fixture_classifier_archive()
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak < 16.0, peak
+
     def test_values_in_range(self):
         archive = W.random_init([("t", (1000,))], seed=9)
         t = archive.get("t")

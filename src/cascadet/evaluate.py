@@ -20,39 +20,35 @@ denominator yields None ("undefined"), never a number.
 from __future__ import annotations
 
 import json
+import math
+from array import array
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .classifier import MaskLabel
 from .detector import iou
-from .pipeline import Detection, check_box, check_json_types
+from .pipeline import check_box
 from .tensor import row_chunks
 
 DEFAULT_IOU_THRESHOLD = 0.5
 UNDEFINED = "undefined"
 
+# The numbers a record keeps, in the matcher's key order.
+DETECTION_FIELDS = ("face_score", "x1", "y1", "x2", "y2", "label",
+                    "confidence")
+TRUTH_FIELDS = ("x1", "y1", "x2", "y2", "label")
 
-@dataclass(frozen=True)
-class GroundTruthEntry:
-    frame_index: int
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-    label: MaskLabel
 
-    def __post_init__(self):
-        check_box(self.x1, self.y1, self.x2, self.y2)
-
-    @classmethod
-    def from_json(cls, line: str) -> GroundTruthEntry:
-        obj = json.loads(line)
-        check_json_types(obj, ("frame",), ("x1", "y1", "x2", "y2"))
-        return cls(frame_index=obj["frame"], x1=obj["x1"], y1=obj["y1"],
-                   x2=obj["x2"], y2=obj["y2"], label=MaskLabel(obj["label"]))
+class Records(NamedTuple):
+    """A log as columns: record ``i`` is in frame ``frames[i]`` (any JSON
+    integer), and ``values[:, i]`` holds its ``*_FIELDS`` as float64, label 0
+    for Mask and 1 for NoMask (corners exactly: ``check_box`` bounds them)."""
+    frames: list[int]
+    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -107,18 +103,7 @@ LITERATURE_BASELINES: tuple[BaselineRow, ...] = (
 )
 
 
-def _columns(records: list, fields: tuple[str, ...]) -> np.ndarray:
-    """(len(fields), len(records)) float64 rows of the named attributes,
-    ``label`` as 0 for Mask and 1 for NoMask, the order of their values.
-    Box corners convert exactly: ``check_box`` keeps them within 2**53."""
-    columns = np.empty((len(fields), len(records)))
-    for row, name in zip(columns, fields):
-        row[:] = ([r.label is MaskLabel.NO_MASK for r in records]
-                  if name == "label" else list(map(attrgetter(name), records)))
-    return columns
-
-
-def _frame_major(frame: np.ndarray, keys: np.ndarray, place: np.ndarray,
+def _frame_major(frame: np.ndarray, keys, place: np.ndarray,
                  starts: np.ndarray) -> tuple[np.ndarray, ...]:
     """Records sorted by their frame's ``place``, then by ``keys`` (the
     first row most significant): the sorting permutation, and each sorted
@@ -129,8 +114,7 @@ def _frame_major(frame: np.ndarray, keys: np.ndarray, place: np.ndarray,
     return order, sorted_place, np.arange(len(order)) - starts[sorted_place]
 
 
-def match_detections(detections: list[Detection],
-                     truths: list[GroundTruthEntry],
+def match_detections(detections: Records, truths: Records,
                      iou_threshold: float = DEFAULT_IOU_THRESHOLD,
                      ) -> tuple[ConfusionCounts, ConfusionCounts]:
     """Greedy per-frame matching; returns (face counts, mask counts).
@@ -150,13 +134,10 @@ def match_detections(detections: list[Detection],
     """
     frames: dict[int, int] = {}  # frame index -> dense id
     det_frame, gt_frame = (
-        np.array([frames.setdefault(r.frame_index, len(frames))
-                  for r in records], np.intp)
+        np.array([frames.setdefault(f, len(frames)) for f in records.frames],
+                 np.intp)
         for records in (detections, truths))
-    dets = _columns(detections, ("face_score", "x1", "y1", "x2", "y2",
-                                 "label", "confidence"))
-    dets[0] *= -1.0  # descending face score
-    gts = _columns(truths, ("x1", "y1", "x2", "y2", "label"))
+    dets, gts = detections.values, truths.values
     det_count = np.bincount(det_frame, minlength=len(frames))
     gt_count = np.bincount(gt_frame, minlength=len(frames))
     # Frames with both kinds of record first, by the exponents of their
@@ -168,8 +149,8 @@ def match_detections(detections: list[Detection],
     place[frame_order] = np.arange(len(frame_order))
     det_start = np.concatenate(([0], np.cumsum(det_count[frame_order])))
     gt_start = np.concatenate(([0], np.cumsum(gt_count[frame_order])))
-    det_order, det_place, det_rank = _frame_major(det_frame, dets, place,
-                                                  det_start)
+    det_order, det_place, det_rank = _frame_major(
+        det_frame, (-dets[0], *dets[1:]), place, det_start)  # score descending
     gt_order, gt_place, gt_rank = _frame_major(gt_frame, gts, place, gt_start)
 
     # Claimed (detection, truth) pairs, as positions in visiting order.
@@ -227,7 +208,7 @@ def compute_metrics(counts: ConfusionCounts) -> Metrics:
                         counts.tp + counts.tn + counts.fp + counts.fn))
 
 
-def evaluate(detections: list[Detection], truths: list[GroundTruthEntry],
+def evaluate(detections: Records, truths: Records,
              iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> EvalReport:
     face_counts, mask_counts = match_detections(detections, truths, iou_threshold)
     return EvalReport(face_counts=face_counts, mask_counts=mask_counts,
@@ -288,26 +269,56 @@ def render_csv(report: EvalReport,
     return "\n".join(lines) + "\n"
 
 
-def _read_jsonl(path: str | Path, kind: str, parse) -> list:
-    """``parse`` applied to every non-blank line; a bad line raises
-    ValueError naming ``path:line``."""
-    records = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append(parse(line))
-        except (KeyError, TypeError, ValueError, OverflowError,
-                RecursionError) as exc:
-            raise ValueError(f"{path}:{lineno}: bad {kind} record: {exc}")
-    return records
+def check_json_types(obj, integers: tuple[str, ...],
+                     numbers: tuple[str, ...]) -> None:
+    """Raise TypeError unless ``obj`` is a parsed JSON object whose
+    ``integers`` fields are JSON integers and ``numbers`` fields JSON numbers
+    (true and false are neither), KeyError if a field is missing."""
+    if type(obj) is not dict:
+        raise TypeError("expected a JSON object")
+    for key in integers:
+        if type(obj[key]) is not int:
+            raise TypeError(f"{key} must be an integer, got {obj[key]!r}")
+    for key in numbers:
+        if type(obj[key]) not in (int, float):
+            raise TypeError(f"{key} must be a number, got {obj[key]!r}")
 
 
-def load_detection_log(path: str | Path) -> list[Detection]:
+def _load(path: str | Path, kind: str, fields: tuple[str, ...],
+          integers: tuple[str, ...], numbers: tuple[str, ...]) -> Records:
+    """Every non-blank line of a JSONL file, read one line at a time and
+    split on "\n" only, checked and kept as ``fields``; a bad line,
+    undecodable UTF-8 included, raises ValueError naming ``path:line``."""
+    row_of, numbers_of = itemgetter(*fields), itemgetter(*numbers)
+    frames, values = [], array("d")
+    with open(path, "rb") as lines:
+        for lineno, line in enumerate(lines, start=1):
+            try:
+                text = line.decode()
+                if not text.strip():
+                    continue
+                obj = json.loads(text)
+                check_json_types(obj, integers, numbers)
+                obj["label"] = MaskLabel(obj["label"]) is MaskLabel.NO_MASK
+                check_box(obj["x1"], obj["y1"], obj["x2"], obj["y2"])
+                if not all(map(math.isfinite, numbers_of(obj))):
+                    raise ValueError(f"{' and '.join(numbers)} must be finite")
+            except (KeyError, TypeError, ValueError, OverflowError,
+                    RecursionError) as exc:
+                raise ValueError(f"{path}:{lineno}: bad {kind} record: {exc}")
+            frames.append(obj["frame"])
+            values.extend(row_of(obj))
+    return Records(frames,
+                   np.frombuffer(values).reshape(-1, len(fields)).T.copy())
+
+
+def load_detection_log(path: str | Path) -> Records:
     """Detections from a JSONL log written by the pipeline."""
-    return _read_jsonl(path, "detection", Detection.from_json)
+    return _load(path, "detection", DETECTION_FIELDS,
+                 ("frame", "x1", "y1", "x2", "y2"), ("confidence", "face_score"))
 
 
-def load_ground_truth(path: str | Path) -> list[GroundTruthEntry]:
+def load_ground_truth(path: str | Path) -> Records:
     """Ground truth JSONL: objects with frame, x1, y1, x2, y2, label."""
-    return _read_jsonl(path, "ground-truth", GroundTruthEntry.from_json)
+    return _load(path, "ground-truth", TRUTH_FIELDS, ("frame",),
+                 ("x1", "y1", "x2", "y2"))

@@ -109,6 +109,7 @@ def _epoch_stats(params: HeadParams, features: np.ndarray,
     return float(np.mean(losses)), correct / len(labels)
 
 
+@np.errstate(all="ignore")  # divergence is reported as TrainingDiverged
 def train_head(params: HeadParams, features: np.ndarray, labels: np.ndarray,
                learning_rate: float, epochs: int,
                seed: int = 0) -> tuple[HeadParams, list[tuple[int, float, float]]]:

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import re
 import time
 from collections import deque
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
@@ -61,19 +61,6 @@ class Frame:
                 f"match {self.height}x{self.width}x3")
 
 
-def check_json_types(obj: dict, integers: tuple[str, ...],
-                     numbers: tuple[str, ...]) -> None:
-    """Raise TypeError unless each ``integers`` field of a parsed JSON object
-    is a JSON integer and each ``numbers`` field a JSON number (true and
-    false are neither)."""
-    for key in integers:
-        if type(obj[key]) is not int:
-            raise TypeError(f"{key} must be an integer, got {obj[key]!r}")
-    for key in numbers:
-        if type(obj[key]) not in (int, float):
-            raise TypeError(f"{key} must be a number, got {obj[key]!r}")
-
-
 # Integers up to 2**53 are exact as floats, and an area of corners within
 # this range stays below 2**108, so IoU arithmetic cannot overflow.
 CORNER_LIMIT = 2 ** 53
@@ -112,22 +99,6 @@ class Detection:
             "confidence": self.confidence,
             "face_score": self.face_score,
         })
-
-    @classmethod
-    def from_json(cls, line: str) -> Detection:
-        """Inverse of :meth:`to_json`. Raises KeyError, TypeError or ValueError
-        on a malformed or mistyped record, a non-finite score or a bad box."""
-        obj = json.loads(line)
-        check_json_types(obj, ("frame", "x1", "y1", "x2", "y2"),
-                         ("confidence", "face_score"))
-        det = cls(frame_index=obj["frame"], x1=obj["x1"], y1=obj["y1"],
-                  x2=obj["x2"], y2=obj["y2"],
-                  label=MaskLabel(obj["label"]),
-                  confidence=float(obj["confidence"]),
-                  face_score=float(obj["face_score"]))
-        if not (math.isfinite(det.confidence) and math.isfinite(det.face_score)):
-            raise ValueError("confidence and face_score must be finite")
-        return det
 
 
 # One PPM header token after any whitespace and '#' comments (a comment
@@ -175,6 +146,18 @@ def write_ppm(path: str | Path, pixels: np.ndarray) -> None:
     Path(path).write_bytes(header + pixels.tobytes())
 
 
+def _text_lines(data: bytes, origin: Path,
+                error: type[Exception]) -> Iterator[tuple[int, str]]:
+    """Numbered lines of ``data``, split on "\n" only and without a final
+    "\r", each decoded as UTF-8 alone or raising ``error`` naming its line."""
+    for lineno, raw in enumerate(data.split(b"\n"), start=1):
+        try:
+            text = raw.removesuffix(b"\r").decode()
+        except UnicodeDecodeError as exc:
+            raise error(f"{origin}:{lineno}: {exc}") from None
+        yield lineno, text
+
+
 def list_manifest(manifest_path: str | Path) -> list[tuple[int, Path, str]]:
     """Manifest entries as (line number, resolved path, raw entry) tuples.
 
@@ -183,11 +166,11 @@ def list_manifest(manifest_path: str | Path) -> list[tuple[int, Path, str]]:
     """
     manifest_path = Path(manifest_path)
     try:
-        lines = manifest_path.read_text().splitlines()
+        data = manifest_path.read_bytes()
     except OSError as exc:
         raise FrameReadError(f"cannot read manifest {manifest_path}: {exc}")
     entries = []
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in _text_lines(data, manifest_path, FrameReadError):
         entry = raw.strip()
         if not entry or entry.startswith("#"):
             continue
@@ -323,12 +306,12 @@ def parse_config(path: str | Path, env: dict | None = None) -> RunConfig:
     """key=value config file; CASCADET_<KEY> environment entries override."""
     path = Path(path)
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     values: dict[str, tuple[str, str]] = {}  # key -> (value, where it was set)
     set_on: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in _text_lines(data, path, ConfigError):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

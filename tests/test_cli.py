@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -53,6 +58,15 @@ class TestDetect:
         assert rc == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert "data error: " in err and "the cascade weights" in err
+
+    def test_undecodable_config_is_config_error_naming_line(self, tmp_path,
+                                                            capsys):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_bytes(b"# frames\nmanifest=fr\xffames.txt\n")
+        rc = cli.main(["detect", "--config", str(config_path)])
+        assert rc == cli.EXIT_USAGE
+        assert (f"config error: {config_path}:2: 'utf-8' codec can't decode"
+                in capsys.readouterr().err)
 
     def test_out_of_range_setting_is_usage_error(self, tmp_path, capsys):
         config_path = write_run_setup(tmp_path, [0], width=160, height=120,
@@ -205,6 +219,18 @@ class TestEval:
         assert rc == cli.EXIT_DATA
         assert f"{path}:3: bad {kind} record" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, kind", [("--log", "detection"),
+                                            ("--truth", "ground-truth")])
+    def test_undecodable_line_is_data_error_naming_line(
+            self, tmp_path, capsys, flag, kind):
+        log, truth = self.write_logs(tmp_path)
+        path = log if flag == "--log" else truth
+        path.write_bytes(path.read_bytes() + b'{"label": "\xffMask"}\n')
+        rc = cli.main(["eval", "--log", str(log), "--truth", str(truth)])
+        assert rc == cli.EXIT_DATA
+        assert (f"{path}:3: bad {kind} record: 'utf-8' codec can't decode "
+                "byte 0xff" in capsys.readouterr().err)
+
     @pytest.mark.parametrize("iou, tp", [("0", 2), ("1", 1)])
     def test_iou_at_the_interval_ends(self, tmp_path, capsys, iou, tp):
         # IoU 1, IoU 1/3 and a touching box (IoU 0): at 0 any overlap
@@ -259,6 +285,19 @@ class TestTrainDemo:
     def test_out_of_range_size_is_usage_error(self, capsys, args):
         assert cli.main(["train-demo", *args]) == cli.EXIT_USAGE
         assert args[0] in capsys.readouterr().err
+
+    def test_divergence_is_data_error_with_warnings_as_errors(self):
+        """Under ``python -W error`` too, the overflow of a diverging run is
+        the trainer's own data error, not a warning raised as a traceback."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "cascadet.cli",
+             "train-demo", "--lr", "1e308", "--epochs", "2"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == cli.EXIT_DATA
+        assert done.stderr == "data error: loss became non-finite at epoch 1\n"
 
     def test_train_demo_deterministic(self, capsys):
         assert cli.main(["train-demo", "--seed", "7", "--epochs", "3"]) == 0

@@ -1,7 +1,10 @@
 import json
+import tempfile
 import tracemalloc
 import warnings
 from dataclasses import astuple
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -17,9 +20,50 @@ def det(frame, x1, y1, x2, y2, label=MaskLabel.MASK, conf=0.9, score=0.9):
                      label=label, confidence=conf, face_score=score)
 
 
+class Truth(NamedTuple):
+    """A ground-truth record as ``reference_matcher`` reads it."""
+    frame_index: int
+    x1: float
+    y1: float
+    x2: float
+    y2: float
+    label: MaskLabel
+
+
 def truth(frame, x1, y1, x2, y2, label=MaskLabel.MASK):
-    return E.GroundTruthEntry(frame_index=frame, x1=x1, y1=y1, x2=x2, y2=y2,
-                              label=label)
+    return Truth(frame, x1, y1, x2, y2, label)
+
+
+def truth_json(t):
+    return json.dumps({"frame": t.frame_index, "x1": t.x1, "y1": t.y1,
+                       "x2": t.x2, "y2": t.y2, "label": t.label.value})
+
+
+def write_logs(directory, detections, truths):
+    """The records as JSONL files in ``directory``: (log, truth) paths."""
+    log, truth_path = directory / "det.jsonl", directory / "truth.jsonl"
+    log.write_text("".join(d.to_json() + "\n" for d in detections))
+    truth_path.write_text("".join(truth_json(t) + "\n" for t in truths))
+    return log, truth_path
+
+
+def loaded(detections, truths):
+    """The records written as JSONL and read back by the loaders."""
+    with tempfile.TemporaryDirectory() as tmp:
+        log, truth_path = write_logs(Path(tmp), detections, truths)
+        return E.load_detection_log(log), E.load_ground_truth(truth_path)
+
+
+def match(detections, truths, threshold=E.DEFAULT_IOU_THRESHOLD):
+    """``E.match_detections`` on the records as the loaders read them."""
+    return E.match_detections(*loaded(detections, truths), threshold)
+
+
+def as_columns(records, fields):
+    """The frames and value rows a loader should give for ``records``."""
+    return ([r.frame_index for r in records],
+            [[float(r.label is MaskLabel.NO_MASK) if name == "label"
+              else getattr(r, name) for r in records] for name in fields])
 
 
 def scalar_iou(a, b):
@@ -78,7 +122,7 @@ def reference_matcher(detections, truths, threshold):
 
 def assert_matches_reference(detections, truths, threshold=0.5):
     """``E.match_detections`` checked against the reference."""
-    face, mask = E.match_detections(detections, truths, threshold)
+    face, mask = match(detections, truths, threshold)
     ref_face, ref_mask = reference_matcher(detections, truths, threshold)
     assert (face.tp, face.fp, face.fn) == (
         ref_face["tp"], ref_face["fp"], ref_face["fn"])
@@ -93,17 +137,17 @@ class TestMatchDetections:
                 det(1, 5, 5, 25, 25)]
         truths = [truth(0, 10, 10, 30, 30), truth(0, 50, 50, 80, 80),
                   truth(1, 5, 5, 25, 25)]
-        face, mask = E.match_detections(dets, truths)
+        face, mask = match(dets, truths)
         assert (face.tp, face.fp, face.fn, face.tn) == (3, 0, 0, 0)
         assert mask.tp == 3
 
     def test_unmatched_detection_is_false_positive(self):
-        face, mask = E.match_detections([det(0, 0, 0, 10, 10)], [])
+        face, mask = match([det(0, 0, 0, 10, 10)], [])
         assert (face.tp, face.fp, face.fn) == (0, 1, 0)
         assert (mask.tp, mask.tn, mask.fp, mask.fn) == (0, 0, 0, 0)
 
     def test_unmatched_truth_is_false_negative(self):
-        face, _ = E.match_detections([], [truth(0, 0, 0, 10, 10)])
+        face, _ = match([], [truth(0, 0, 0, 10, 10)])
         assert (face.tp, face.fp, face.fn) == (0, 0, 1)
 
     def test_mask_confusion_cells(self):
@@ -115,7 +159,7 @@ class TestMatchDetections:
                   truth(0, 20, 20, 30, 30, label=MaskLabel.NO_MASK),
                   truth(0, 40, 40, 50, 50, label=MaskLabel.NO_MASK),
                   truth(0, 60, 60, 70, 70, label=MaskLabel.MASK)]
-        _, mask = E.match_detections(dets, truths)
+        _, mask = match(dets, truths)
         assert (mask.tp, mask.tn, mask.fp, mask.fn) == (1, 1, 1, 1)
 
     def test_matches_reference_on_random_instances(self):
@@ -167,12 +211,14 @@ class TestMatchDetections:
             shuffled_t = list(truths)
             rng.shuffle(shuffled_d)
             rng.shuffle(shuffled_t)
-            assert E.match_detections(shuffled_d, shuffled_t) == base
+            assert match(shuffled_d, shuffled_t) == base
 
-
-    def test_degenerate_detection_box_raises(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            E.match_detections([det(0, 10, 10, 10, 20)], [])
+    def test_degenerate_detection_box_raises(self, tmp_path):
+        log = tmp_path / "det.jsonl"
+        log.write_text('{"frame": 0, "x1": 10, "y1": 10, "x2": 10, "y2": 20, '
+                       '"label": "Mask", "confidence": 0.9, "face_score": 0.9}\n')
+        with pytest.raises(ValueError, match="det.jsonl:1: .*degenerate"):
+            E.load_detection_log(log)
 
     def test_corner_range_keeps_iou_finite(self):
         # Every box check_box accepts has an IoU without overflow or warning;
@@ -186,14 +232,14 @@ class TestMatchDetections:
             warnings.simplefilter("error")
             boxes = np.array(records, np.float64)
             overlaps = iou(boxes, boxes)
-            face, _ = E.match_detections(dets, truths)
+            face, _ = match(dets, truths)
         assert ((overlaps >= 0) & (overlaps <= 1)).all()
         assert overlaps.diagonal().tolist() == [1.0] * len(records)
         assert (face.tp, face.fp, face.fn) == (4, 0, 0)
         for corners in [(-1e307, -1e307, 1e307, 1e307),
                         (0, 0, limit + 1, 1), (-limit - 1, 0, 0, 1)]:
             with pytest.raises(ValueError, match="must be finite"):
-                truth(0, *corners)
+                loaded([], [truth(0, *corners)])
 
 
 LABELS = (MaskLabel.MASK, MaskLabel.NO_MASK)
@@ -245,8 +291,8 @@ class TestLockstepMatcher:
         shuffled_d, shuffled_t = list(dets), list(truths)
         rng.shuffle(shuffled_d)
         rng.shuffle(shuffled_t)
-        assert (E.match_detections(shuffled_d, shuffled_t, threshold)
-                == E.match_detections(dets, truths, threshold))
+        assert (match(shuffled_d, shuffled_t, threshold)
+                == match(dets, truths, threshold))
 
     def test_many_frames_of_mixed_sizes_match_reference(self):
         # Frames of 0 to 40 records of each kind fall in several padded
@@ -262,7 +308,7 @@ class TestLockstepMatcher:
 
     def test_empty_log(self):
         zero = E.ConfusionCounts()
-        assert E.match_detections([], []) == (zero, zero)
+        assert match([], []) == (zero, zero)
 
     def test_frames_with_one_kind_only(self):
         dets = [det(f, 0, 0, 10, 10) for f in FRAMES[:4]]
@@ -283,7 +329,7 @@ class TestLockstepMatcher:
                    )[0, 0] == threshold
         face, _ = assert_matches_reference(dets, truths, threshold)
         assert face.tp == 1
-        face, _ = E.match_detections(dets, truths, np.nextafter(threshold, 2))
+        face, _ = match(dets, truths, np.nextafter(threshold, 2))
         assert face.tp == 0
 
     def test_threshold_zero_never_matches_a_touching_box(self):
@@ -320,9 +366,10 @@ class TestMatcherMemory:
 
     @staticmethod
     def peak_mib(dets, truths):
+        records = loaded(dets, truths)
         tracemalloc.start()
         try:
-            result = E.match_detections(dets, truths)
+            result = E.match_detections(*records)
             return result, tracemalloc.get_traced_memory()[1] / 2 ** 20
         finally:
             tracemalloc.stop()
@@ -341,10 +388,10 @@ class TestMatcherMemory:
 
     def test_long_log(self):
         # 20,000 frames of 2 + 2 records and one of 64 + 64. Measured:
-        # 12.4 MiB, against 5.3 MiB for a loop over frames; about 5 MiB are
-        # the frame ids and the records' columns, and 5 MiB are the largest
-        # block's boxes and iou temporaries. Padding every frame to the
-        # largest would take 655 MB.
+        # 8.7 MiB (12.4 MiB while the matcher built the records' columns
+        # itself), against 5.3 MiB for a loop over frames; about 5 MiB are
+        # the largest block's boxes and iou temporaries. Padding every frame
+        # to the largest would take 655 MB.
         rng = np.random.default_rng(0)
         dets, truths = self.small_frames(rng, 20_000, 2)
         big_dets, big_truths = self.small_frames(rng, 1, 64, first=20_000)
@@ -353,7 +400,7 @@ class TestMatcherMemory:
         assert peak < 19.0, peak
 
     def test_one_large_frame_among_small_ones(self):
-        # Measured: 42.7 MiB, which is iou's temporaries on the 1,024 x 1,024
+        # Measured: 42.0 MiB, which is iou's temporaries on the 1,024 x 1,024
         # padded matrix of the large frame; padding every frame to it
         # would take 2,001 such matrices.
         rng = np.random.default_rng(1)
@@ -361,11 +408,32 @@ class TestMatcherMemory:
         big_dets, big_truths = self.small_frames(rng, 1, 1_000, first=-1)
         counts, peak = self.peak_mib(dets + big_dets, truths + big_truths)
         # Frames are independent: the counts are those of the two parts.
-        small = E.match_detections(dets, truths)
-        big = E.match_detections(big_dets, big_truths)
+        small = match(dets, truths)
+        big = match(big_dets, big_truths)
         for got, a, b in zip(counts, small, big):
             assert astuple(got) == tuple(map(sum, zip(astuple(a), astuple(b))))
         assert peak < 64.0, peak
+
+
+class TestLoaderMemory:
+    def test_loaded_records_of_a_long_log(self, tmp_path):
+        """What the loaded records of a 20,000-frame log (2 detections and
+        2 truths a frame) hold, by tracemalloc: their frame indices and
+        float64 columns only. Measured
+        on CPython 3.11 and numpy 2.4.6: 6.4 MiB, where one frozen dataclass
+        per record held 21.2 MiB; the bound is about 1.5x the measurement."""
+        dets, truths = TestMatcherMemory.small_frames(
+            np.random.default_rng(2), 20_000, 2)
+        log, truth_path = write_logs(tmp_path, dets, truths)
+        tracemalloc.start()
+        try:
+            records = (E.load_detection_log(log),
+                       E.load_ground_truth(truth_path))
+            held = tracemalloc.get_traced_memory()[0] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert [len(r.frames) for r in records] == [len(dets), len(truths)]
+        assert held < 9.7, held
 
 
 class TestComputeMetrics:
@@ -399,8 +467,8 @@ class TestComputeMetrics:
 
 class TestRendering:
     def report(self):
-        return E.evaluate(
-            [det(0, 0, 0, 10, 10)], [truth(0, 0, 0, 10, 10)])
+        return E.evaluate(*loaded([det(0, 0, 0, 10, 10)],
+                                  [truth(0, 0, 0, 10, 10)]))
 
     def test_empty_baselines_single_row(self):
         text = E.render_report(self.report(), ())
@@ -421,7 +489,7 @@ class TestRendering:
         assert len(lines) == 1 + 1 + len(E.LITERATURE_BASELINES)
 
     def test_undefined_metrics_render_as_marker(self):
-        report = E.evaluate([], [])
+        report = E.evaluate(*loaded([], []))
         text = E.render_report(report)
         assert "undefined" in text
         csv_text = E.render_csv(report)
@@ -434,14 +502,19 @@ class TestJsonlIO:
                 det(1, 5, 6, 70, 80, label=MaskLabel.NO_MASK)]
         log = tmp_path / "det.jsonl"
         log.write_text("".join(d.to_json() + "\n" for d in dets))
-        assert E.load_detection_log(log) == dets
+        records = E.load_detection_log(log)
+        assert records.values.dtype == np.float64
+        assert (records.frames, records.values.tolist()) == as_columns(
+            dets, E.DETECTION_FIELDS)
 
     def test_blank_lines_skipped_but_counted(self, tmp_path):
         dets = [det(0, 1, 2, 30, 40), det(1, 5, 6, 70, 80)]
         log = tmp_path / "det.jsonl"
         log.write_text("\n" + dets[0].to_json() + "\n  \n\t\n"
                        + dets[1].to_json() + "\n\n")
-        assert E.load_detection_log(log) == dets
+        records = E.load_detection_log(log)
+        assert (records.frames, records.values.tolist()) == as_columns(
+            dets, E.DETECTION_FIELDS)
         log.write_text(log.read_text() + "{}\n")
         with pytest.raises(ValueError, match="det.jsonl:7: bad detection"):
             E.load_detection_log(log)
@@ -450,8 +523,9 @@ class TestJsonlIO:
         path = tmp_path / "truth.jsonl"
         path.write_text('{"frame": 0, "x1": 1, "y1": 2, "x2": 3, "y2": 4, '
                         '"label": "Mask"}\n')
-        loaded = E.load_ground_truth(path)
-        assert loaded == [truth(0, 1, 2, 3, 4)]
+        records = E.load_ground_truth(path)
+        assert (records.frames, records.values.tolist()) == as_columns(
+            [truth(0, 1, 2, 3, 4)], E.TRUTH_FIELDS)
 
     def test_bad_record_reports_line(self, tmp_path):
         path = tmp_path / "truth.jsonl"
@@ -480,3 +554,33 @@ class TestJsonlIO:
         path.write_text(json.dumps(record) + "\n")
         with pytest.raises(ValueError, match="records.jsonl:1: .*must be"):
             load(path)
+
+    @pytest.mark.parametrize("load, kind", [
+        (E.load_detection_log, "detection"),
+        (E.load_ground_truth, "ground-truth")], ids=["detection", "truth"])
+    @pytest.mark.parametrize("record", ["[1, 2]", "5", '"x"', "null"])
+    def test_record_that_is_not_an_object_says_so(self, tmp_path, load, kind,
+                                                  record):
+        path = tmp_path / "records.jsonl"
+        path.write_text(record + "\n")
+        with pytest.raises(ValueError, match=f"records.jsonl:1: bad {kind} "
+                                             "record: expected a JSON object"):
+            load(path)
+
+    @pytest.mark.parametrize("load, fields", [
+        (E.load_detection_log, E.DETECTION_FIELDS),
+        (E.load_ground_truth, E.TRUTH_FIELDS)], ids=["detection", "truth"])
+    def test_only_newline_ends_a_record(self, tmp_path, load, fields):
+        """U+2028, U+2029 and U+0085 break lines for ``str.splitlines``,
+        and ``json.dumps(..., ensure_ascii=False)`` leaves them raw inside a
+        string; a "\\r" before the "\\n" is whitespace to JSON."""
+        record = {"frame": 3, "x1": 1, "y1": 2, "x2": 30, "y2": 40,
+                  "label": "NoMask", "confidence": 0.75, "face_score": 0.5,
+                  "note": "a\u2028b\u2029c\x85d"}
+        path = tmp_path / "records.jsonl"
+        line = json.dumps(record, ensure_ascii=False) + "\r\n"
+        path.write_bytes(2 * line.encode())
+        records = load(path)
+        row = [1.0 if name == "label" else record[name] for name in fields]
+        assert (records.frames, records.values.tolist()) == (
+            [3, 3], [[value, value] for value in row])

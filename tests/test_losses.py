@@ -171,10 +171,9 @@ class TestTrainHead:
     def test_divergence_aborts(self):
         features, labels = L.make_separable_dataset(50, 8, seed=4)
         params = L.init_head(8, 4, seed=4)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(L.TrainingDiverged):
-                L.train_head(params, features, labels,
-                             learning_rate=1e12, epochs=50)
+        with pytest.raises(L.TrainingDiverged):
+            L.train_head(params, features, labels,
+                         learning_rate=1e12, epochs=50)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):

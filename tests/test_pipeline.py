@@ -144,6 +144,23 @@ class TestReadFrames:
         with pytest.raises(P.FrameReadError, match="cannot read manifest"):
             P.list_manifest(tmp_path)  # a directory, not a file
 
+    def test_only_newline_ends_an_entry(self, tmp_path):
+        # U+0085 and U+2028 break lines for str.splitlines, not in a manifest.
+        manifest = tmp_path / "frames.txt"
+        manifest.write_bytes("a.ppm\r\nframes/c\x85d.ppm\nx\u2028y.ppm\n"
+                             .encode())
+        assert P.list_manifest(manifest) == [
+            (1, tmp_path / "a.ppm", "a.ppm"),
+            (2, tmp_path / "frames" / "c\x85d.ppm", "frames/c\x85d.ppm"),
+            (3, tmp_path / "x\u2028y.ppm", "x\u2028y.ppm")]
+
+    def test_undecodable_entry_names_its_line(self, tmp_path):
+        manifest = tmp_path / "frames.txt"
+        manifest.write_bytes(b"a.ppm\nb\xff.ppm\n")
+        with pytest.raises(P.FrameReadError, match=r"frames\.txt:2: 'utf-8' "
+                                                    "codec can't decode"):
+            P.list_manifest(manifest)
+
 
 class TestAnnotate:
     def detection(self, **kwargs):
@@ -806,4 +823,21 @@ class TestParseConfig:
         path = tmp_path / "bad.cfg"
         path.write_text("just some words\n")
         with pytest.raises(P.ConfigError, match="key=value"):
+            P.parse_config(path)
+
+    def test_only_newline_ends_a_line(self, tmp_path):
+        # A comment holding U+2028 or U+0085 stays one line, and a "\r"
+        # before the "\n" is not part of the line.
+        path = tmp_path / "run.cfg"
+        text = ("# frames\u2028and\x85weights\r\nmanifest=frames.txt\r\n"
+                "output_dir=out\r\ncascade_weights=c.cwts\r\n"
+                "classifier_weights=k.cwts\r\n")
+        path.write_bytes(text.encode())
+        config = P.parse_config(path)
+        assert config.manifest == tmp_path / "frames.txt"
+        assert config.classifier_weights == tmp_path / "k.cwts"
+        path.write_bytes((text + "just some words\r\n").encode())
+        with pytest.raises(P.ConfigError, match=r"run\.cfg:6: expected "
+                                                r"key=value, got 'just some "
+                                                r"words'$"):
             P.parse_config(path)

@@ -11,6 +11,12 @@ detection rank. Beyond the records' columns, which grow with the log, peak
 memory follows the larger of that byte budget and one frame's own IoU
 matrix.
 
+The loaders read a JSONL log in blocks of whole lines, about
+``tensor``'s byte budget each, and check a block as columns: one decode
+per line, then one pass per field. A block that fails a check is checked
+again one line at a time, which names the first bad line of the file as
+``path:line``, so records and messages are those of a line-by-line read.
+
 The face task counts TP/FP/FN (TN is fixed at 0: pure detection has no
 true-negative unit); the mask task scores label agreement over matched
 pairs with Mask as the positive class. Metrics are percentages; a zero
@@ -29,10 +35,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import tensor
 from .classifier import MaskLabel
 from .detector import iou
-from .pipeline import check_box
-from .tensor import row_chunks
+from .pipeline import CORNER_LIMIT, check_box
 
 DEFAULT_IOU_THRESHOLD = 0.5
 UNDEFINED = "undefined"
@@ -160,7 +166,7 @@ def match_detections(detections: Records, truths: Records,
     group_starts = np.flatnonzero(np.diff(exps, prepend=-1).any(axis=0))
     for lo, hi in zip(group_starts, [*group_starts[1:], matchable]):
         rows, cols = 1 << int(exps[0, lo]), 1 << int(exps[1, lo])
-        for chunk in row_chunks(hi - lo, 8 * rows * cols):
+        for chunk in tensor.row_chunks(hi - lo, 8 * rows * cols):
             first, stop = lo + chunk.start, lo + chunk.stop
             d = slice(det_start[first], det_start[stop])
             g = slice(gt_start[first], gt_start[stop])
@@ -284,41 +290,120 @@ def check_json_types(obj, integers: tuple[str, ...],
             raise TypeError(f"{key} must be a number, got {obj[key]!r}")
 
 
-def _load(path: str | Path, kind: str, fields: tuple[str, ...],
-          integers: tuple[str, ...], numbers: tuple[str, ...]) -> Records:
-    """Every non-blank line of a JSONL file, read one line at a time and
-    split on "\n" only, checked and kept as ``fields``; a bad line,
-    undecodable UTF-8 included, raises ValueError naming ``path:line``."""
-    row_of, numbers_of = itemgetter(*fields), itemgetter(*numbers)
+class _Schema(NamedTuple):
+    """How a loader checks one kind of record."""
+    kind: str  # as error messages name it
+    fields: tuple[str, ...]  # the numbers kept, in the matcher's key order
+    integers: tuple[str, ...]  # fields that must be JSON integers
+    numbers: tuple[str, ...]  # fields that must be finite JSON numbers
+
+
+_DETECTIONS = _Schema("detection", DETECTION_FIELDS,
+                      ("frame", "x1", "y1", "x2", "y2"),
+                      ("confidence", "face_score"))
+_TRUTHS = _Schema("ground-truth", TRUTH_FIELDS, ("frame",),
+                  ("x1", "y1", "x2", "y2"))
+_LABELS = frozenset(label.value for label in MaskLabel)
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _check_lines(path: str | Path, schema: _Schema, lines: list[bytes],
+                 first: int) -> tuple[list[int], np.ndarray]:
+    """The frames and ``(fields, n)`` values of the records in ``lines``,
+    the first of which is line ``first`` of ``path``, checked one line at a
+    time; the first bad line, undecodable UTF-8 included, raises ValueError
+    naming ``path:line``. Every loader error is worded here."""
+    row_of = itemgetter(*schema.fields)
+    numbers_of = itemgetter(*schema.numbers)
     frames, values = [], array("d")
-    with open(path, "rb") as lines:
-        for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(lines, start=first):
+        try:
+            text = line.decode()
+            if not text.strip():
+                continue
+            obj = json.loads(text)
+            check_json_types(obj, schema.integers, schema.numbers)
+            obj["label"] = MaskLabel(obj["label"]) is MaskLabel.NO_MASK
+            check_box(obj["x1"], obj["y1"], obj["x2"], obj["y2"])
+            if not all(map(math.isfinite, numbers_of(obj))):
+                raise ValueError(
+                    f"{' and '.join(schema.numbers)} must be finite")
+        except (KeyError, TypeError, ValueError, OverflowError,
+                RecursionError) as exc:
+            raise ValueError(
+                f"{path}:{lineno}: bad {schema.kind} record: {exc}")
+        frames.append(obj["frame"])
+        values.extend(row_of(obj))
+    return frames, np.frombuffer(values).reshape(-1, len(schema.fields)).T
+
+
+def _check_block(schema: _Schema,
+                 lines: list[bytes]) -> tuple[list[int], np.ndarray]:
+    """What :func:`_check_lines` returns for ``lines``, checked as columns:
+    one decode of the block, one ``raw_decode`` per line and one pass per
+    field. A check that fails raises KeyError, TypeError, ValueError,
+    OverflowError or RecursionError, naming no line."""
+    texts = b"".join(lines).decode().split("\n")
+    # Blank lines are skipped; JSON allows " \t\r" around a value.
+    texts = [text.strip(" \t\r") for text in filter(str.strip, texts)]
+    decoded = list(map(_raw_decode, texts))
+    if list(map(itemgetter(1), decoded)) != list(map(len, texts)):
+        raise ValueError("not one JSON value a line")
+    objs = list(map(itemgetter(0), decoded))
+    # A value that is not an object raises TypeError here.
+    column = {key: list(map(itemgetter(key), objs))
+              for key in ("frame", *schema.fields)}
+    if (any(set(map(type, column[key])) != {int} for key in schema.integers)
+            or any(not set(map(type, column[key])) <= {int, float}
+                   for key in schema.numbers)
+            or not set(column["label"]) <= _LABELS):
+        raise TypeError("mistyped field")
+    # Python compares ints and floats exactly; NaN, which min and max may
+    # pass over, fails the checks on the float64 values below.
+    if any(min(column[key]) < -CORNER_LIMIT or max(column[key]) > CORNER_LIMIT
+           for key in ("x1", "y1", "x2", "y2")):
+        raise ValueError("corner out of range")
+    column["label"] = list(map(MaskLabel.NO_MASK.value.__eq__,
+                               column["label"]))
+    values = np.array([column[key] for key in schema.fields], np.float64)
+    x1 = schema.fields.index("x1")
+    if not (np.isfinite(values).all()
+            and (values[x1] < values[x1 + 2]).all()
+            and (values[x1 + 1] < values[x1 + 3]).all()):
+        raise ValueError("degenerate or non-finite record")
+    return column["frame"], values
+
+
+def _load(path: str | Path, schema: _Schema) -> Records:
+    """Every non-blank line of a JSONL file, split on "\n" only, checked and
+    kept as ``schema.fields``. The file is read in blocks of whole lines of
+    about ``tensor``'s byte budget, each checked as columns by
+    :func:`_check_block`; a block that fails is checked again one line at a
+    time by :func:`_check_lines`, which raises ValueError naming
+    ``path:line`` for its first bad line (undecodable UTF-8 included), so
+    the first bad line of the file is the one named. Equal frame indices
+    share one int object."""
+    shared: dict[int, int] = {}
+    frames, blocks = [], [np.empty((len(schema.fields), 0))]
+    with open(path, "rb") as fh:
+        first = 1
+        while lines := fh.readlines(tensor._BLOCK_BYTES):
             try:
-                text = line.decode()
-                if not text.strip():
-                    continue
-                obj = json.loads(text)
-                check_json_types(obj, integers, numbers)
-                obj["label"] = MaskLabel(obj["label"]) is MaskLabel.NO_MASK
-                check_box(obj["x1"], obj["y1"], obj["x2"], obj["y2"])
-                if not all(map(math.isfinite, numbers_of(obj))):
-                    raise ValueError(f"{' and '.join(numbers)} must be finite")
+                block_frames, values = _check_block(schema, lines)
             except (KeyError, TypeError, ValueError, OverflowError,
-                    RecursionError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad {kind} record: {exc}")
-            frames.append(obj["frame"])
-            values.extend(row_of(obj))
-    return Records(frames,
-                   np.frombuffer(values).reshape(-1, len(fields)).T.copy())
+                    RecursionError):
+                block_frames, values = _check_lines(path, schema, lines, first)
+            frames.extend(map(shared.setdefault, block_frames, block_frames))
+            blocks.append(values)
+            first += len(lines)
+    return Records(frames, np.concatenate(blocks, axis=1))
 
 
 def load_detection_log(path: str | Path) -> Records:
     """Detections from a JSONL log written by the pipeline."""
-    return _load(path, "detection", DETECTION_FIELDS,
-                 ("frame", "x1", "y1", "x2", "y2"), ("confidence", "face_score"))
+    return _load(path, _DETECTIONS)
 
 
 def load_ground_truth(path: str | Path) -> Records:
     """Ground truth JSONL: objects with frame, x1, y1, x2, y2, label."""
-    return _load(path, "ground-truth", TRUTH_FIELDS, ("frame",),
-                 ("x1", "y1", "x2", "y2"))
+    return _load(path, _TRUTHS)

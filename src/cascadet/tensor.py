@@ -68,7 +68,7 @@ def _as_f32(x) -> Tensor:
     return np.asarray(x, dtype=np.float32)
 
 
-# Bytes of input rows per chunk.
+# Bytes of input rows per chunk (and of lines per block of an eval log).
 _BLOCK_BYTES = 1 << 18
 
 

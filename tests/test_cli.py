@@ -10,6 +10,7 @@ from cascadet import cli, losses, tensor
 from cascadet.classifier import MaskLabel
 from cascadet.pipeline import Detection
 
+from test_eval import multi_block_log, replace_line
 from test_pipeline import write_run_setup
 
 
@@ -230,6 +231,40 @@ class TestEval:
         assert rc == cli.EXIT_DATA
         assert (f"{path}:3: bad {kind} record: 'utf-8' codec can't decode "
                 "byte 0xff" in capsys.readouterr().err)
+
+    def test_bad_line_past_the_first_block_is_named(self, tmp_path, capsys):
+        _, truth = self.write_logs(tmp_path)
+        log = tmp_path / "long.jsonl"
+        bad = multi_block_log(log)[2] + 5
+        replace_line(log, bad, '{"frame": 1, "x1": 1, "y1": 1, "x2": 1, '
+                               '"y2": 2, "label": "Mask", "confidence": 0.9, '
+                               '"face_score": 0.9}')
+        rc = cli.main(["eval", "--log", str(log), "--truth", str(truth)])
+        assert rc == cli.EXIT_DATA
+        assert (f"{log}:{bad}: bad detection record: degenerate box "
+                "(1, 1, 1, 2)" in capsys.readouterr().err)
+
+    def test_crlf_line_ends_give_the_same_report(self, tmp_path, capsys):
+        log, truth = tmp_path / "det.jsonl", tmp_path / "truth.jsonl"
+        multi_block_log(log)
+        truth.write_text("".join(
+            f'{{"frame": {f}, "x1": {f % 50}, "y1": 0, "x2": {f % 50 + 60}, '
+            f'"y2": 50, "label": "Mask"}}\n' for f in range(0, 2_000, 3)))
+
+        def report(log, truth):
+            rc = cli.main(["eval", "--log", str(log), "--truth", str(truth),
+                           "--compare"])
+            assert rc == cli.EXIT_OK
+            return capsys.readouterr().out
+
+        def crlf(path):
+            copy = path.with_suffix(".crlf")
+            copy.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+            return copy
+
+        expected = report(log, truth)
+        assert "Face counts: TP=0 " not in expected
+        assert report(crlf(log), crlf(truth)) == expected
 
     @pytest.mark.parametrize("iou, tp", [("0", 2), ("1", 1)])
     def test_iou_at_the_interval_ends(self, tmp_path, capsys, iou, tp):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cascadet import evaluate as E
+from cascadet import tensor as T
 from cascadet.classifier import MaskLabel
 from cascadet.detector import iou
 from cascadet.pipeline import Detection
@@ -416,12 +417,14 @@ class TestMatcherMemory:
 
 
 class TestLoaderMemory:
-    def test_loaded_records_of_a_long_log(self, tmp_path):
-        """What the loaded records of a 20,000-frame log (2 detections and
-        2 truths a frame) hold, by tracemalloc: their frame indices and
-        float64 columns only. Measured
-        on CPython 3.11 and numpy 2.4.6: 6.4 MiB, where one frozen dataclass
-        per record held 21.2 MiB; the bound is about 1.5x the measurement."""
+    """tracemalloc figures of the loaders on a 20,000-frame log (2
+    detections and 2 truths a frame). Each bound is about 1.5x the figure
+    measured on CPython 3.11 and numpy 2.4.6 (given per test)."""
+
+    @staticmethod
+    def traced_loads(tmp_path):
+        """Both loads, the truths while the detections are held: the MiB
+        tracemalloc saw held after them and at their peak."""
         dets, truths = TestMatcherMemory.small_frames(
             np.random.default_rng(2), 20_000, 2)
         log, truth_path = write_logs(tmp_path, dets, truths)
@@ -429,11 +432,27 @@ class TestLoaderMemory:
         try:
             records = (E.load_detection_log(log),
                        E.load_ground_truth(truth_path))
-            held = tracemalloc.get_traced_memory()[0] / 2 ** 20
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert [len(r.frames) for r in records] == [len(dets), len(truths)]
+        return held / 2 ** 20, peak / 2 ** 20
+
+    def test_loaded_records_of_a_long_log(self, tmp_path):
+        """What the loaded records hold: their frame indices and float64
+        columns only. Measured: 5.5 MiB, where one frozen dataclass per
+        record held 21.2 MiB and one int object per record's frame index
+        6.4 MiB."""
+        held = self.traced_loads(tmp_path)[0]
         assert held < 9.7, held
+
+    def test_peak_of_loading_a_long_log(self, tmp_path):
+        """Measured: 9.2 MiB (8.1 MiB for one line at a time), of which
+        5.5 MiB are the records and the rest one block's decoded lines and
+        the columns' last copy; holding a whole file's parsed objects at
+        once would take more than 20 MiB."""
+        peak = self.traced_loads(tmp_path)[1]
+        assert peak < 14.0, peak
 
 
 class TestComputeMetrics:
@@ -584,3 +603,169 @@ class TestJsonlIO:
         row = [1.0 if name == "label" else record[name] for name in fields]
         assert (records.frames, records.values.tolist()) == (
             [3, 3], [[value, value] for value in row])
+
+
+# Fields of a valid record as JSON text, to be overridden one at a time.
+DET_JSON = {"frame": "1000", "x1": "10", "y1": "20", "x2": "30", "y2": "40",
+            "label": '"NoMask"', "confidence": "0.75", "face_score": "0.5"}
+TRUTH_JSON = {"frame": "1000", "x1": "10.5", "y1": "20", "x2": "30",
+              "y2": "40", "label": '"Mask"'}
+LOADERS = {"det": (E.load_detection_log, E._DETECTIONS, DET_JSON),
+           "truth": (E.load_ground_truth, E._TRUTHS, TRUTH_JSON)}
+
+
+def record(kind, **raw):
+    """A record's line, ``raw`` replacing fields with JSON text."""
+    fields = {**LOADERS[kind][2], **raw}
+    return "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
+
+
+def outcome(load):
+    """What a load gives: frames and the values' shape and bytes, or the
+    text of its ValueError."""
+    try:
+        frames, values = load()
+    except ValueError as exc:
+        return str(exc)
+    return frames, values.shape, values.tobytes()
+
+
+def per_line_outcome(path, kind):
+    """The outcome of checking the whole file one line at a time."""
+    with open(path, "rb") as fh:
+        lines = fh.readlines()
+    return outcome(lambda: E._check_lines(path, LOADERS[kind][1], lines, 1))
+
+
+def multi_block_log(path, blocks=4, width=120):
+    """A detection log a little over ``blocks`` read blocks long, every line
+    ``width`` bytes with its "\n" and every seventh blank (spaces only).
+    Returns the line number each block starts at."""
+    lines = []
+    for i in range(blocks * T._BLOCK_BYTES // width + 2_000):
+        text = "" if i % 7 == 3 else Detection(
+            frame_index=i // 5, x1=i % 50, y1=i % 30, x2=60 + i % 40,
+            y2=40 + i % 20, label=(MaskLabel.MASK, MaskLabel.NO_MASK)[i % 2],
+            confidence=0.5 + i % 8 / 16, face_score=0.75).to_json()
+        lines.append(text.ljust(width - 1) + "\n")
+    path.write_text("".join(lines))
+    starts, first = [], 1
+    with open(path, "rb") as fh:
+        while block := fh.readlines(T._BLOCK_BYTES):
+            starts.append(first)
+            first += len(block)
+    assert len(starts) > blocks
+    return starts
+
+
+def replace_line(path, lineno, text):
+    """Line ``lineno`` of ``path`` replaced by ``text`` padded to its length,
+    so no block boundary moves."""
+    lines = path.read_text().split("\n")
+    lines[lineno - 1] = text.ljust(len(lines[lineno - 1]))
+    path.write_text("\n".join(lines))
+
+
+class TestBlockReading:
+    """The loaders check a block of lines as columns and fall back to one
+    line at a time when a check fails; either way the records and every
+    error message are those of :func:`evaluate._check_lines` on the whole
+    file."""
+
+    @pytest.mark.parametrize("kind, lines, bad_line", [
+        # Joined into one JSON array these two lines are one valid object.
+        ("det", [record("det"), record("det")[:-1] + ', "a": [{}', "{}]}"],
+         2),
+        ("det", [record("det"), record("det") + ", " + record("det")], 2),
+        ("det", [" \t" + record("det") + "\t \r", "\r" + record("det")],
+         None),
+        ("truth", [record("truth"), "\u3000", record("truth")], None),
+        ("truth", [record("truth"), "\u3000" + record("truth")], 2),
+        ("det", ["\ufeff" + record("det"), record("det")], 1),
+        ("truth", [record("truth", x1="NaN"), record("truth")], 1),
+        ("truth", [record("truth"), record("truth", y2="NaN")], 2),
+        ("truth", [record("truth", x2="Infinity"), record("truth")], 1),
+        ("truth", [record("truth"), record("truth", x1="-Infinity")], 2),
+        ("det", [record("det", x1=str(-2 ** 53), y2=str(2 ** 53))], None),
+        ("truth", [record("truth", y1=str(-2 ** 53), x2=str(2 ** 53))], None),
+        ("det", [record("det"), record("det", x2=str(2 ** 53 + 1))], 2),
+        ("truth", [record("truth", y1=str(-2 ** 53 - 1))], 1),
+        ("det", [record("det", y2=str(2 ** 60))], 1),
+        ("truth", [record("truth"), record("truth", x1="-1e300")], 2),
+        ("det", [record("det", confidence=str(2 ** 63 + 1))], None),
+        ("det", [record("det"), record("det", face_score="1" + "0" * 400)],
+         2),
+        ("det", [record("det", frame=str(-2 ** 70)),
+                 record("det", frame=str(2 ** 64 + 5))], None),
+        ("truth", [record("truth", frame=str(2 ** 64 + 5))], None),
+        ("det", ['{"frame": "x", ' + record("det")[1:]], None),
+        ("det", [record("det")[:-1] + ', "x1": "5"}'], 1),
+        ("det", [record("det"), record("det", label='["Mask"]')], 2),
+        ("truth", [record("truth", label='["Mask"]')], 1),
+        ("det", [record("det"), record("det", label='"mask"')], 2),
+        ("det", [record("det"), record("det")[:-1] + ', "a": '
+                 + "[" * 100_000 + "]" * 100_000 + "}"], 2),
+    ], ids=["array-split-over-lines", "two-objects-on-a-line",
+            "json-whitespace", "ideographic-space-line",
+            "ideographic-space-before-record", "leading-bom",
+            "nan-first", "nan-last", "infinity-first", "infinity-last",
+            "det-corners-at-2**53", "truth-corners-at-2**53",
+            "corner-2**53+1", "corner-below-2**53", "corner-2**60",
+            "corner--1e300", "confidence-2**63+1",
+            "score-too-large-for-float", "huge-det-frames",
+            "huge-truth-frame", "duplicate-key", "duplicate-key-mistyped",
+            "list-label-det", "list-label-truth", "unknown-label",
+            "past-recursion-limit"])
+    def test_same_as_one_line_at_a_time(self, tmp_path, kind, lines,
+                                        bad_line):
+        path = tmp_path / "records.jsonl"
+        path.write_bytes("".join(line + "\n" for line in lines).encode())
+        got = outcome(lambda: LOADERS[kind][0](path))
+        assert got == per_line_outcome(path, kind)
+        if bad_line is None:
+            assert not isinstance(got, str), got
+        else:
+            assert got.startswith(f"{path}:{bad_line}: bad "), got
+
+    def test_first_bad_line_of_the_file_is_named(self, tmp_path):
+        path = tmp_path / "det.jsonl"
+        starts = multi_block_log(path)
+        early, late = starts[1], starts[3] - 1  # block 2's first, 3's last
+        replace_line(path, late, '{"frame": 0}')
+        replace_line(path, early, "[1, 2]")
+        message = (f"{path}:{early}: bad detection record: expected a JSON "
+                   "object")
+        with pytest.raises(ValueError) as exc:
+            E.load_detection_log(path)
+        assert str(exc.value) == message
+        assert per_line_outcome(path, "det") == message
+        replace_line(path, early, "")
+        with pytest.raises(ValueError, match=f"det.jsonl:{late}: bad "
+                                             "detection record: 'x1'"):
+            E.load_detection_log(path)
+
+    def test_any_block_size_gives_the_same_records(self, tmp_path,
+                                                   monkeypatch):
+        path = tmp_path / "det.jsonl"
+        multi_block_log(path, blocks=1, width=110)
+        expected = per_line_outcome(path, "det")
+        assert outcome(lambda: E.load_detection_log(path)) == expected
+        for budget in (1, 500, 40_000):
+            monkeypatch.setattr(T, "_BLOCK_BYTES", budget)
+            assert outcome(lambda: E.load_detection_log(path)) == expected
+
+    @pytest.mark.parametrize("by_line", [False, True],
+                             ids=["columns", "one-line-at-a-time"])
+    def test_equal_frames_share_one_int(self, tmp_path, monkeypatch,
+                                        by_line):
+        def failing_check(*args):
+            raise ValueError("a check failed")
+        # Each path alone: the other one fails if it is called.
+        monkeypatch.setattr(E, "_check_block" if by_line else "_check_lines",
+                            failing_check)
+        for kind in LOADERS:
+            path = tmp_path / f"{kind}.jsonl"
+            path.write_text(f"{record(kind)}\n{record(kind)}\n")
+            frames = LOADERS[kind][0](path).frames
+            assert frames == [1000, 1000]
+            assert frames[0] is frames[1]

@@ -120,11 +120,11 @@ def classify_all(classifier: Network, frame: Tensor,
                  faces: list[detector.FaceCandidate], *,
                  input_extent: int | None = None,
                  ) -> list[tuple[detector.FaceCandidate, MaskPrediction]]:
-    """One prediction per detected face, input order preserved, from one
-    forward over all of their crops.
+    """One prediction per detected face, input order preserved.
 
     Crops are square-padded and resampled from the normalized frame tensor,
-    matching the preprocessing the detector stages use. The crop extent
+    matching the preprocessing the detector stages use, and classified a
+    unit at a time by :func:`detector.forward_crops`. The crop extent
     defaults to the classifier's declared input shape. The label is the
     likelier class, NoMask on an exact tie, and the confidence its
     probability. Raises ValueError when no extent is given or declared, or
@@ -136,9 +136,8 @@ def classify_all(classifier: Network, frame: Tensor,
                              "pass input_extent explicitly")
         input_extent = classifier.input_shape[-1]
     boxes = np.array([f.box for f in faces], np.float64).reshape(-1, 4)
-    crops = detector.crop_resize_batch(frame, detector.square_pad(boxes),
-                                       input_extent)
-    probs = np.asarray(classifier.forward(crops))
+    probs = np.asarray(detector.forward_crops(
+        frame, detector.square_pad(boxes), classifier, input_extent))
     if probs.shape != (len(faces), 2):
         raise ValueError(f"classifier emitted shape {probs.shape}, "
                          f"expected {(len(faces), 2)}")

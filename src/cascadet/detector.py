@@ -9,6 +9,17 @@ between every stage. Candidates move between stages as (N, 4) float64
 landmark arrays; only returned faces become :class:`FaceCandidate` objects.
 :func:`iou` compares two such box arrays pairwise.
 
+No per-frame array grows with a whole pyramid level or a whole batch of
+crops. The pyramid is a plan of level extents; pnet runs on bands of a
+level's output rows, each resizing only the level rows it reads straight
+from the frame. A refinement stage (and the classifier, through
+:func:`forward_crops`) samples and forwards its crops one
+:func:`row_chunks` unit at a time from one zero-bordered table of the
+frame. Every output is byte-identical to a whole-level, whole-batch run:
+each matrix product row is batch-invariant, pooling and element-wise
+layers work per position, and a band starts on an even level row, so 2x2
+pooling keeps its alignment.
+
 Pixel tensors entering the cascade are normalized as (v - 127.5) / 128;
 :func:`frame_to_tensor` applies the convention.
 """
@@ -18,7 +29,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -88,13 +99,16 @@ def frame_to_tensor(pixels: np.ndarray) -> Tensor:
     return arr.transpose(2, 0, 1)[None]
 
 
-def bilinear_resize(image: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Bilinear resample of an (N, C, H, W) tensor, edges clamped; the
-    result is a view of channels-last memory."""
+def bilinear_resize(image: Tensor, out_h: int, out_w: int,
+                    rows: slice = slice(None)) -> Tensor:
+    """Bilinear resample of an (N, C, H, W) tensor to out_h x out_w, edges
+    clamped, or only its output rows ``rows``, each pixel with the bits it
+    has in the whole resample; the result is a view of channels-last
+    memory."""
     n, c, h, w = image.shape
     if out_h < 1 or out_w < 1:
         raise ValueError(f"output extents must be positive, got {out_h}x{out_w}")
-    src_y = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5
+    src_y = (np.arange(out_h, dtype=np.float64)[rows] + 0.5) * (h / out_h) - 0.5
     src_x = (np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5
     src_y = np.clip(src_y, 0.0, h - 1.0)
     src_x = np.clip(src_x, 0.0, w - 1.0)
@@ -116,10 +130,12 @@ def bilinear_resize(image: Tensor, out_h: int, out_w: int) -> Tensor:
 
 
 def build_image_pyramid(frame: Tensor, config: CascadeConfig
-                        ) -> list[tuple[float, Tensor]]:
-    """Geometric pyramid of ``(scale, image)`` levels, scales (12/min_face)
-    * factor^k. The first level exists whenever min(H, W) >= min_face; each
-    later one keeps min(H, W) * scale >= 12. Extents round up."""
+                        ) -> list[tuple[float, tuple[int, int]]]:
+    """Plan of a geometric pyramid: one ``(scale, (h, w))`` per level,
+    scales (12/min_face) * factor^k. The first level exists whenever
+    min(H, W) >= min_face; each later one keeps min(H, W) * scale >= 12.
+    Extents round up. No level is resized here: :func:`generate_proposals`
+    resizes each level band by band."""
     _, _, h, w = frame.shape
     if min(h, w) < config.min_face_size:
         log.warning("frame %dx%d smaller than min face size %d; empty pyramid",
@@ -133,7 +149,7 @@ def build_image_pyramid(frame: Tensor, config: CascadeConfig
     extents = (-(-h * PNET_EXTENT // config.min_face_size),
                -(-w * PNET_EXTENT // config.min_face_size))
     while not levels or min(h, w) * scale >= PNET_EXTENT:
-        levels.append((scale, bilinear_resize(frame, *extents)))
+        levels.append((scale, extents))
         scale *= config.pyramid_factor
         extents = (int(np.ceil(h * scale)), int(np.ceil(w * scale)))
     return levels
@@ -225,26 +241,40 @@ class CascadeNetworks:
                                 input_shape=(3, ONET_EXTENT, ONET_EXTENT)))
 
 
-def generate_proposals(image: Tensor, scale: float, pnet: Network,
-                       threshold: float
+def generate_proposals(frame: Tensor, level: tuple[float, tuple[int, int]],
+                       pnet: Network, threshold: float
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Candidates from one pyramid level, in row-major grid order.
+    """Candidates from one pyramid level, ``(scale, (h, w))`` as
+    :func:`build_image_pyramid` plans it, in row-major grid order.
 
     Grid cell (r, c) corresponds to the 12x12 window at (2c, 2r) in scaled
     coordinates; boxes are mapped back to frame pixels by dividing by
-    ``scale``. Returns ``(boxes, scores, offsets)``, the offsets (N, 4).
+    ``scale``. pnet runs, in order, on :func:`row_chunks` bands of the
+    grid's rows, sized by the two level rows each further grid row reads:
+    band ``[a, b)`` resizes only level rows ``[2a, 2b + 10)`` from
+    ``frame``. Returns ``(boxes, scores, offsets)``, the offsets (N, 4).
     Raises ValueError if any grid cell's face score is non-finite.
     """
-    prob_map, taps = pnet.forward(image, taps=("pnet.reg",))
-    face_prob = prob_map[0, 1]
-    if not np.isfinite(face_prob).all():
-        raise ValueError("face scores must be finite")
-    rows, cols = np.nonzero(face_prob >= threshold)
+    scale, (h, w) = level
+    grid_rows = (h - PNET_EXTENT) // PNET_STRIDE + 1
+    found = []
+    for band in row_chunks(grid_rows, PNET_STRIDE * w * frame.shape[1] * 4):
+        first, last = band.start, band.stop - 1
+        image = bilinear_resize(frame, h, w, slice(
+            PNET_STRIDE * first, PNET_STRIDE * last + PNET_EXTENT))
+        prob_map, taps = pnet.forward(image, taps=("pnet.reg",))
+        face_prob = prob_map[0, 1]
+        if not np.isfinite(face_prob).all():
+            raise ValueError("face scores must be finite")
+        rows, cols = np.nonzero(face_prob >= threshold)
+        found.append((first + rows, cols,
+                      face_prob[rows, cols].astype(np.float64),
+                      taps["pnet.reg"][0][:, rows, cols].T.astype(np.float64)))
+    rows, cols, scores, offsets = map(np.concatenate, zip(*found))
     x, y = PNET_STRIDE * cols, PNET_STRIDE * rows
     inv = 1.0 / scale
     boxes = np.stack([x, y, x + PNET_EXTENT, y + PNET_EXTENT], axis=1) * inv
-    offsets = taps["pnet.reg"][0][:, rows, cols].T.astype(np.float64)
-    return boxes, face_prob[rows, cols].astype(np.float64), offsets
+    return boxes, scores, offsets
 
 
 def iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -444,42 +474,84 @@ def crop_resize_batch(frame: Tensor, boxes: np.ndarray, out_extent: int,
     :func:`parallel_map`; each crop's bits depend only on its own box, not
     on the block size or the rest of the batch.
     """
+    sample = _crop_sampler(frame, out_extent, count)
+    e, c = out_extent if count is None else count, frame.shape[1]
+    out = np.empty((len(boxes), e, e * c), np.float32)
+    parallel_map(lambda b: sample(boxes[b], out[b]),
+                 row_chunks(len(out), out[:1].nbytes))
+    return out.reshape(-1, e, e, c).transpose(0, 3, 1, 2)
+
+
+def _crop_sampler(frame: Tensor, out_extent: int, count: int | None = None
+                  ) -> Callable[..., Tensor]:
+    """``sample(boxes, out=None)``: the crops :func:`crop_resize_batch`
+    makes of ``boxes``, written to ``out`` ((N, count, count*C) float32)
+    when given. The frame's zero-bordered copy is made here, once for every
+    call of ``sample``; each call works out only its own boxes' sample
+    points, so its arrays grow with its boxes, not with all of them."""
     if out_extent < 1:
         raise ValueError(f"out_extent must be positive, got {out_extent}")
     e = out_extent if count is None else count
     _, c, h, w = frame.shape
-    origin = boxes[:, :2, None]
     grid = np.arange(e, dtype=np.float64) + 0.5
-    src = origin + grid * ((boxes[:, 2:, None] - origin) / out_extent) - 0.5
-    lo = np.floor(src)  # (N, 2, e)
-    x0, y0 = lo.astype(np.int64).transpose(1, 0, 2)
-    fx, fy = (src - lo).astype(np.float32).transpose(1, 0, 2)
-
     # Pixel (y, x) is row (y + 1) * (W + 2) + x + 1 of the zero-bordered
     # (H+2)*(W+2) x C table; every sample outside the frame clips onto the
     # border. Each gathered pixel is then one take of C adjacent values.
     table = np.pad(frame[0].transpose(1, 2, 0),
                    ((1, 1), (1, 1), (0, 0))).reshape(-1, c)
-    row0, row1 = ((np.clip(y, -1, h) + 1) * (w + 2) for y in (y0, y0 + 1))
-    col0, col1 = (np.clip(x, -1, w) + 1 for x in (x0, x0 + 1))
-    # Each crop row is e*C floats: the x-weights repeat over the channels,
-    # so every product below runs one e*C-long inner loop, not C-long ones.
-    wx0, wx1 = (np.repeat(v, c, axis=1)[:, None, :] for v in (1 - fx, fx))
-    wy0, wy1 = (1 - fy)[:, :, None], fy[:, :, None]
+    last = np.array([[w], [h]])  # x of the right border, y of the bottom
 
-    def gather(b: slice, row: np.ndarray, col: np.ndarray) -> Tensor:
-        """Pixels at (row[n, i], col[n, j]) for boxes ``b`` -> (B, e, e*C)."""
-        rows = table.take(row[b, :, None] + col[b, None, :], axis=0)
+    def gather(row: np.ndarray, col: np.ndarray) -> Tensor:
+        """Pixels at (row[n, i], col[n, j]) -> (N, e, e*C)."""
+        rows = table.take(row[:, :, None] + col[:, None, :], axis=0)
         return rows.reshape(len(rows), e, e * c)
 
-    def fill(b: slice) -> None:
-        top = gather(b, row0, col0) * wx0[b] + gather(b, row0, col1) * wx1[b]
-        bottom = gather(b, row1, col0) * wx0[b] + gather(b, row1, col1) * wx1[b]
-        np.add(top * wy0[b], bottom * wy1[b], out=out[b])
+    def sample(boxes: np.ndarray, out: np.ndarray | None = None) -> Tensor:
+        origin = boxes[:, :2, None]
+        src = origin + grid * ((boxes[:, 2:, None] - origin) / out_extent) - 0.5
+        lo = np.floor(src)  # (N, 2, e): x, then y
+        fx, fy = (src - lo).astype(np.float32).transpose(1, 0, 2)
+        lo = lo.astype(np.int64)
+        (col0, row0), (col1, row1) = (
+            (np.clip(i, -1, last) + 1).transpose(1, 0, 2) for i in (lo, lo + 1))
+        row0, row1 = row0 * (w + 2), row1 * (w + 2)
+        # Each crop row is e*C floats: the x-weights repeat over the
+        # channels, so every product below runs one e*C-long inner loop.
+        wx0, wx1 = (np.repeat(v, c, axis=1)[:, None, :] for v in (1 - fx, fx))
+        wy0, wy1 = (1 - fy)[:, :, None], fy[:, :, None]
+        top = gather(row0, col0) * wx0 + gather(row0, col1) * wx1
+        bottom = gather(row1, col0) * wx0 + gather(row1, col1) * wx1
+        out = np.add(top * wy0, bottom * wy1, out=out)
+        return out.reshape(-1, e, e, c).transpose(0, 3, 1, 2)
 
-    out = np.empty((len(boxes), e, e * c), np.float32)
-    parallel_map(fill, row_chunks(len(out), out[:1].nbytes))
-    return out.reshape(-1, e, e, c).transpose(0, 3, 1, 2)
+    return sample
+
+
+def forward_crops(frame: Tensor, boxes: np.ndarray, network: Network,
+                  extent: int, taps: tuple[str, ...] = ()):
+    """``network.forward`` on the ``extent`` x ``extent`` crops of
+    ``boxes``, returned as one forward over all of the crops returns it.
+
+    Only the region of each crop that the output and ``taps`` read
+    (:func:`read_extent` of ``network.layers``) is sampled. The boxes are
+    split into :func:`row_chunks` units by that region's bytes, and each
+    unit, side by side through :func:`parallel_map`, samples its own crops
+    from one zero-bordered copy of the frame and runs its own forward, so
+    the whole batch of crops never exists.
+    """
+    count, _ = read_extent(network.layers, (extent, extent), taps)
+    sample = _crop_sampler(frame, extent, count)
+
+    def unit(chunk: slice) -> list[Tensor]:
+        if not taps:
+            return [network.forward(sample(boxes[chunk]))]
+        out, tapped = network.forward(sample(boxes[chunk]), taps=taps)
+        return [out, *(tapped[name] for name in taps)]
+
+    parts = parallel_map(unit, row_chunks(
+        len(boxes), frame.shape[1] * count * count * 4))
+    current, *tapped = map(np.concatenate, zip(*parts))
+    return (current, dict(zip(taps, tapped))) if taps else current
 
 
 def refine_stage(frame: Tensor, boxes: np.ndarray, network: Network,
@@ -488,20 +560,18 @@ def refine_stage(frame: Tensor, boxes: np.ndarray, network: Network,
     """Re-score boxes on square crops; keep, calibrate and annotate.
 
     Each box is square-padded, cropped to the region of the network's
-    declared input that its output and ``heads`` read (:func:`read_extent`:
-    21x21 of rnet's 24x24, 41x41 of onet's 48x48) and scored; survivors
-    (score >= threshold) get their box recalibrated by the offsets of
-    ``heads[0]``, the regression head.
+    declared input that its output and ``heads`` read (21x21 of rnet's
+    24x24, 41x41 of onet's 48x48) and scored through
+    :func:`forward_crops`; survivors (score >= threshold) get their box
+    recalibrated by the offsets of ``heads[0]``, the regression head.
     Returns ``(boxes, scores, landmarks)``: landmarks are None unless
     ``heads[1]`` names a landmark head, else (N, 5, 2) frame points mapped
     from crop-normalized coordinates by the pre-calibration square.
     Raises ValueError on any non-finite score.
     """
     squares = square_pad(boxes)
-    # Square crops and square kernels: the region is square too.
-    count, _ = read_extent(network.layers, network.input_shape[1:], heads)
-    crops = crop_resize_batch(frame, squares, network.input_shape[-1], count)
-    probs, tapped = network.forward(crops, taps=heads)
+    probs, tapped = forward_crops(frame, squares, network,
+                                  network.input_shape[-1], heads)
     scores = probs[:, 1].astype(np.float64)
     if not np.isfinite(scores).all():
         raise ValueError("face scores must be finite")
@@ -526,11 +596,13 @@ def detect_faces(frame: Tensor, networks: CascadeNetworks,
     calibration -> 24x24 refinement + NMS -> 48x48 refinement with landmarks
     + min-mode NMS -> clamp to frame. Faces come in descending score order,
     ties by index, as the last NMS leaves them. Pyramid levels, each with
-    its per-level NMS, run side by side through :func:`parallel_map`.
+    its bands and per-level NMS, run side by side through
+    :func:`parallel_map`.
 
     When ``timings`` is given, per-stage wall-clock seconds are accumulated
-    into it under keys pyramid/stage1/stage2/stage3. When ``trace`` is
-    given, per-stage candidate counts are recorded in it.
+    into it under keys pyramid/stage1/stage2/stage3: ``pyramid`` plans the
+    levels, and ``stage1`` resizes them as pnet reads them. When ``trace``
+    is given, per-stage candidate counts are recorded in it.
     """
     def tick(stage: str, since: float) -> float:
         now = time.perf_counter()
@@ -543,10 +615,9 @@ def detect_faces(frame: Tensor, networks: CascadeNetworks,
     pyramid = build_image_pyramid(frame, config)
     t = tick("pyramid", t)
 
-    def propose(level: tuple[float, Tensor]):
+    def propose(level: tuple[float, tuple[int, int]]):
         """One level's proposal count and its per-level NMS survivors."""
-        scale, image = level
-        boxes, scores, offsets = generate_proposals(image, scale, networks.pnet,
+        boxes, scores, offsets = generate_proposals(frame, level, networks.pnet,
                                                     config.threshold_pnet)
         keep = nms(boxes, scores, config.nms_pyramid, "union")
         return len(scores), (boxes[keep], scores[keep], offsets[keep])

@@ -154,8 +154,8 @@ def test_criterion_3_fcn_equivalence():
     networks = D.CascadeNetworks.from_archive(fixtures.fixture_cascade_archive())
     rng = np.random.default_rng(300)
     image = rng.uniform(-1, 1, (1, 3, 24, 24)).astype(np.float32)
-    _, scores, _ = D.generate_proposals(image, 1.0, networks.pnet,
-                                        threshold=0.0)
+    _, scores, _ = D.generate_proposals(image, (1.0, (24, 24)),
+                                        networks.pnet, threshold=0.0)
     assert len(scores) == 49
     worst = 0.0
     k = 0

@@ -44,9 +44,9 @@ class TestPyramid:
         config = D.CascadeConfig(min_face_size=12)
         levels = D.build_image_pyramid(frame, config)
         assert len(levels) == 1
-        scale, image = levels[0]
+        scale, extents = levels[0]
         assert scale == 1.0
-        assert image.shape == (1, 3, 12, 12)
+        assert D.bilinear_resize(frame, *extents).shape == (1, 3, 12, 12)
 
     def test_short_side_equal_to_min_face_gets_a_level(self):
         """A frame whose short side equals min_face_size keeps its first
@@ -60,8 +60,9 @@ class TestPyramid:
             config = D.CascadeConfig(min_face_size=side)
             levels = D.build_image_pyramid(frame, config)
             assert levels, side
-            scale, image = levels[0]
+            scale, extents = levels[0]
             assert scale == 12 / side
+            image = D.bilinear_resize(frame, *extents)
             assert image.shape[2:] == (12, -(-(side + 3) * 12 // side)), side
 
     def test_too_small_frame_gives_empty_pyramid(self, caplog):
@@ -77,8 +78,8 @@ class TestPyramid:
         levels = D.build_image_pyramid(frame, config)
         scales = [scale for scale, _ in levels]
         assert all(a > b for a, b in zip(scales, scales[1:]))
-        for _, image in levels:
-            assert min(image.shape[2:]) >= 12
+        for _, extents in levels:
+            assert min(D.bilinear_resize(frame, *extents).shape[2:]) >= 12
         # No valid scale omitted: one more factor step must fall below the floor.
         assert 240 * scales[-1] * config.pyramid_factor < 12
 
@@ -567,15 +568,15 @@ class TestProposals:
         archive = zero_archive_for(D.build_pnet_layers())
         pnet = Network(D.build_pnet_layers(), archive)
         image = np.zeros((1, 3, 20, 20), np.float32)
-        props, scores, offsets = D.generate_proposals(image, 1.0, pnet,
-                                                      threshold=1.0)
+        props, scores, offsets = D.generate_proposals(
+            image, (1.0, (20, 20)), pnet, threshold=1.0)
         assert (props.shape, scores.shape, offsets.shape) == ((0, 4), (0,), (0, 4))
 
     def test_grid_cell_coordinate_mapping(self, cascade):
         rng = np.random.default_rng(8)
         image = rng.uniform(-1, 1, (1, 3, 16, 16)).astype(np.float32)
-        props, _, _ = D.generate_proposals(image, 0.5, cascade.pnet,
-                                           threshold=0.0)
+        props, _, _ = D.generate_proposals(image, (0.5, (16, 16)),
+                                           cascade.pnet, threshold=0.0)
         assert len(props) == 9   # 3x3 grid from a 16x16 level
         assert props[0].tolist() == [0.0, 0.0, 24.0, 24.0]
         # Row-major enumeration: second cell is (r=0, c=1) -> x1 = 2/0.5.
@@ -584,8 +585,8 @@ class TestProposals:
     def test_fully_convolutional_equals_sliding_window(self, cascade):
         rng = np.random.default_rng(9)
         image = rng.uniform(-1, 1, (1, 3, 24, 24)).astype(np.float32)
-        _, scores, _ = D.generate_proposals(image, 1.0, cascade.pnet,
-                                            threshold=0.0)
+        _, scores, _ = D.generate_proposals(image, (1.0, (24, 24)),
+                                            cascade.pnet, threshold=0.0)
         assert len(scores) == 49  # 7x7 cells over a 24x24 image
         k = 0
         for r in range(7):
@@ -595,6 +596,119 @@ class TestProposals:
                 assert scores[k] == pytest.approx(
                     float(probs[0, 1, 0, 0]), abs=1e-4)
                 k += 1
+
+
+class RecordingNetwork:
+    """A network as the detector uses it (``forward``, ``layers``,
+    ``input_shape``) that keeps every forward's input shape and result."""
+
+    def __init__(self, network):
+        self.network = network
+        self.layers, self.input_shape = network.layers, network.input_shape
+        self.shapes, self.results = [], []
+
+    def forward(self, x, taps=()):
+        result = self.network.forward(x, taps=taps)
+        self.shapes.append(x.shape)
+        self.results.append(result)
+        return result
+
+
+def banded_level(frame, level, pnet):
+    """Proposals of one level and pnet's forwards on its bands; asserts
+    that the bands, in order, hold the rows of the whole level's
+    probability map and ``pnet.reg`` output byte for byte."""
+    recording = RecordingNetwork(pnet)
+    proposals = D.generate_proposals(frame, level, recording, threshold=0.6)
+    image = D.bilinear_resize(frame, *level[1])
+    prob, taps = pnet.forward(image, taps=("pnet.reg",))
+    bands = recording.results
+    assert np.concatenate([p for p, _ in bands], axis=2).tobytes() == prob.tobytes()
+    assert np.concatenate([t["pnet.reg"] for _, t in bands],
+                          axis=2).tobytes() == taps["pnet.reg"].tobytes()
+    return proposals, recording.shapes
+
+
+class TestBandedProposals:
+    """pnet runs on bands of a level's grid rows, each band resized from
+    the frame, and gives the whole level's bytes."""
+
+    def test_every_level_of_a_1080p_frame(self, cascade):
+        frame = D.frame_to_tensor(fixtures.synthetic_frame(3, 1920, 1080))
+        levels = D.build_image_pyramid(frame, D.CascadeConfig())
+        assert len(levels) == 12
+        bands = [len(banded_level(frame, level, cascade.pnet)[1])
+                 for level in levels]
+        # Level 0, 1152x648, has 319 grid rows, each reading 27,648 more
+        # bytes of level rows: 9 grid rows to a band.
+        assert bands[0] == 319 // 9 and bands[-1] == 1, bands
+
+    @pytest.mark.parametrize("h, w", [(12, 12), (13, 40), (12, 57), (27, 16),
+                                      (41, 33), (64, 21)])
+    def test_band_sizes_and_level_shapes(self, cascade, monkeypatch, h, w):
+        """Levels with one grid row (heights 12 and 13), odd heights, and
+        an up- and a downscale of the frame, at four budgets: one grid row
+        per band, the largest budget that gives more than one band, the
+        smallest that gives one, and the default. Every budget gives the
+        same proposals."""
+        frame = D.frame_to_tensor(fixtures.synthetic_frame(6, 48, 36))
+        level = (0.75, (h, w))
+        grid_rows = (h - 12) // 2 + 1
+        row_bytes = 2 * w * 3 * 4
+        split, whole = (row_bytes * (grid_rows // 2 + k) for k in (0, 1))
+        want = None
+        for budget in (1, split, whole, T._BLOCK_BYTES):
+            monkeypatch.setattr(T, "_BLOCK_BYTES", budget)
+            proposals, shapes = banded_level(frame, level, cascade.pnet)
+            if budget == 1:
+                assert len(shapes) == grid_rows
+            elif budget == split:
+                assert (len(shapes) > 1) == (grid_rows > 1), shapes
+            elif budget == whole:
+                assert len(shapes) == 1
+            # Each band reads its grid rows' level rows and no more.
+            assert sum(shape[2] - 10 for shape in shapes) == 2 * grid_rows
+            got = [array.tobytes() for array in proposals]
+            want = want or got
+            assert got == want
+
+    def test_min_face_size_one_peak_memory_is_band_sized(self, cascade):
+        """min_face_size=1 upscales a 64x48 frame to a 768x576 first level,
+        whose whole-level forward peaked at 103-115 MiB; in bands the call
+        peaked at 11.7-12.9 MiB over nine runs. The bound is the largest
+        peak plus 50%."""
+        frame = D.frame_to_tensor(fixtures.synthetic_frame(1, 64, 48))
+        config = D.CascadeConfig(min_face_size=1)
+        assert D.build_image_pyramid(frame, config)[0] == (12.0, (576, 768))
+        tracemalloc.start()
+        try:
+            D.detect_faces(frame, cascade, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 12.9 * 2**20, peak / 2**20
+
+    def test_detect_faces_equal_with_whole_levels(self, cascade, monkeypatch):
+        """The golden frame's faces and funnel are the same with bands of
+        one grid row, at the default budget, and with every level (and
+        every crop batch) in one piece."""
+        frame = D.frame_to_tensor(fixtures.synthetic_frame(0, 640, 360))
+        config = D.CascadeConfig()
+        results = {}
+        for budget in (1, T._BLOCK_BYTES, 1 << 40):
+            monkeypatch.setattr(T, "_BLOCK_BYTES", budget)
+            pnet = RecordingNetwork(cascade.pnet)
+            networks = D.CascadeNetworks(pnet, cascade.rnet, cascade.onet)
+            trace = {}
+            results[budget] = (D.detect_faces(frame, networks, config,
+                                              trace=trace), trace)
+            if budget == 1 << 40:
+                assert len(pnet.shapes) == trace["levels"] == 9
+            else:
+                assert len(pnet.shapes) > trace["levels"]
+        _, (faces, trace) = results.popitem()
+        assert faces and all(result == (faces, trace)
+                             for result in results.values())
 
 
 def crafted_onet(prob_bias=(-5.0, 5.0), landmark_bias=0.5):
@@ -659,6 +773,31 @@ class TestRefineStage:
         D.refine_stage(frame, boxes((10, 10, 30, 30), (-5, 0, 40, 50)),
                        Recording(), 0.5, heads)
         assert shapes == [(2, 3, region, region)]
+
+    @pytest.mark.parametrize("stage, heads", [("rnet", RNET_HEADS),
+                                              ("onet", ONET_HEADS),
+                                              ("rnet", ())])
+    def test_forward_crops_equals_one_forward(self, cascade, stage, heads):
+        """Crops sampled and forwarded unit by unit give the bytes of one
+        forward over the whole batch of crops, taps included."""
+        network = getattr(cascade, stage)
+        extent = network.input_shape[-1]
+        rng = np.random.default_rng(len(heads) + extent)
+        frame = D.frame_to_tensor(fixtures.synthetic_frame(3, 160, 120))
+        corner = rng.uniform(-20, 150, (230, 2))
+        crop_boxes = np.hstack([corner, corner + rng.uniform(8, 60, (230, 2))])
+        recording = RecordingNetwork(network)
+        got = D.forward_crops(frame, crop_boxes, recording, extent, heads)
+        count, _ = T.read_extent(network.layers, (extent, extent), heads)
+        want = network.forward(
+            D.crop_resize_batch(frame, crop_boxes, extent, count), taps=heads)
+        assert len(recording.shapes) > 2
+        assert {shape[1:] for shape in recording.shapes} == {(3, count, count)}
+        if heads:
+            (got, got_taps), (want, want_taps) = got, want
+            assert {name: got_taps[name].tobytes() for name in heads} == {
+                name: want_taps[name].tobytes() for name in heads}
+        assert got.tobytes() == want.tobytes()
 
     def test_all_rejected_when_scores_low(self):
         rnet = crafted_rnet()  # every score 0.5

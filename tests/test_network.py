@@ -639,19 +639,19 @@ def golden_crops(fixture_networks):
     """The golden frame's stage-1 rnet crops and stage-2 onet crops, whole:
     the detector itself samples only the region its heads read."""
     crops = {}
-    crop = D.crop_resize_batch
+    forward_crops = D.forward_crops
 
-    def record(image, boxes, extent, count=None):
-        crops["rnet" if extent == D.RNET_EXTENT else "onet"] = crop(
-            image, boxes, extent)
-        return crop(image, boxes, extent, count)
+    def record(image, boxes, network, extent, taps=()):
+        crops["rnet" if extent == D.RNET_EXTENT else "onet"] = (
+            D.crop_resize_batch(image, boxes, extent))
+        return forward_crops(image, boxes, network, extent, taps)
 
     networks = CascadeNetworks(*(fixture_networks[name]
                                  for name in ("pnet", "rnet", "onet")))
     frame = fixtures.synthetic_frame(GOLDEN_FRAME_SEED, GOLDEN_WIDTH,
                                      GOLDEN_HEIGHT)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(D, "crop_resize_batch", record)
+        patch.setattr(D, "forward_crops", record)
         D.detect_faces(frame_to_tensor(frame), networks, D.CascadeConfig())
     return crops
 

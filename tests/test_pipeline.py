@@ -270,6 +270,39 @@ class TestProcessFrame:
                         trace=trace)
         assert trace == golden["trace"]
 
+    def test_timing_keys_and_funnel(self, golden, stack):
+        """``detect_faces`` times its four stages under their keys (the
+        pyramid plan, then stages 1-3, the level resizing inside stage 1)
+        and counts the golden funnel."""
+        networks, _, _ = stack
+        seed, width, height = (golden["frame"][key]
+                               for key in ("seed", "width", "height"))
+        frame = D.frame_to_tensor(fixtures.synthetic_frame(seed, width, height))
+        timings, trace = {}, {}
+        D.detect_faces(frame, networks, D.CascadeConfig(), timings=timings,
+                       trace=trace)
+        assert sorted(timings) == ["pyramid", "stage1", "stage2", "stage3"]
+        assert all(seconds >= 0 for seconds in timings.values())
+        assert trace == golden["trace"]
+
+    def test_1080p_peak_memory(self, stack):
+        """A 1920x1080 frame's arrays are its own (the frame tensor and its
+        zero-bordered copy for crops, 24 MiB each) plus those of the units in
+        flight: over nine runs on three frames the call peaked at 59.8-61.4
+        MiB, where whole pyramid levels and crop batches peaked at
+        187-212 MiB. The bound is the largest peak plus 25%."""
+        networks, classifier, spec = stack
+        frame = P.Frame(index=0, width=1920, height=1080,
+                        pixels=fixtures.synthetic_frame(0, 1920, 1080))
+        tracemalloc.start()
+        try:
+            P.process_frame(frame, networks, classifier, D.CascadeConfig(),
+                            spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 61.4 * 2**20, peak / 2**20
+
     def test_concurrent_frames_match_golden(self, golden, stack):
         """Three threads run the golden frame at once, their units sharing
         the helper pool; each gets the golden funnel and detections."""
@@ -322,12 +355,11 @@ class TestProcessFrame:
         seed, width, height = (golden["frame"][key]
                                for key in ("seed", "width", "height"))
         frame = D.frame_to_tensor(fixtures.synthetic_frame(seed, width, height))
-        crop = D.crop_resize_batch
+        forward_crops = D.forward_crops
         squares = []
-        monkeypatch.setattr(D, "crop_resize_batch",
-                            lambda image, boxes, e, count=None:
-                            squares.append(boxes)
-                            or crop(image, boxes, e, count))
+        monkeypatch.setattr(D, "forward_crops",
+                            lambda image, boxes, *args: squares.append(boxes)
+                            or forward_crops(image, boxes, *args))
         faces = D.detect_faces(frame, networks, D.CascadeConfig())
         monkeypatch.undo()
         stage1, stage2 = squares
@@ -656,9 +688,9 @@ def poison_third_level(monkeypatch):
     plain loop over the levels raises."""
     resize, calls = D.bilinear_resize, []
 
-    def resize_poisoned(image, out_h, out_w):
+    def resize_poisoned(image, out_h, out_w, rows=slice(None)):
         calls.append(out_h)
-        level = resize(image, out_h, out_w)
+        level = resize(image, out_h, out_w, rows)
         return np.full_like(level, np.nan) if len(calls) == 3 else level
 
     monkeypatch.setattr(D, "bilinear_resize", resize_poisoned)

@@ -14,11 +14,11 @@ crops. The pyramid is a plan of level extents; pnet runs on bands of a
 level's output rows, each resizing only the level rows it reads straight
 from the frame. A refinement stage (and the classifier, through
 :func:`forward_crops`) samples and forwards its crops one
-:func:`row_chunks` unit at a time from one zero-bordered table of the
-frame. Every output is byte-identical to a whole-level, whole-batch run:
-each matrix product row is batch-invariant, pooling and element-wise
-layers work per position, and a band starts on an even level row, so 2x2
-pooling keeps its alignment.
+:func:`row_chunks` unit at a time, straight from the frame's own memory.
+Every output is byte-identical to a whole-level, whole-batch run: each
+matrix product row is batch-invariant, pooling and element-wise layers
+work per position, and a band starts on an even level row, so 2x2 pooling
+keeps its alignment.
 
 Pixel tensors entering the cascade are normalized as (v - 127.5) / 128;
 :func:`frame_to_tensor` applies the convention.
@@ -29,7 +29,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -468,63 +468,69 @@ def crop_resize_batch(frame: Tensor, boxes: np.ndarray, out_extent: int,
     Returns a (len(boxes), C, count, count) batch (count defaults to E), a
     view of channels-last memory. The sample points are those of the E x E
     grid, one box side / E apart, so a cut crop's bytes are the full crop's
-    ``[:, :, :count, :count]``. Sample points outside the frame contribute
-    zero, so boxes hanging past the edges come back zero-padded. The crops
-    are filled in :func:`row_chunks` blocks, side by side through
-    :func:`parallel_map`; each crop's bits depend only on its own box, not
-    on the block size or the rest of the batch.
+    ``[:, :, :count, :count]``. Pixels are gathered at indices clipped into
+    the frame, and each gathered crop row or column outside it is set to
+    +0.0, so boxes hanging past the edges come back zero-padded. The crops
+    are filled in :func:`row_chunks` blocks, one after another; each crop's
+    bits depend only on its own box, not on the block size or the rest of
+    the batch.
     """
-    sample = _crop_sampler(frame, out_extent, count)
     e, c = out_extent if count is None else count, frame.shape[1]
+    pixels = np.ascontiguousarray(frame[0].transpose(1, 2, 0))
     out = np.empty((len(boxes), e, e * c), np.float32)
-    parallel_map(lambda b: sample(boxes[b], out[b]),
-                 row_chunks(len(out), out[:1].nbytes))
+    for block in row_chunks(len(out), out[:1].nbytes):
+        _sample_crops(pixels, boxes[block], out_extent, e, out[block])
     return out.reshape(-1, e, e, c).transpose(0, 3, 1, 2)
 
 
-def _crop_sampler(frame: Tensor, out_extent: int, count: int | None = None
-                  ) -> Callable[..., Tensor]:
-    """``sample(boxes, out=None)``: the crops :func:`crop_resize_batch`
-    makes of ``boxes``, written to ``out`` ((N, count, count*C) float32)
-    when given. The frame's zero-bordered copy is made here, once for every
-    call of ``sample``; each call works out only its own boxes' sample
-    points, so its arrays grow with its boxes, not with all of them."""
-    if out_extent < 1:
-        raise ValueError(f"out_extent must be positive, got {out_extent}")
-    e = out_extent if count is None else count
-    _, c, h, w = frame.shape
-    grid = np.arange(e, dtype=np.float64) + 0.5
-    # Pixel (y, x) is row (y + 1) * (W + 2) + x + 1 of the zero-bordered
-    # (H+2)*(W+2) x C table; every sample outside the frame clips onto the
-    # border. Each gathered pixel is then one take of C adjacent values.
-    table = np.pad(frame[0].transpose(1, 2, 0),
-                   ((1, 1), (1, 1), (0, 0))).reshape(-1, c)
-    last = np.array([[w], [h]])  # x of the right border, y of the bottom
+def _sample_crops(pixels: np.ndarray, boxes: np.ndarray, extent: int,
+                  count: int, out: np.ndarray | None = None) -> Tensor:
+    """The crops :func:`crop_resize_batch` makes of ``boxes``, written to
+    ``out`` ((N, count, count*C) float32) when given, gathered from
+    ``pixels``, the frame as a C-contiguous (H, W, C) array (its own memory
+    when channels-last). Its arrays grow with ``boxes``, not the frame."""
+    if extent < 1:
+        raise ValueError(f"out_extent must be positive, got {extent}")
+    h, w, c = pixels.shape
+    table = pixels.reshape(-1, c)
+    origin = boxes[:, :2, None]
+    grid = np.arange(count, dtype=np.float64) + 0.5
+    src = origin + grid * ((boxes[:, 2:, None] - origin) / extent) - 0.5
+    # A position before -1 or past the far edge reads two outside pixels,
+    # so moving it to -2 or to the edge changes no byte, and keeps the
+    # int64 cast exact for boxes of any finite size.
+    sides = np.array([[w], [h]])
+    src = np.clip(src, -2.0, sides)
+    lo = np.floor(src)  # (N, 2, count): x, then y
+    fx, fy = (src - lo).astype(np.float32).transpose(1, 0, 2)
+    lo = lo.astype(np.int64)
+    # Per axis: indices clipped into the frame, and where they were outside.
+    (x0, y0), (x1, y1) = (zip(np.clip(i, 0, sides - 1).transpose(1, 0, 2),
+                              ((i < 0) | (i >= sides)).transpose(1, 0, 2))
+                          for i in (lo, lo + 1))
 
-    def gather(row: np.ndarray, col: np.ndarray) -> Tensor:
-        """Pixels at (row[n, i], col[n, j]) -> (N, e, e*C)."""
-        rows = table.take(row[:, :, None] + col[:, None, :], axis=0)
-        return rows.reshape(len(rows), e, e * c)
+    def gather(row, row_out, col, col_out, weight) -> np.ndarray:
+        """Pixels at (row[n, i], col[n, j]) -> (N, count, count*C), +0.0 in
+        the crop rows and columns outside the frame, times ``weight``."""
+        crops = table.take(row[:, :, None] * w + col[:, None, :], axis=0)
+        crops[row_out] = 0.0
+        crops.transpose(0, 2, 1, 3)[col_out] = 0.0
+        crops = crops.reshape(len(crops), count, count * c)
+        crops *= weight
+        return crops
 
-    def sample(boxes: np.ndarray, out: np.ndarray | None = None) -> Tensor:
-        origin = boxes[:, :2, None]
-        src = origin + grid * ((boxes[:, 2:, None] - origin) / out_extent) - 0.5
-        lo = np.floor(src)  # (N, 2, e): x, then y
-        fx, fy = (src - lo).astype(np.float32).transpose(1, 0, 2)
-        lo = lo.astype(np.int64)
-        (col0, row0), (col1, row1) = (
-            (np.clip(i, -1, last) + 1).transpose(1, 0, 2) for i in (lo, lo + 1))
-        row0, row1 = row0 * (w + 2), row1 * (w + 2)
-        # Each crop row is e*C floats: the x-weights repeat over the
-        # channels, so every product below runs one e*C-long inner loop.
-        wx0, wx1 = (np.repeat(v, c, axis=1)[:, None, :] for v in (1 - fx, fx))
-        wy0, wy1 = (1 - fy)[:, :, None], fy[:, :, None]
-        top = gather(row0, col0) * wx0 + gather(row0, col1) * wx1
-        bottom = gather(row1, col0) * wx0 + gather(row1, col1) * wx1
-        out = np.add(top * wy0, bottom * wy1, out=out)
-        return out.reshape(-1, e, e, c).transpose(0, 3, 1, 2)
-
-    return sample
+    # Each crop row is count*C floats: the x-weights repeat over the
+    # channels, so every product below runs one count*C-long inner loop,
+    # in place on the gathered pixels.
+    wx0, wx1 = (np.repeat(v, c, axis=1)[:, None, :] for v in (1 - fx, fx))
+    top = gather(*y0, *x0, wx0)
+    top += gather(*y0, *x1, wx1)
+    bottom = gather(*y1, *x0, wx0)
+    bottom += gather(*y1, *x1, wx1)
+    top *= (1 - fy)[:, :, None]
+    bottom *= fy[:, :, None]
+    out = np.add(top, bottom, out=out)
+    return out.reshape(-1, count, count, c).transpose(0, 3, 1, 2)
 
 
 def forward_crops(frame: Tensor, boxes: np.ndarray, network: Network,
@@ -536,16 +542,17 @@ def forward_crops(frame: Tensor, boxes: np.ndarray, network: Network,
     (:func:`read_extent` of ``network.layers``) is sampled. The boxes are
     split into :func:`row_chunks` units by that region's bytes, and each
     unit, side by side through :func:`parallel_map`, samples its own crops
-    from one zero-bordered copy of the frame and runs its own forward, so
-    the whole batch of crops never exists.
+    straight from the frame and runs its own forward, so neither a copy of
+    the frame nor the whole batch of crops ever exists.
     """
     count, _ = read_extent(network.layers, (extent, extent), taps)
-    sample = _crop_sampler(frame, extent, count)
+    pixels = np.ascontiguousarray(frame[0].transpose(1, 2, 0))
 
     def unit(chunk: slice) -> list[Tensor]:
+        crops = _sample_crops(pixels, boxes[chunk], extent, count)
         if not taps:
-            return [network.forward(sample(boxes[chunk]))]
-        out, tapped = network.forward(sample(boxes[chunk]), taps=taps)
+            return [network.forward(crops)]
+        out, tapped = network.forward(crops, taps=taps)
         return [out, *(tapped[name] for name in taps)]
 
     parts = parallel_map(unit, row_chunks(

@@ -1,8 +1,9 @@
 """Slow, independent reference implementations used as oracles by the tests
 and by ``cascadet selfcheck``.
 
-Everything here computes in float64, with explicit scalar loops or, for
-whole networks, window einsums, and stays deliberately ignorant of how the
+Everything here computes in float64 (:func:`greedy_loop_nms` in the boxes'
+dtype, as ``detector.nms`` does), with explicit scalar loops or, for whole
+networks, window einsums, and stays deliberately ignorant of how the
 package implements the same operations.
 """
 
@@ -151,33 +152,29 @@ def naive_crop_resize(frame, box, extent):
     return out
 
 
-def brute_force_nms(boxes, scores, threshold, mode="union"):
-    """Indices kept by checking every box against every kept box, in
-    score-then-index order. ``boxes`` rows are (x1, y1, x2, y2)."""
-    boxes = np.asarray(boxes, dtype=np.float64).tolist()
-    scores = np.asarray(scores, dtype=np.float64).tolist()
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+def greedy_loop_nms(boxes, scores, threshold, mode="union"):
+    """Greedy suppression the plain way: each kept box is scored against
+    every box still remaining, in the boxes' own dtype. It follows
+    ``detector.nms``'s rules: ranks by descending score, ties by the lower
+    index and NaN scores last (``lexsort``); a NaN overlap suppresses; the
+    kept indices come back as an ``intp`` array."""
+    x1, y1, x2, y2 = boxes.T
+    areas = (x2 - x1) * (y2 - y1)
+    order = np.lexsort((np.arange(len(scores)), -scores))
     kept = []
-    for i in order:
-        x1, y1, x2, y2 = boxes[i]
-        ok = True
-        for k in kept:
-            ox1, oy1, ox2, oy2 = boxes[k]
-            ix = max(0.0, min(x2, ox2) - max(x1, ox1))
-            iy = max(0.0, min(y2, oy2) - max(y1, oy1))
-            inter = ix * iy
-            area = (x2 - x1) * (y2 - y1)
-            other_area = (ox2 - ox1) * (oy2 - oy1)
-            if mode == "union":
-                overlap = inter / (area + other_area - inter)
-            else:
-                overlap = inter / min(area, other_area)
-            if overlap > threshold:
-                ok = False
-                break
-        if ok:
-            kept.append(i)
-    return kept
+    while order.size:
+        i = order[0]
+        kept.append(int(i))
+        rest = order[1:]
+        ix = np.maximum(0.0, np.minimum(x2[i], x2[rest]) - np.maximum(x1[i], x1[rest]))
+        iy = np.maximum(0.0, np.minimum(y2[i], y2[rest]) - np.maximum(y1[i], y1[rest]))
+        inter = ix * iy
+        if mode == "union":
+            overlap = inter / (areas[i] + areas[rest] - inter)
+        else:
+            overlap = inter / np.minimum(areas[i], areas[rest])
+        order = rest[overlap <= threshold]
+    return np.array(kept, dtype=np.intp)
 
 
 def raster_iou(a, b):

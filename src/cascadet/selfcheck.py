@@ -1,8 +1,8 @@
 """Built-in oracle suites, runnable from the CLI.
 
 Each check recomputes an operator's result with a slow, obviously correct
-reference (scalar loops, brute-force suppression, finite differences, a
-float64 forward) and compares. Intended as a quick field diagnostic; the
+reference (scalar loops, the plain greedy suppression loop, finite
+differences, a float64 forward) and compares. Intended as a quick field diagnostic; the
 full test suite covers the same ground more thoroughly.
 """
 
@@ -12,7 +12,7 @@ import numpy as np
 
 from . import detector, fixtures, losses, tensor, weights
 from .classifier import BackboneSpec, build_classifier
-from .oracles import (brute_force_nms, central_difference, naive_conv2d,
+from .oracles import (central_difference, greedy_loop_nms, naive_conv2d,
                       naive_crop_resize, reference_forward, relative_gap)
 
 # The pre-softmax outputs of each fixture network, and the largest relative
@@ -98,28 +98,23 @@ def _check_crop(rng) -> bool:
 
 
 def _check_nms(rng) -> bool:
+    cases = []
     for _ in range(20):
         boxes, scores = [], []
         for _ in range(30):
             x1, y1 = rng.uniform(0, 50, size=2)
             boxes.append((x1, y1, x1 + rng.uniform(5, 30), y1 + rng.uniform(5, 30)))
             scores.append(rng.uniform(0, 1))
-        boxes, scores = np.array(boxes), np.array(scores)
-        for mode in ("union", "min"):
-            got = detector.nms(boxes, scores, 0.5, mode)
-            if got.tolist() != brute_force_nms(boxes, scores, 0.5, mode):
-                return False
+        cases.append((np.array(boxes), np.array(scores)))
     # A proposal level: 300 of the 12-pixel boxes at stride 2 on a 30x30
     # grid, where the pair sweep leaves out most pairs.
     cells = rng.choice(900, size=300, replace=False)
     corner = detector.PNET_STRIDE * np.stack([cells % 30, cells // 30], axis=1)
     boxes = np.hstack([corner, corner + detector.PNET_EXTENT]).astype(np.float64)
-    scores = rng.uniform(0, 1, len(boxes))
-    for mode in ("union", "min"):
-        got = detector.nms(boxes, scores, 0.5, mode)
-        if got.tolist() != brute_force_nms(boxes, scores, 0.5, mode):
-            return False
-    return True
+    cases.append((boxes, rng.uniform(0, 1, len(boxes))))
+    return all(detector.nms(boxes, scores, 0.5, mode).tolist()
+               == greedy_loop_nms(boxes, scores, 0.5, mode).tolist()
+               for boxes, scores in cases for mode in ("union", "min"))
 
 
 def _check_networks(networks) -> bool:
@@ -194,7 +189,7 @@ def run_selfcheck() -> bool:
         checks = [
             ("convolution vs scalar loop", _check_conv(rng)),
             ("softmax normalization", _check_softmax(rng)),
-            ("greedy NMS vs brute force", _check_nms(rng)),
+            ("greedy NMS vs plain greedy loop", _check_nms(rng)),
             ("analytic vs finite-difference gradients", _check_gradients(rng)),
             ("weight archive round-trip and corruption", _check_archive(Path(tmp))),
             ("crop sampler vs scalar loop", _check_crop(rng)),

@@ -16,9 +16,9 @@ memory order it is given.
 Every matrix product (:func:`conv2d`, :func:`dense`) runs in tiles of exactly
 ``_TILE_ROWS`` rows, so a row's bits never depend on the rest of its batch
 (batch-invariant kernels, He et al. 2025). :func:`row_chunks` splits a batch
-by ``_BLOCK_BYTES`` of input rows; a :class:`Network`, the crop sampler
-and the detector's pnet bands and crop units run on its slices, so their
-temporaries grow with a chunk, not the batch or the pyramid level.
+by ``_BLOCK_BYTES`` of input rows; a :class:`Network` and the detector's
+pnet bands, crop units and crop blocks run on its slices, so temporaries
+grow with a chunk, not with the batch, the pyramid level or the frame.
 :func:`read_extent` finds, from layer geometry, the top-left region of an
 input that a network's requested outputs read, and :meth:`Network.forward`
 cuts its input to that region first: rows and columns that floor pooling
@@ -28,10 +28,10 @@ One helper runs a frame's independent units side by side:
 :func:`parallel_map` maps a function over its items on the calling thread
 and on a one-thread ``ThreadPoolExecutor`` when this process may run on two
 or more cores. Its units are a network's chunks and the detector's pyramid
-levels, crop blocks and crop units. The executor has no setting: its size
-follows the CPU affinity, and it is made on first use, so a one-core
-process never starts a thread. Results are joined in input order, so
-outputs are byte-identical at any core count.
+levels and crop units. The executor has no setting: its size follows the
+CPU affinity, and it is made on first use, so a one-core process never
+starts a thread. Results are joined in input order, so outputs are
+byte-identical at any core count.
 
 Operators are pure functions: inputs are never modified, except that
 :func:`prelu` writes to ``out`` when given one, and repeated calls on

@@ -286,11 +286,13 @@ class TestProcessFrame:
         assert trace == golden["trace"]
 
     def test_1080p_peak_memory(self, stack):
-        """A 1920x1080 frame's arrays are its own (the frame tensor and its
-        zero-bordered copy for crops, 24 MiB each) plus those of the units in
-        flight: over nine runs on three frames the call peaked at 59.8-61.4
-        MiB, where whole pyramid levels and crop batches peaked at
-        187-212 MiB. The bound is the largest peak plus 25%."""
+        """A 1920x1080 frame's arrays are its own plus those of the units in
+        flight. Over nine runs on three frames the call peaked at 47.5 MiB,
+        when ``frame_to_tensor`` holds two float32 frames of 24 MiB; crops
+        are gathered from the frame itself. A zero-bordered copy of the
+        frame for crops made it 59.8-61.4 MiB, and whole pyramid levels and
+        crop batches 187-212 MiB. The bound, kept from the bordered copy's
+        time, is its largest peak plus 25%."""
         networks, classifier, spec = stack
         frame = P.Frame(index=0, width=1920, height=1080,
                         pixels=fixtures.synthetic_frame(0, 1920, 1080))

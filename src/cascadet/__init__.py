@@ -5,6 +5,12 @@ evaluation metrics.
 Everything runs on the CPU through a small deterministic operator library
 (:mod:`cascadet.tensor`). Outputs are bit-reproducible for fixed inputs and
 weights.
+
+Importing the package sets two process-wide policies, whatever was imported
+before it: BLAS runs on one thread, and on glibc, malloc keeps one arena for
+every thread. The first keeps reductions in a fixed order; the second lets
+the frame and helper threads reuse memory other threads freed, so a process
+holds one heap rather than one per thread.
 """
 
 import ctypes
@@ -81,5 +87,33 @@ if "numpy" in sys.modules and not _pin_loaded_openblas():
         "pinned to one thread, so outputs may not be bit-reproducible; set "
         "OPENBLAS_NUM_THREADS=1 (or OMP_NUM_THREADS=1, MKL_NUM_THREADS=1) "
         "before numpy is imported")
+
+# mallopt's M_ARENA_MAX. glibc gives each new thread an arena of its own (up
+# to eight per core on 64-bit hosts), and a freed block is reused only by the
+# arena it came from, so frame and helper threads would grow heaps of their
+# own beside the memory the main thread has freed (weight archives, a warm-up
+# frame). Where memory lives never changes arithmetic: outputs keep their
+# bits. Unless told, glibc fixes its limit only when a thread asks for a new
+# arena while more than eight exist, so the call also holds for threads
+# started before the import, except that a thread which already has an
+# arena keeps it.
+_M_ARENA_MAX = -8
+
+
+def _limit_malloc_arenas() -> None:
+    """Give every thread of this process glibc's main arena; elsewhere do
+    nothing."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):  # no confstr or that name
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_ARENA_MAX, 1)
+
+
+_limit_malloc_arenas()
 
 __version__ = "0.1.0"

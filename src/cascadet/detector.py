@@ -95,7 +95,10 @@ def frame_to_tensor(pixels: np.ndarray) -> Tensor:
     arr = np.asarray(pixels)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValueError(f"expected HxWx3 pixels, got shape {arr.shape}")
-    arr = (arr.astype(np.float32) - 127.5) / 128.0
+    # In place on the one cast copy: the bits of (v - 127.5) / 128 in float32.
+    arr = arr.astype(np.float32)
+    arr -= 127.5
+    arr /= 128.0
     return arr.transpose(2, 0, 1)[None]
 
 
@@ -453,10 +456,16 @@ def calibrate(boxes: np.ndarray,
 
 
 def square_pad(boxes: np.ndarray) -> np.ndarray:
-    """Smallest squares with the same centers and side max(width, height)."""
-    size = boxes[:, 2:] - boxes[:, :2]
-    half = (np.maximum(size[:, 0], size[:, 1]) / 2.0)[:, None]
-    center = (boxes[:, :2] + boxes[:, 2:]) / 2.0
+    """Smallest squares with the same centers and side max(width, height).
+
+    Corners are halved before they are subtracted or added, so a finite box
+    wider than the float range gives finite half-sides and centers. Halving
+    is exact for a corner that is 0 or at least 2**-1021 in magnitude, so
+    there the bits are those of ``(x2 - x1) / 2`` and ``(x1 + x2) / 2``."""
+    lo, hi = boxes[:, :2] / 2.0, boxes[:, 2:] / 2.0
+    halves = hi - lo
+    half = np.maximum(halves[:, :1], halves[:, 1:])
+    center = lo + hi
     return np.hstack([center - half, center + half])
 
 
@@ -495,7 +504,11 @@ def _sample_crops(pixels: np.ndarray, boxes: np.ndarray, extent: int,
     table = pixels.reshape(-1, c)
     origin = boxes[:, :2, None]
     grid = np.arange(count, dtype=np.float64) + 0.5
-    src = origin + grid * ((boxes[:, 2:, None] - origin) / extent) - 0.5
+    # A side past the float64 range is +inf: every sample lies past the far
+    # edge, where the crop is +0.0.
+    with np.errstate(over="ignore"):
+        side = boxes[:, 2:, None] - origin
+    src = origin + grid * (side / extent) - 0.5
     # A position before -1 or past the far edge reads two outside pixels,
     # so moving it to -2 or to the edge changes no byte, and keeps the
     # int64 cast exact for boxes of any finite size.

@@ -33,10 +33,12 @@ CPU affinity, and it is made on first use, so a one-core process never
 starts a thread. Results are joined in input order, so outputs are
 byte-identical at any core count.
 
-Operators are pure functions: inputs are never modified, except that
-:func:`prelu` writes to ``out`` when given one, and repeated calls on
+Operators are pure functions: inputs are never modified, except that the
+element-wise :func:`prelu`, :func:`relu`, :func:`relu6` and batch norm's
+scale and shift write to ``out`` when given one, and repeated calls on
 identical inputs return bit-identical results. :class:`Network` passes
-``out`` only for an intermediate that no one else holds. Dense reductions go
+``out`` only for an intermediate that no one else holds, and a bottleneck
+block writes over its own intermediates. Dense reductions go
 through single-threaded BLAS (pinned in :mod:`cascadet`), which keeps the
 reduction order fixed across runs and caller thread counts.
 
@@ -134,10 +136,8 @@ def parallel_map(fn: Callable, items: Iterable) -> list:
             errors.append((i, exc))
 
     futures = [pool.submit(run, i) for i in range(1, len(items))]
-    # The caller runs item 0 itself. Handed to the helper as well, it raised
-    # the peak RSS of 6 frames x 2 at 640x360 from 125-126 MB to 135 MB,
-    # likely because a pyramid's first and largest level then grows the
-    # helper's malloc arena.
+    # The caller runs item 0 itself, so it and a helper start on the first
+    # two items at once instead of the caller waiting for a free helper.
     run(0)
     # An item no helper has taken runs here; a cancelled future is not
     # waited on, since it stays queued behind whatever a helper is running.
@@ -248,12 +248,14 @@ def depthwise_conv2d(x: Tensor, weight: Tensor, stride: int = 1,
     # shape a LayerSpec builds: from +0.0, adding each kernel row's sum,
     # itself accumulated left to right from the row's first product.
     out = np.zeros_like(x, shape=(n, c, out_h, out_w))
+    row, tap = np.empty_like(out), np.empty_like(out)
     for i in range(kh):
-        row = None
         for j in range(kw):
-            tap = x[:, :, i:i + stride * (out_h - 1) + 1:stride,
-                    j:j + stride * (out_w - 1) + 1:stride] * taps[:, i, j]
-            row = tap if row is None else np.add(row, tap, out=row)
+            np.multiply(x[:, :, i:i + stride * (out_h - 1) + 1:stride,
+                          j:j + stride * (out_w - 1) + 1:stride],
+                        taps[:, i, j], out=tap if j else row)
+            if j:
+                row += tap
         out += row
     return out
 
@@ -277,13 +279,17 @@ def _norm_affine(gamma: Tensor, beta: Tensor, mean: Tensor,
     return scale, beta - mean * scale
 
 
-def _scale_shift(scale: Tensor, shift: Tensor, x: Tensor) -> Tensor:
-    """``x * scale + shift`` with one scale and shift per channel (axis 1);
-    the parameters come first, to be bound with :func:`functools.partial`."""
+def _scale_shift(scale: Tensor, shift: Tensor, x: Tensor,
+                 out: Tensor | None = None) -> Tensor:
+    """``x * scale + shift`` with one scale and shift per channel (axis 1),
+    written to ``out`` when given (it may be ``x``); the parameters come
+    first, to be bound with :func:`functools.partial`."""
     x = _as_f32(x)
     _check_channels("batch_norm", x, "gamma", scale.size)
     shape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
-    return x * scale.reshape(shape) + shift.reshape(shape)
+    out = np.multiply(x, scale.reshape(shape), out=out)
+    out += shift.reshape(shape)
+    return out
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, mean: Tensor,
@@ -292,14 +298,14 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, mean: Tensor,
     return _scale_shift(*_norm_affine(gamma, beta, mean, variance, epsilon), x)
 
 
-def relu6(x: Tensor) -> Tensor:
-    """Clamp to [0, 6] elementwise."""
-    return np.clip(_as_f32(x), 0.0, 6.0)
+def relu6(x: Tensor, out: Tensor | None = None) -> Tensor:
+    """Clamp to [0, 6] elementwise, into ``out`` when given."""
+    return np.clip(_as_f32(x), 0.0, 6.0, out=out)
 
 
-def relu(x: Tensor) -> Tensor:
-    """Clamp negatives to zero elementwise."""
-    return np.maximum(_as_f32(x), np.float32(0.0))
+def relu(x: Tensor, out: Tensor | None = None) -> Tensor:
+    """Clamp negatives to zero elementwise, into ``out`` when given."""
+    return np.maximum(_as_f32(x), np.float32(0.0), out=out)
 
 
 def prelu(x: Tensor, alpha: Tensor, out: Tensor | None = None) -> Tensor:
@@ -534,20 +540,28 @@ def _compile(layer: LayerSpec, params: dict) -> Callable[[Tensor], Tensor]:
     project_weight, project_norm = params["project_weight"], norm("project_norm")
 
     def bottleneck(x: Tensor) -> Tensor:
+        # Each convolution's output is the block's own: the norms, clamps
+        # and the residual add write over it. ``x`` is only read.
         h = x
         if expansion > 1:
-            h = relu6(expand_norm(conv2d(h, expand_weight)))
+            h = conv2d(h, expand_weight)
+            relu6(expand_norm(h, out=h), out=h)
         # parameter_shapes fixes the depthwise kernel at 3x3: "same" padding 1.
-        h = relu6(depthwise_norm(depthwise_conv2d(h, depthwise_weight,
-                                                  stride=stride, padding=1)))
-        h = project_norm(conv2d(h, project_weight))
-        return h + x if residual else h
+        h = depthwise_conv2d(h, depthwise_weight, stride=stride, padding=1)
+        relu6(depthwise_norm(h, out=h), out=h)
+        h = conv2d(h, project_weight)
+        project_norm(h, out=h)
+        if residual:
+            h += x
+        return h
 
     return bottleneck
 
 
-# Layers whose output at a position reads only their input at that position.
+# Layers whose output at a position reads only their input at that position;
+# all but softmax can write their output over their input.
 _ELEMENTWISE = frozenset({"batch-norm", "relu6", "relu", "prelu", "softmax"})
+_IN_PLACE = _ELEMENTWISE - {"softmax"}
 
 
 def read_extent(layers: Iterable[LayerSpec], extent: tuple[int, int],
@@ -641,7 +655,8 @@ class Network:
                     f"layer {layer.name!r} feeds from unknown layer "
                     f"{layer.feeds_from!r}")
             known.add(layer.name)
-            steps.append((layer.name, layer.feeds_from, layer.kind == "prelu",
+            steps.append((layer.name, layer.feeds_from,
+                          layer.kind in _IN_PLACE,
                           _compile(layer, _bind(layer, archive))))
         self._steps = tuple(steps)
 
@@ -650,8 +665,9 @@ class Network:
 
         With ``taps`` the return value is ``(output, {name: tensor})`` for
         the named intermediate layers. ``x``, the taps and every
-        ``feeds_from`` source are never written; a PReLU overwrites any
-        other intermediate with its own output.
+        ``feeds_from`` source are never written; an element-wise layer
+        other than softmax overwrites any other intermediate with its own
+        output.
 
         A rank-4 ``x`` is first cut, as a view, to the top-left region that
         the output and taps read (:func:`read_extent`), and the batch is
@@ -686,7 +702,8 @@ class Network:
         the output of each layer in ``taps``."""
         # Whether ``current`` is an intermediate no one else holds: not the
         # caller's input, a tap or a ``feeds_from`` source. No operator
-        # returns a view of its input, so a PReLU may then overwrite it.
+        # returns a view of its input, so an in-place layer may then
+        # overwrite it.
         owned = False
         outputs = {}
         for name, feeds_from, in_place, step in self._steps:

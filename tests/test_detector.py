@@ -138,6 +138,17 @@ class TestResampling:
             crops = D.crop_resize_batch(frame, huge, extent, count)
             assert (crops == 0).all() and not np.signbit(crops).any()
 
+    def test_square_of_a_box_past_the_float_range_crops_to_zero(self):
+        """A finite box 2e308 wide squares to finite corners, since
+        ``square_pad`` halves them first; its crop's side overflows to inf,
+        which puts every sample past the far edge: +0.0, with no
+        floating-point warning."""
+        frame = np.full((1, 3, 10, 10), -0.5, np.float32)
+        square = D.square_pad(boxes((-1e308, 0, 1e308, 10)))
+        assert square.tolist() == [[-1e308, 5 - 1e308, 1e308, 5 + 1e308]]
+        crops = D.crop_resize_batch(frame, square, 24)
+        assert (crops == 0).all() and not np.signbit(crops).any()
+
     @pytest.mark.parametrize("extent, counts", [(24, (21, 24, 1)),
                                                 (48, (41, 47)), (5, (3,))])
     def test_counted_crop_is_the_full_crops_corner(self, extent, counts):
@@ -282,6 +293,26 @@ class TestResampling:
         assert tensor.shape == (1, 3, 2, 2)
         assert tensor[0, 0, 0, 0] == pytest.approx((255 - 127.5) / 128)
         assert tensor[0, 2, 0, 0] == pytest.approx(-127.5 / 128)
+
+    def test_frame_to_tensor_bits_for_every_pixel_value(self):
+        values = np.arange(256, dtype=np.uint8)
+        tensor = D.frame_to_tensor(np.repeat(values, 3).reshape(1, 256, 3))
+        want = (values.astype(np.float32) - 127.5) / 128.0
+        for channel in tensor[0, :, 0]:
+            assert channel.tobytes() == want.tobytes()
+
+    def test_frame_to_tensor_holds_one_float32_frame(self):
+        """At 1920x1080 the call peaks at its own 23.7 MiB output; a
+        subtraction into a new array held two float32 frames, 47.5 MiB.
+        The bound is one float32 frame plus 10%."""
+        pixels = fixtures.synthetic_frame(0, 1920, 1080)
+        tracemalloc.start()
+        try:
+            D.frame_to_tensor(pixels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * 4 * pixels.size, peak / 2**20
 
 
 class TestIoU:
@@ -580,6 +611,19 @@ class TestSquarePad:
             width, height = sq[0, 2:] - sq[0, :2]
             assert width == pytest.approx(height, abs=1e-9)
             assert width == pytest.approx(max(b[0, 2:] - b[0, :2]), abs=1e-9)
+
+    def test_bits_of_the_center_and_half_side_formula(self):
+        """Halving the corners first keeps the bits of ``(x1 + x2) / 2``
+        minus and plus ``max(x2 - x1, y2 - y1) / 2``, at scales up to 1e300."""
+        rng = np.random.default_rng(31)
+        for scale in (1e-3, 1.0, 1e6, 1e100, 1e300):
+            lo = rng.uniform(-1, 1, (10_000, 2)) * scale
+            hi = lo + rng.uniform(0, 1, (10_000, 2)) * scale
+            size = hi - lo
+            half = (np.maximum(size[:, 0], size[:, 1]) / 2.0)[:, None]
+            center = (lo + hi) / 2.0
+            want = np.hstack([center - half, center + half])
+            assert D.square_pad(np.hstack([lo, hi])).tobytes() == want.tobytes()
 
 
 class TestProposals:

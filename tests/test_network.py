@@ -309,6 +309,28 @@ print("digest", hashlib.sha256(onet.forward(x).tobytes()).hexdigest())
             assert taps[tap].tobytes() == want.tobytes()
         assert x.tobytes() == snapshot.tobytes()
 
+    @pytest.mark.parametrize("tap", [None, "n1", "clamp6", "n2"])
+    def test_in_place_layers_keep_the_operators_bits(self, tap):
+        """Batch norm, ReLU6, batch norm and ReLU, each writing over the
+        intermediate it owns, give the output and the tap that the public
+        operators give one after another, and leave the input intact."""
+        rng = np.random.default_rng(9)
+        p = {**bn_params("n1", 3, rng), **bn_params("n2", 3, rng)}
+        layers = [bn_layer("n1", 3), LayerSpec(kind="relu6", name="clamp6"),
+                  bn_layer("n2", 3), LayerSpec(kind="relu", name="clamp")]
+        x = channels_last(rng.uniform(-8, 8, (2, 3, 5, 4)).astype(np.float32))
+        snapshot = x.copy()
+        want = {"n1": T.batch_norm(x, *(p[f"n1.{s}"] for s in STATS))}
+        want["clamp6"] = T.relu6(want["n1"])
+        want["n2"] = T.batch_norm(want["clamp6"], *(p[f"n2.{s}"] for s in STATS))
+        out = Network(layers, WeightArchive(p)).forward(
+            x, taps=(tap,) if tap else ())
+        if tap:
+            out, taps = out
+            assert taps[tap].tobytes() == want[tap].tobytes()
+        assert out.tobytes() == T.relu(want["n2"]).tobytes()
+        assert x.tobytes() == snapshot.tobytes()
+
 
 # Per case: the layer, the input shape, and the same layer as a direct call
 # of the public operators on (input, {role: parameter tensor}).
@@ -376,7 +398,9 @@ def test_compiled_layer_equals_direct_operator_call(case):
     params = {role: archive.get(f"l.{role}")
               for role, _ in T.layer_parameters(layer)}
     for x in (x, channels_last(x)) if x.ndim == 4 else (x,):
+        snapshot = x.copy()
         got = Network([layer], archive).forward(x)
+        assert x.tobytes() == snapshot.tobytes()
         want = direct(x, params)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
